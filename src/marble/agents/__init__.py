@@ -6,8 +6,6 @@ from .backends import (
     ScriptedBackend,
     SlmBackend,
     TransportError,
-    call_with_timeout,
-    remote_complete,
 )
 from .base import Agent, ScriptedAgent
 from .ml import MlAgent, MlModel, TrainError, ml_evaluate, ml_train
@@ -18,7 +16,6 @@ from .slm import (
     SlmAgent,
     build_prompt,
     calibrate,
-    parse_response,
     parse_response_detailed,
     slm_evaluate,
 )
@@ -40,11 +37,8 @@ __all__ = [
     "TransportError",
     "build_prompt",
     "calibrate",
-    "call_with_timeout",
     "ml_evaluate",
     "ml_train",
-    "parse_response",
     "parse_response_detailed",
-    "remote_complete",
     "slm_evaluate",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
@@ -26,31 +25,16 @@ class BackendTimeoutError(TimeoutError):
 
 @runtime_checkable
 class SlmBackend(Protocol):
-    def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str: ...
+    """A text-completion backend.
 
-
-def call_with_timeout(fn: Callable[[], str], timeout_ms: int) -> str:
-    """Run ``fn`` on a daemon thread and abandon it past the deadline.
-
-    Late results are discarded irrevocably; the abandoned thread cannot
-    block interpreter exit.
+    ``complete`` must return, or raise ``BackendTimeoutError``, within
+    ``timeout_ms``; it raises ``TransportError`` for any other failure to
+    obtain a completion. The engine calls it directly and relies on this
+    bound: a call that overruns holds a worker of the shared agent pool
+    until it returns, and the engine abandons its result at the barrier.
     """
-    box: dict[str, object] = {}
 
-    def target() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # propagated to the caller below
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_ms / 1000.0)
-    if thread.is_alive():
-        raise BackendTimeoutError(f"no completion within {timeout_ms} ms")
-    if "error" in box:
-        raise box["error"]  # type: ignore[misc]
-    return box["value"]  # type: ignore[return-value]
+    def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str: ...
 
 
 class ScriptedBackend:
@@ -58,7 +42,9 @@ class ScriptedBackend:
 
     A mapping script matches keys as substrings of the prompt in insertion
     order, with the empty-string key acting as the default. ``delay_ms``
-    simulates a slow model; ``error`` is raised after the delay.
+    simulates a slow model; ``error`` is raised after the delay. A delay
+    that reaches ``timeout_ms`` sleeps until the deadline and raises
+    ``BackendTimeoutError``, as the backend contract requires.
     """
 
     def __init__(
@@ -75,6 +61,9 @@ class ScriptedBackend:
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
         self.calls += 1
+        if self._delay_ms >= timeout_ms:
+            time.sleep(timeout_ms / 1000.0)
+            raise BackendTimeoutError(f"no completion within {timeout_ms} ms")
         if self._delay_ms:
             time.sleep(self._delay_ms / 1000.0)
         if self._error is not None:
@@ -91,51 +80,14 @@ class ScriptedBackend:
         raise TransportError("no scripted response matches the prompt")
 
 
-def remote_complete(
-    endpoint: str,
-    prompt: str,
-    decoding: DecodingParams,
-    timeout_ms: int,
-    *,
-    model: str = "",
-    api_key: str | None = None,
-    send_repetition_penalty: bool = True,
-) -> str:
-    """Issue one chat-completion request and return the first choice's text.
-
-    The prompt travels as a single user message together with the four
-    decoding parameters; the repetition penalty is omitted when the
-    endpoint is flagged as not accepting it.
-    """
-    body: dict[str, object] = {
-        "model": model,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": decoding.temperature,
-        "top_p": decoding.top_p,
-        "max_tokens": decoding.max_new_tokens,
-    }
-    if send_repetition_penalty:
-        body["repetition_penalty"] = decoding.repetition_penalty
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    try:
-        response = requests.post(endpoint, json=body, headers=headers, timeout=timeout_ms / 1000.0)
-    except requests.Timeout as exc:
-        raise BackendTimeoutError(f"no completion within {timeout_ms} ms") from exc
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    if response.status_code >= 400:
-        raise TransportError(f"HTTP {response.status_code}", status=response.status_code)
-    try:
-        payload = response.json()
-        return payload["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise TransportError(f"malformed completion payload: {exc}") from exc
-
-
 class RemoteHttpBackend:
-    """Chat-completions-compatible HTTP backend configured from EndpointParams."""
+    """Chat-completions-compatible HTTP backend configured from EndpointParams.
+
+    A call sends the prompt as one user message with the decoding parameters
+    (the repetition penalty only where the endpoint accepts it) and returns
+    the first choice's text. The credential is read from the named
+    environment variable at call time; ``requests`` applies ``timeout_ms``.
+    """
 
     def __init__(self, endpoint: EndpointParams):
         if not endpoint.url:
@@ -143,13 +95,32 @@ class RemoteHttpBackend:
         self._endpoint = endpoint
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
-        api_key = os.environ.get(self._endpoint.api_key_env) or None
-        return remote_complete(
-            self._endpoint.url,
-            prompt,
-            decoding,
-            timeout_ms,
-            model=self._endpoint.model,
-            api_key=api_key,
-            send_repetition_penalty=self._endpoint.send_repetition_penalty,
-        )
+        endpoint = self._endpoint
+        body: dict[str, object] = {
+            "model": endpoint.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": decoding.temperature,
+            "top_p": decoding.top_p,
+            "max_tokens": decoding.max_new_tokens,
+        }
+        if endpoint.send_repetition_penalty:
+            body["repetition_penalty"] = decoding.repetition_penalty
+        headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(endpoint.api_key_env)
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+        try:
+            response = requests.post(
+                endpoint.url, json=body, headers=headers, timeout=timeout_ms / 1000.0
+            )
+        except requests.Timeout as exc:
+            raise BackendTimeoutError(f"no completion within {timeout_ms} ms") from exc
+        except requests.RequestException as exc:
+            raise TransportError(str(exc)) from exc
+        if response.status_code >= 400:
+            raise TransportError(f"HTTP {response.status_code}", status=response.status_code)
+        try:
+            payload = response.json()
+            return payload["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise TransportError(f"malformed completion payload: {exc}") from exc

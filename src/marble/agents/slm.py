@@ -11,7 +11,7 @@ from typing import Mapping
 
 from ..core import AgentId, AgentOutput, EngineConfig, Severity, clamp01
 from ..features import FeatureValue, format_features
-from .backends import BackendTimeoutError, SlmBackend, TransportError, call_with_timeout
+from .backends import BackendTimeoutError, SlmBackend, TransportError
 
 
 class ParseError(ValueError):
@@ -128,38 +128,80 @@ def _coerce_confidence(value: object) -> float | None:
     return None
 
 
+# JSON objects are sought in at most this many leading characters of a
+# reply; the labelled-number fallback still reads all of it. A reply of 256
+# new tokens is about 1 KB, so the cap binds only on runaway or hostile
+# output, where it bounds the decoding of nested spans, quadratic in length.
+_MAX_JSON_SCAN_CHARS = 32_768
+
+# Characters that move the brace scanner; every other one only ends an escape.
+_JSON_SYNTAX = re.compile(r'[{}"\\]')
+
+
+def _merge_lanes(a: list[list[int]] | None, b: list[list[int]]) -> list[list[int]]:
+    """Merge two lanes that see the same braces from now on. Their stacks align
+    at the top, as the next '}' closes both tops; a level holds the starts
+    that close together."""
+    if a is None or len(a) < len(b):
+        a, b = b, a
+    if b is None:
+        return a
+    for i in range(1, len(b) + 1):
+        if len(a[-i]) < len(b[-i]):
+            a[-i], b[-i] = b[-i], a[-i]
+        a[-i].extend(b[-i])
+    return a
+
+
+def _closing_braces(text: str) -> dict[int, int]:
+    """Map each '{' to the '}' that balances it, scanning from that '{' as if
+    outside any string, in one pass over the text.
+
+    A scan started at a '{' is in one of three states at each later
+    character: outside a string, inside one, or just after a backslash
+    inside one. Scans in the same state at the same character agree from
+    then on, so the pass keeps one stack of open braces per state (a lane)
+    and merges lanes that reach the same state.
+    """
+    closing: dict[int, int] = {}
+    out = in_str = escaped = None  # lanes: None when no scan is in that state
+    last = -1
+    for match in _JSON_SYNTAX.finditer(text):
+        pos, c = match.start(), match.group()
+        if escaped is not None and (pos > last + 1 or c in "{}"):
+            in_str, escaped = _merge_lanes(in_str, escaped), None
+        last = pos
+        if c == "{":
+            out = out or []
+            out.append([pos])
+        elif c == "}":
+            if out is not None:
+                for start in out.pop():
+                    closing[start] = pos
+                out = out or None
+        elif c == '"':
+            # outside -> string, string -> outside, after backslash -> string
+            if escaped is not None:
+                out = _merge_lanes(out, escaped)
+            out, in_str, escaped = in_str, out, None
+        else:
+            in_str, escaped = escaped, in_str
+    return closing
+
+
 def _iter_json_candidates(text: str):
-    """Yield every parseable JSON object embedded in the text, left to right."""
-    for start, ch in enumerate(text):
-        if ch != "{":
+    """Yield every JSON object embedded in the first ``_MAX_JSON_SCAN_CHARS`` of
+    the text, left to right: each span from a '{' to the '}' that balances it,
+    when it decodes (spans nested too deep for the decoder do not)."""
+    text = text[:_MAX_JSON_SCAN_CHARS]
+    closing = _closing_braces(text)
+    for start in sorted(closing):
+        try:
+            obj = json.loads(text[start : closing[start] + 1])
+        except (ValueError, RecursionError):
             continue
-        depth = 0
-        in_string = False
-        escaped = False
-        for end in range(start, len(text)):
-            c = text[end]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : end + 1])
-                    except ValueError:
-                        break
-                    if isinstance(obj, dict):
-                        yield obj
-                    break
+        if isinstance(obj, dict):
+            yield obj
 
 
 _SEV_PATTERN = re.compile(r'severity"?\s*[:=]\s*"?(\d+)', re.IGNORECASE)
@@ -211,11 +253,6 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
     raise ParseError("no severity class in 1-4 recoverable from output")
 
 
-def parse_response(raw: str) -> tuple[Severity, float, str]:
-    parsed = parse_response_detailed(raw)
-    return parsed.severity, parsed.confidence, parsed.reasoning
-
-
 def calibrate(raw_confidence: float, prediction: Severity, cfg: EngineConfig) -> float:
     """Heuristic boost for confident rare-class predictions; common classes
     pass through unchanged. The high gate is tested before the mid gate."""
@@ -256,10 +293,7 @@ def slm_evaluate(
 
     prompt = build_prompt(template, format_features(features))
     try:
-        raw = call_with_timeout(
-            lambda: backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms),
-            cfg.agent_timeout_ms,
-        )
+        raw = backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms)
     except BackendTimeoutError:
         return fail("timeout")
     except TransportError:

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, ml_train
-from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, load_config, validate_config
+from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, load_config, validate_config
 from .engine import run_batch
 from .features import default_registry, ingest_csv, load_registry
 from .harness import (
@@ -22,7 +22,6 @@ from .harness import (
     run_ablation,
     run_imbalance_suite,
 )
-from .core import Severity
 
 
 def _load_cfg(args) -> EngineConfig:

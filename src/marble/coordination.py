@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .agents.backends import BackendTimeoutError, SlmBackend, TransportError, call_with_timeout
+from .agents.backends import BackendTimeoutError, SlmBackend, TransportError
 from .agents.slm import ParseError, parse_response_detailed
 from .core import (
     AGENT_ORDER,
@@ -269,10 +269,7 @@ def coordinate_llm(
         raise EmptyInputError("all agents failed")
     prompt = format_meta_prompt(live, cfg)
     try:
-        raw = call_with_timeout(
-            lambda: backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms),
-            cfg.agent_timeout_ms,
-        )
+        raw = backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms)
         parsed = parse_response_detailed(raw)
     except BackendTimeoutError:
         return replace(coordinate_rb(live, cfg), fallback="timeout")

@@ -214,9 +214,16 @@ class EngineConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def fingerprint(self) -> str:
-        """Stable hash of the serialized config, for trace provenance."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        """Stable hash of the serialized config, for trace provenance.
+
+        Computed on first use and kept on the instance: the config is frozen.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
@@ -290,8 +297,17 @@ _UNIT_FIELDS = (
 def validate_config(cfg: EngineConfig) -> EngineConfig:
     """Return ``cfg`` unchanged if every invariant holds; raise ConfigError otherwise.
 
-    The error names the first violated invariant and field.
+    The error names the first violated invariant and field. Every numeric
+    field, weight and factor must first be a finite int or float.
     """
+    numbers = [(f"agent_weights.{a.name}", cfg.agent_weights[a]) for a in AgentId if a in cfg.agent_weights]
+    numbers += [(f"class_factors.{int(k)}", cfg.class_factors[k]) for k in ALL_SEVERITIES if k in cfg.class_factors]
+    for owner, prefix in ((cfg, ""), (cfg.calibration, "calibration."), (cfg.decoding, "decoding.")):
+        # Annotations are strings in this module.
+        numbers += [(prefix + f.name, getattr(owner, f.name)) for f in fields(owner) if f.type in ("float", "int")]
+    for name, value in numbers:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number")
     for agent in AgentId:
         if agent in cfg.agent_weights and not cfg.agent_weights[agent] > 0:
             raise ConfigError(f"agent_weights.{agent.name} must be > 0")

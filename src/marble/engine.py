@@ -5,6 +5,10 @@ blocks until all have resolved (returned or timed out), stage 3 coordinates
 the surviving outputs and runs the final decision cascade. Agents are
 stateless; no information flows between them. Every instance leaves a full
 trace record.
+
+Agents, and the LLM coordinator call, run on one thread pool shared by every
+record, so no record pays for starting threads. Each record has one deadline
+for its agents, the barrier; backends bound their own calls (``SlmBackend``).
 """
 
 from __future__ import annotations
@@ -13,19 +17,13 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .agents.base import Agent
 from .agents.backends import SlmBackend
-from .coordination import (
-    CoordinationResult,
-    EmptyInputError,
-    check_ml_override,
-    coordinate_llm,
-    coordinate_rb,
-)
+from .coordination import CoordinationResult, check_ml_override, coordinate_llm, coordinate_rb
 from .core import AGENT_ORDER, AgentId, AgentOutput, CoordinationMode, EngineConfig
 from .decision import FinalDecision, abstain, final_decide
 from .features import AccidentRecord, FeatureRegistry, FeatureValue, project
@@ -33,6 +31,14 @@ from .features import AccidentRecord, FeatureRegistry, FeatureValue, project
 # Extra slack granted past the agent timeout before the engine abandons a
 # future; covers agents that fail to enforce their own deadline.
 _BARRIER_GRACE_MS = 500
+
+# The agent pool shared by every record. It starts no thread until the first
+# record, and then one only when none is idle, so the live count follows the
+# actual concurrency: eight records in flight with five agents and a
+# coordinator call each use 48. The rest of the bound is headroom for workers
+# held by calls that overran their deadline, and for more records in flight.
+_AGENT_POOL_WORKERS = 64
+_AGENT_POOL = ThreadPoolExecutor(max_workers=_AGENT_POOL_WORKERS, thread_name_prefix="marble-agent")
 
 Coordinator = Callable[[Sequence[AgentOutput], EngineConfig], CoordinationResult]
 
@@ -87,11 +93,6 @@ class TraceRecord:
             "config_fingerprint": self.config_fingerprint,
             "notes": list(self.notes),
         }
-
-
-# Timing keys carry wall-clock measurements and are excluded from
-# determinism comparisons.
-TIMING_FIELDS = ("timings", "latency_ms")
 
 
 def strip_timings(trace_dict: dict) -> dict:
@@ -150,33 +151,29 @@ def run_instance(
         return output
 
     outputs: list[AgentOutput] = []
-    executor = ThreadPoolExecutor(max_workers=len(agents))
-    try:
-        futures = [
-            (identity, executor.submit(run_agent, agent, identity))
-            for agent, identity in zip(agents, identities)
-        ]
-        deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
-        for identity, future in futures:
-            remaining = max(0.0, deadline - time.perf_counter())
-            try:
-                outputs.append(future.result(timeout=remaining))
-            except FutureTimeoutError:
-                future.cancel()
-                completed_at[identity] = _ms(start)
-                outputs.append(
-                    AgentOutput(
-                        agent=identity,
-                        prediction=None,
-                        confidence=0.0,
-                        failed=True,
-                        failure_kind="timeout",
-                        latency_ms=cfg.agent_timeout_ms + _BARRIER_GRACE_MS,
-                    )
+    futures = [
+        (identity, _AGENT_POOL.submit(run_agent, agent, identity))
+        for agent, identity in zip(agents, identities)
+    ]
+    deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
+    for identity, future in futures:
+        remaining = max(0.0, deadline - time.perf_counter())
+        try:
+            outputs.append(future.result(timeout=remaining))
+        except FutureTimeoutError:
+            future.cancel()
+            completed_at[identity] = _ms(start)
+            outputs.append(
+                AgentOutput(
+                    agent=identity,
+                    prediction=None,
+                    confidence=0.0,
+                    failed=True,
+                    failure_kind="timeout",
+                    latency_ms=cfg.agent_timeout_ms + _BARRIER_GRACE_MS,
                 )
-                notes.append(f"agent {identity.value} abandoned past the barrier deadline")
-    finally:
-        executor.shutdown(wait=False)
+            )
+            notes.append(f"agent {identity.value} abandoned past the barrier deadline")
     outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
     stage2_done = _ms(start)
 
@@ -188,25 +185,34 @@ def run_instance(
         "stage3_start_ms": stage3_start,
         "agent_completed_ms": {a.value: t for a, t in sorted(completed_at.items(), key=lambda kv: AGENT_ORDER[kv[0]])},
     }
-    live = [o for o in outputs if not o.failed]
-    if not live:
+
+    def trace(coordination: CoordinationResult | None, decision: FinalDecision) -> TraceRecord:
         timings["total_ms"] = _ms(start)
-        trace = TraceRecord(
+        return TraceRecord(
             record_id=record.id,
             projections=projections,
             agent_outputs=tuple(outputs),
-            coordination=None,
-            decision=abstain(),
+            coordination=coordination,
+            decision=decision,
             timings=timings,
             config_fingerprint=cfg.fingerprint(),
             notes=tuple(notes),
         )
-        raise AllAgentsFailedError(record.id, trace)
+
+    live = [o for o in outputs if not o.failed]
+    if not live:
+        raise AllAgentsFailedError(record.id, trace(None, abstain()))
 
     if coordinator is not None:
         coordination = coordinator(live, cfg)
     elif cfg.coordination_mode is CoordinationMode.LLM_BASED:
-        coordination = coordinate_llm(live, coordination_backend, cfg)
+        future = _AGENT_POOL.submit(coordinate_llm, live, coordination_backend, cfg)
+        try:
+            coordination = future.result(timeout=(cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0)
+        except FutureTimeoutError:
+            future.cancel()
+            coordination = replace(coordinate_rb(live, cfg), fallback="timeout")
+            notes.append("coordinator abandoned past its deadline")
     else:
         coordination = coordinate_rb(live, cfg)
 
@@ -215,18 +221,30 @@ def run_instance(
     decision = final_decide(ml_output, coordination, override_met, cfg)
 
     timings["stage3_ms"] = _ms(start) - stage3_start
-    timings["total_ms"] = _ms(start)
-    trace = TraceRecord(
-        record_id=record.id,
-        projections=projections,
-        agent_outputs=tuple(outputs),
-        coordination=coordination,
-        decision=decision,
-        timings=timings,
-        config_fingerprint=cfg.fingerprint(),
-        notes=tuple(notes),
-    )
-    return decision, trace
+    return decision, trace(coordination, decision)
+
+
+def _iter_instances(
+    records: Sequence[AccidentRecord],
+    agents: Sequence[Agent],
+    cfg: EngineConfig,
+    max_workers: int,
+    **options,
+) -> Iterator[tuple[FinalDecision, TraceRecord]]:
+    """Yield each record's result in input order as soon as it and every
+    earlier record are done; ``options`` go to ``run_instance``."""
+
+    def one(record: AccidentRecord) -> tuple[FinalDecision, TraceRecord]:
+        try:
+            return run_instance(record, agents, cfg, **options)
+        except AllAgentsFailedError as err:
+            return err.trace.decision, err.trace
+
+    if max_workers <= 1:
+        yield from map(one, records)
+        return
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        yield from pool.map(one, records)
 
 
 def run_instances(
@@ -241,24 +259,8 @@ def run_instances(
 ) -> list[tuple[FinalDecision, TraceRecord]]:
     """Run every record, preserving input order; all-failed records become
     abstentions rather than errors."""
-
-    def one(record: AccidentRecord) -> tuple[FinalDecision, TraceRecord]:
-        try:
-            return run_instance(
-                record,
-                agents,
-                cfg,
-                registry=registry,
-                coordination_backend=coordination_backend,
-                coordinator=coordinator,
-            )
-        except AllAgentsFailedError as err:
-            return err.trace.decision, err.trace
-
-    if max_workers <= 1:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, records))
+    options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
+    return list(_iter_instances(records, agents, cfg, max_workers, **options))
 
 
 def run_batch(
@@ -275,18 +277,15 @@ def run_batch(
     """Batch inference with JSON Lines trace persistence.
 
     The sink is opened before any record is processed, so an unwritable
-    path fails fast. One trace object per line, in input order.
+    path fails fast. One trace object per line, in input order; each line
+    is written and flushed as soon as its record and every earlier one are
+    done, so a run that fails part-way leaves a valid partial file.
     """
+    options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
+    decisions: list[FinalDecision] = []
     with open(trace_sink, "w", encoding="utf-8") as sink:
-        results = run_instances(
-            records,
-            agents,
-            cfg,
-            registry=registry,
-            coordination_backend=coordination_backend,
-            coordinator=coordinator,
-            max_workers=max_workers,
-        )
-        for _, trace in results:
+        for decision, trace in _iter_instances(records, agents, cfg, max_workers, **options):
             sink.write(json.dumps(trace.to_dict(), ensure_ascii=False) + "\n")
-    return [decision for decision, _ in results]
+            sink.flush()
+            decisions.append(decision)
+    return decisions

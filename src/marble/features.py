@@ -11,8 +11,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import AgentId, SLM_AGENT_IDS, Severity
 
@@ -100,6 +101,11 @@ class AccidentRecord:
         if not self.id:
             raise ValueError("record id must be non-empty")
 
+    @cached_property
+    def canonical_features(self) -> dict[str, FeatureValue]:
+        """The features keyed by ``canonical_name``, built once per record."""
+        return {canonical_name(n): v for n, v in self.features.items()}
+
 
 def canonical_name(name: str) -> str:
     """Case/punctuation-insensitive feature-name key."""
@@ -146,32 +152,21 @@ _DEFAULT_DOMAINS: dict[AgentId, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class FeatureRegistry:
-    """Which SLM domain reads which features; ML implicitly reads them all.
-
-    ``ml_only`` flags registered features deliberately assigned to no
-    SLM domain.
-    """
+    """Which SLM domain reads which features; ML implicitly reads them all."""
 
     domains: Mapping[AgentId, tuple[str, ...]] = field(
         default_factory=lambda: dict(_DEFAULT_DOMAINS)
     )
-    ml_only: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for agent in self.domains:
             if not agent.is_slm:
                 raise ValueError("only SLM domains take feature assignments")
-        index: dict[str, list[AgentId]] = {}
-        for agent, names in self.domains.items():
-            for name in names:
-                index.setdefault(canonical_name(name), []).append(agent)
-        object.__setattr__(self, "_index", index)
+        canonical = {a: tuple((n, canonical_name(n)) for n in names) for a, names in self.domains.items()}
+        object.__setattr__(self, "_canonical", canonical)
 
     def domain_features(self, agent: AgentId) -> tuple[str, ...]:
         return tuple(self.domains.get(agent, ()))
-
-    def domains_of(self, name: str) -> tuple[AgentId, ...]:
-        return tuple(getattr(self, "_index").get(canonical_name(name), ()))
 
     def all_assigned(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -184,18 +179,17 @@ def default_registry() -> FeatureRegistry:
     return FeatureRegistry()
 
 
+_DEFAULT_REGISTRY = default_registry()
+_MISSING = FeatureValue.missing()
+
+
 def load_registry(path: str | Path) -> FeatureRegistry:
-    """Load a JSON registry override: {"environmental": [...], ..., "ml_only": [...]}."""
+    """Load a JSON registry override: {"environmental": [...], ...}.
+
+    An "ml_only" list is accepted and ignored: the ML agent reads every feature.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    domains: dict[AgentId, tuple[str, ...]] = {}
-    ml_only: tuple[str, ...] = ()
-    for key, names in data.items():
-        if key == "ml_only":
-            ml_only = tuple(names)
-            continue
-        agent = AgentId(key)
-        domains[agent] = tuple(names)
-    return FeatureRegistry(domains=domains, ml_only=ml_only)
+    return FeatureRegistry({AgentId(k): tuple(v) for k, v in data.items() if k != "ml_only"})
 
 
 def project(
@@ -211,12 +205,12 @@ def project(
     """
     if agent is AgentId.ML:
         return dict(record.features)
-    registry = registry or default_registry()
-    by_canonical = {canonical_name(n): v for n, v in record.features.items()}
-    out: dict[str, FeatureValue] = {}
-    for name in registry.domain_features(agent):
-        out[name] = by_canonical.get(canonical_name(name), FeatureValue.missing())
-    return out
+    registry = registry or _DEFAULT_REGISTRY
+    by_canonical = record.canonical_features
+    return {
+        name: by_canonical.get(key, _MISSING)
+        for name, key in getattr(registry, "_canonical").get(agent, ())
+    }
 
 
 def format_features(subset: Mapping[str, FeatureValue]) -> str:
@@ -307,7 +301,3 @@ def ingest_csv(
                 if bad > bad_row_budget:
                     raise RowError(row_num, f"bad-row budget ({bad_row_budget}) exceeded: {err.message}") from err
         return records
-
-
-def labels_of(records: Iterable[AccidentRecord]) -> list[Severity | None]:
-    return [r.label for r in records]

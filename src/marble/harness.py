@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 from .agents.backends import SlmBackend
 from .agents.base import Agent
 from .coordination import CoordinationMode, CoordinationResult, VoteBreakdown
-from .core import ALL_SEVERITIES, AgentId, AgentOutput, EngineConfig, Severity
+from .core import ALL_SEVERITIES, AgentOutput, EngineConfig, Severity
 from .decision import FinalDecision
 from .engine import run_instances
 from .features import AccidentRecord, FeatureRegistry

@@ -97,6 +97,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="agent_timeout_ms"):
             validate_config(dataclasses.replace(EngineConfig(), agent_timeout_ms=0))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"tie_epsilon": float("nan")}, "tie_epsilon"),
+            ({"agent_timeout_ms": float("inf")}, "agent_timeout_ms"),
+            ({"decoding": {"temperature": float("nan")}}, "decoding.temperature"),
+            ({"agent_weights": {"ml": float("inf")}}, "agent_weights.ML"),
+            ({"class_factors": {"4": float("inf")}}, "class_factors.4"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, overrides, field):
+        cfg = EngineConfig.from_dict(overrides)
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"agent_timeout_ms": "8000"}, "agent_timeout_ms"),
+            ({"tau_ml_high": None}, "tau_ml_high"),
+            ({"boost_rare": True}, "boost_rare"),
+            ({"calibration": {"mid_gate": "0.6"}}, "calibration.mid_gate"),
+            ({"decoding": {"max_new_tokens": [256]}}, "decoding.max_new_tokens"),
+        ],
+    )
+    def test_non_numeric_scalars_rejected(self, overrides, field):
+        cfg = EngineConfig.from_dict(overrides)
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            validate_config(cfg)
+
 
 class TestConfigSerialization:
     def test_round_trip_identity(self):

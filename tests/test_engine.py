@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import time
 
 import pytest
 
-from marble.agents import ScriptedAgent, ScriptedBackend, SlmAgent
+from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent
+from marble.coordination import coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity
 from marble.decision import DecisionSource
 from marble.engine import (
@@ -112,6 +114,50 @@ class TestRunInstance:
         assert by_agent[AgentId.SPATIAL].failure_kind == "timeout"
         assert int(decision.prediction) == 2
 
+    def test_one_rogue_agent_does_not_stall_the_next_record(self, cfg):
+        fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
+        rogue = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(1.5) or (1, 0.9))
+        run_instance(record(), [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), rogue], fast_cfg)
+        start = time.perf_counter()
+        decision, _ = run_instance(record("next"), unanimous_agents(fast_cfg, 0.7), fast_cfg)
+        assert time.perf_counter() - start < 0.3  # the rogue agent is still asleep
+        assert int(decision.prediction) == 3
+
+    def test_coordinator_backend_ignoring_its_timeout_falls_back(self, cfg):
+        llm_cfg = dataclasses.replace(
+            cfg, agent_timeout_ms=100, coordination_mode=CoordinationMode.LLM_BASED
+        )
+
+        class DeafBackend:
+            def complete(self, prompt, decoding, timeout_ms):
+                time.sleep(1.5)
+                return payload(1, 0.9)
+
+        start = time.perf_counter()
+        decision, trace = run_instance(
+            record(), unanimous_agents(llm_cfg, 0.7), llm_cfg, coordination_backend=DeafBackend()
+        )
+        assert time.perf_counter() - start < 1.2
+        assert trace.coordination.fallback == "timeout"
+        assert int(decision.prediction) == 3
+        assert "coordinator abandoned past its deadline" in trace.notes
+
+    def test_no_thread_starts_after_warm_up(self, cfg, monkeypatch):
+        records = [record(f"t{i}") for i in range(20)]
+        agents = unanimous_agents(cfg, 0.7)
+        run_instances(records, agents, cfg)
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread, *args, **kwargs):
+            started.append(thread.name)
+            return original(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        results = run_instances(records, agents, cfg)
+        assert len(results) == 20
+        assert started == []
+
     def test_stage3_starts_after_every_surviving_agent(self, cfg):
         _, trace = run_instance(record(), unanimous_agents(cfg, 0.7), cfg)
         completed = trace.timings["agent_completed_ms"]
@@ -130,6 +176,15 @@ class TestRunInstance:
         llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
         with pytest.raises(ValueError, match="coordination backend"):
             run_instance(record(), unanimous_agents(cfg, 0.7), llm_cfg)
+
+
+class TestBackendContract:
+    def test_scripted_delay_past_the_deadline_times_out_at_the_deadline(self, cfg):
+        backend = ScriptedBackend(payload(2, 0.6), delay_ms=2000)
+        start = time.perf_counter()
+        with pytest.raises(BackendTimeoutError):
+            backend.complete("prompt", cfg.decoding, 150)
+        assert 0.14 <= time.perf_counter() - start < 0.6
 
 
 def poisoned_agents(cfg: EngineConfig) -> list:
@@ -195,6 +250,32 @@ class TestRunBatch:
         abstained_line = json.loads(lines[2])
         assert abstained_line["decision"]["prediction"] is None
         assert abstained_line["coordination"] is None
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_failure_at_record_k_leaves_k_trace_lines(self, cfg, tmp_path, max_workers):
+        k = 3
+
+        # The ML agent reads the record's index from its weather feature and
+        # reports it in its confidence, so the coordinator knows the record.
+        def index_of(confidence: float) -> int:
+            return round(confidence * 100) - 50
+
+        def coordinator(outputs, cfg):
+            if index_of(outputs[0].confidence) == k:
+                raise RuntimeError("coordinator failed")
+            return coordinate_rb(outputs, cfg)
+
+        records = [weather_record(f"s{i}", str(i)) for i in range(8)]
+        agents = [
+            ScriptedAgent(
+                AgentId.ML, lambda features: (2, 0.5 + int(features["Weather Conditions"].text) / 100)
+            )
+        ]
+        sink = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError, match="coordinator failed"):
+            run_batch(records, agents, cfg, sink, coordinator=coordinator, max_workers=max_workers)
+        lines = sink.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["record_id"] for line in lines] == [f"s{i}" for i in range(k)]
 
     def test_traces_are_deterministic_modulo_timings(self, cfg, tmp_path):
         records = [record(f"d{i}") for i in range(5)]

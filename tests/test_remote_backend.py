@@ -7,12 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from marble.agents.backends import (
-    BackendTimeoutError,
-    RemoteHttpBackend,
-    TransportError,
-    remote_complete,
-)
+from marble.agents.backends import BackendTimeoutError, RemoteHttpBackend, TransportError
 from marble.core import DecodingParams, EndpointParams
 
 
@@ -57,16 +52,19 @@ def url(server) -> str:
     return f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
 
 
+def complete(endpoint_url: str, prompt: str, timeout_ms: int, **endpoint) -> str:
+    backend = RemoteHttpBackend(EndpointParams(url=endpoint_url, **endpoint))
+    return backend.complete(prompt, DecodingParams(), timeout_ms)
+
+
 class TestRemoteComplete:
     def test_echoes_canned_payload(self, stub_server):
         stub_server.canned = "the payload"
-        text = remote_complete(url(stub_server), "hello", DecodingParams(), 2000, model="m1")
-        assert text == "the payload"
+        assert complete(url(stub_server), "hello", 2000, model="m1") == "the payload"
 
-    def test_request_body_carries_decoding_params(self, stub_server):
-        remote_complete(
-            url(stub_server), "prompt text", DecodingParams(), 2000, model="m1", api_key="sekrit"
-        )
+    def test_request_body_carries_decoding_params(self, stub_server, monkeypatch):
+        monkeypatch.setenv("MARBLE_API_KEY", "sekrit")
+        complete(url(stub_server), "prompt text", 2000, model="m1")
         headers, body = stub_server.requests[-1]
         assert body["model"] == "m1"
         assert body["messages"] == [{"role": "user", "content": "prompt text"}]
@@ -77,26 +75,24 @@ class TestRemoteComplete:
         assert headers["Authorization"] == "Bearer sekrit"
 
     def test_repetition_penalty_dropped_when_disabled(self, stub_server):
-        remote_complete(
-            url(stub_server), "p", DecodingParams(), 2000, send_repetition_penalty=False
-        )
+        complete(url(stub_server), "p", 2000, send_repetition_penalty=False)
         _, body = stub_server.requests[-1]
         assert "repetition_penalty" not in body
 
     def test_slow_endpoint_times_out(self, stub_server):
         stub_server.mode = "delay"
         with pytest.raises(BackendTimeoutError):
-            remote_complete(url(stub_server), "p", DecodingParams(), 200)
+            complete(url(stub_server), "p", 200)
 
     def test_http_500_raises_transport_error(self, stub_server):
         stub_server.mode = "error"
         with pytest.raises(TransportError) as err:
-            remote_complete(url(stub_server), "p", DecodingParams(), 2000)
+            complete(url(stub_server), "p", 2000)
         assert err.value.status == 500
 
     def test_unreachable_host_raises_transport_error(self):
         with pytest.raises(TransportError):
-            remote_complete("http://127.0.0.1:9/none", "p", DecodingParams(), 500)
+            complete("http://127.0.0.1:9/none", "p", 500)
 
 
 class TestRemoteHttpBackend:

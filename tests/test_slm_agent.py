@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marble.agents import slm
 from marble.agents.backends import ScriptedBackend, TransportError
 from marble.agents.slm import (
     DEFAULT_TEMPLATES,
@@ -14,7 +17,6 @@ from marble.agents.slm import (
     SlmAgent,
     build_prompt,
     calibrate,
-    parse_response,
     parse_response_detailed,
     slm_evaluate,
 )
@@ -50,6 +52,11 @@ class TestBuildPrompt:
         assert prompt == build_prompt(
             DEFAULT_TEMPLATES[AgentId.ENVIRONMENTAL], format_features(subset)
         )
+
+
+def parse_response(raw: str) -> tuple[Severity, float, str]:
+    parsed = parse_response_detailed(raw)
+    return parsed.severity, parsed.confidence, parsed.reasoning
 
 
 class TestParseResponse:
@@ -90,6 +97,85 @@ class TestParseResponse:
         raw = '{"result": {"severity": 3, "confidence": 0.7, "reasoning": "nested"}}'
         severity, confidence, reasoning = parse_response(raw)
         assert (int(severity), confidence, reasoning) == (3, 0.7, "nested")
+
+    def test_megabyte_of_open_braces_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_response_detailed("{" * 1_000_000)
+        assert time.perf_counter() - start < 1.0
+
+
+def reference_json_candidates(text: str):
+    """The quadratic scan the linear one replaced: from every '{', outside
+    any string, find the brace that closes it and decode that span."""
+    for start, ch in enumerate(text):
+        if ch != "{":
+            continue
+        depth = 0
+        in_string = False
+        escaped = False
+        for end in range(start, len(text)):
+            c = text[end]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_string = False
+                continue
+            if c == '"':
+                in_string = True
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        obj = json.loads(text[start : end + 1])
+                    except ValueError:
+                        break
+                    if isinstance(obj, dict):
+                        yield obj
+                    break
+
+
+def parse_outcome(raw: str) -> str:
+    try:
+        return repr(parse_response_detailed(raw))
+    except ParseError:
+        return "ParseError"
+
+
+NOISE = st.sampled_from(
+    ["{", "}", '"', "\\", ":", ",", " ", "x", "[", "]", "2", "0.7", "9", "null",
+     '"severity"', '"confidence"', '"reasoning"', '"severity": 3', "\\\"", '{"', '"}',
+     '\\{"', '\\}"']
+)
+BRACE_HEAVY = st.lists(NOISE, max_size=80).map("".join)
+# Valid JSON whose strings are full of braces, quotes and escapes (of every
+# kind: \", \\, \n, \u00e9), cut short at random and embedded in noise.
+JSON_TEXT = st.recursive(
+    st.none() | st.integers(0, 5) | st.text(alphabet='{}"\\ :s\né', max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["severity", "confidence", 'a"{', "\\}"]), inner, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+EMBEDDED = st.lists(
+    st.one_of(NOISE, JSON_TEXT, st.tuples(JSON_TEXT, st.integers(1, 30)).map(lambda t: t[0][: t[1]])),
+    max_size=10,
+).map("".join)
+
+
+class TestJsonScanMatchesReference:
+    @given(raw=st.one_of(BRACE_HEAVY, EMBEDDED))
+    @settings(max_examples=1500, deadline=None)
+    def test_candidates_and_parse_match_the_quadratic_scan(self, raw):
+        assert repr(list(slm._iter_json_candidates(raw))) == repr(list(reference_json_candidates(raw)))
+        linear = parse_outcome(raw)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(slm, "_iter_json_candidates", reference_json_candidates)
+            assert parse_outcome(raw) == linear
 
 
 class TestCalibrate:
