@@ -24,7 +24,7 @@ from .coordination import (
     coordinate_rb,
 )
 from .decision import DecisionSource, FinalDecision, abstain, final_decide
-from .engine import AllAgentsFailedError, TraceRecord, run_batch, run_instance, run_instances
+from .engine import AllAgentsFailedError, TraceRecord, fuse, run_batch, run_instance, run_instances
 from .features import (
     AccidentRecord,
     FeatureRegistry,
@@ -73,6 +73,7 @@ __all__ = [
     "default_scenarios",
     "final_decide",
     "format_features",
+    "fuse",
     "ingest_csv",
     "load_config",
     "project",

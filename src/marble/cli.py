@@ -18,6 +18,7 @@ from .harness import (
     compute_metrics,
     default_scenarios,
     ImbalanceScenario,
+    ScenarioError,
     relative_accuracy_drops,
     run_ablation,
     run_imbalance_suite,
@@ -101,27 +102,23 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _labeled_records(path):
-    records = ingest_csv(path)
+def _evaluation_setup(args):
+    """Set-up shared by eval, ablate and imbalance: the config, the agents, the
+    options every run takes (feature registry and coordination backend), the
+    labelled records and the output directory."""
+    cfg = _load_cfg(args)
+    agents, coordination_backend = _build_agents(cfg, args)
+    records = ingest_csv(args.input)
     if any(r.label is None for r in records):
         raise SystemExit("every input record needs a severity label for evaluation")
-    return records
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, agents, dict(registry=_registry(args), coordination_backend=coordination_backend), records, out_dir
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    agents, coordination_backend = _build_agents(cfg, args)
-    records = _labeled_records(args.input)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    decisions = run_batch(
-        records,
-        agents,
-        cfg,
-        out_dir / "traces.jsonl",
-        registry=_registry(args),
-        coordination_backend=coordination_backend,
-    )
+    cfg, agents, options, records, out_dir = _evaluation_setup(args)
+    decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", **options)
     report = compute_metrics(decisions, [r.label for r in records])
     _write_json(out_dir / "metrics.json", report.to_dict())
     _write_csv(
@@ -141,14 +138,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _load_cfg(args)
-    agents, coordination_backend = _build_agents(cfg, args)
-    records = _labeled_records(args.input)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports = run_ablation(
-        records, agents, cfg, registry=_registry(args), coordination_backend=coordination_backend
-    )
+    cfg, agents, options, records, out_dir = _evaluation_setup(args)
+    reports = run_ablation(records, agents, cfg, **options)
     drops = relative_accuracy_drops(reports)
     _write_json(
         out_dir / "ablation.json",
@@ -177,34 +168,23 @@ def _cmd_ablate(args) -> int:
 def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
     if not path:
         return default_scenarios()
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        ImbalanceScenario(
-            entry["name"],
-            {Severity(int(k)): float(p) for k, p in entry["distribution"].items()},
-        )
-        for entry in data
-    ]
+    scenarios = []
+    for entry in json.loads(Path(path).read_text(encoding="utf-8")):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        try:
+            distribution = {Severity(int(k)): float(p) for k, p in entry["distribution"].items()}
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"scenario {name!r}: \"distribution\" must map classes 1-4 to proportions") from exc
+        scenarios.append(ImbalanceScenario(entry["name"], distribution))
+    return scenarios
 
 
 def _cmd_imbalance(args) -> int:
-    cfg = _load_cfg(args)
-    agents, coordination_backend = _build_agents(cfg, args)
-    if coordination_backend is None:
+    cfg, agents, options, records, out_dir = _evaluation_setup(args)
+    if options["coordination_backend"] is None:
         raise SystemExit("the imbalance suite needs a coordination backend (endpoint or --scripted)")
-    records = _labeled_records(args.input)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_imbalance_suite(
-        records,
-        agents,
-        cfg,
-        _load_scenarios(args.scenarios),
-        args.seed,
-        coordination_backend=coordination_backend,
-        registry=_registry(args),
-        size=args.size,
-    )
+    scenarios = _load_scenarios(args.scenarios)
+    results = run_imbalance_suite(records, agents, cfg, scenarios, args.seed, size=args.size, **options)
     _write_json(out_dir / "imbalance.json", {k: v.to_dict() for k, v in results.items()})
     _write_csv(out_dir / "imbalance.csv", comparison_table(results))
     for name, comparison in results.items():

@@ -234,13 +234,11 @@ class EngineConfig:
             raise ConfigError(f"unknown config field: {sorted(unknown)[0]}")
         kwargs: dict[str, Any] = {}
         if "agent_weights" in data:
-            kwargs["agent_weights"] = {
-                _agent_from_key(k): float(v) for k, v in data["agent_weights"].items()
-            }
+            weights = {_agent_from_key(k): v for k, v in data["agent_weights"].items()}
+            kwargs["agent_weights"] = {a: _number(f"agent_weights.{a.name}", v) for a, v in weights.items()}
         if "class_factors" in data:
-            kwargs["class_factors"] = {
-                _severity_from_key(k): float(v) for k, v in data["class_factors"].items()
-            }
+            factors = {_severity_from_key(k): v for k, v in data["class_factors"].items()}
+            kwargs["class_factors"] = {k: _number(f"class_factors.{int(k)}", v) for k, v in factors.items()}
         for name, sub in (("calibration", CalibrationParams), ("decoding", DecodingParams), ("endpoint", EndpointParams)):
             if name in data:
                 sub_known = {f.name for f in fields(sub)}
@@ -282,6 +280,16 @@ def _severity_from_key(key: Any) -> Severity:
         raise ConfigError(f"severity class keys must be 1-4, got {key!r}") from exc
 
 
+def _number(name: str, value: Any) -> float:
+    """An int or float as a float (a weight of 3 fingerprints as 3.0), else ConfigError."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a finite number")
+
+
 _UNIT_FIELDS = (
     "tau_ml_high",
     "tau_ml_corrob",
@@ -306,7 +314,7 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         # Annotations are strings in this module.
         numbers += [(prefix + f.name, getattr(owner, f.name)) for f in fields(owner) if f.type in ("float", "int")]
     for name, value in numbers:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not math.isfinite(_number(name, value)):
             raise ConfigError(f"{name} must be a finite number")
     for agent in AgentId:
         if agent in cfg.agent_weights and not cfg.agent_weights[agent] > 0:
@@ -320,6 +328,10 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         value = getattr(cfg, name)
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0,1]")
+    if cfg.fallback_confidence > cfg.confidence_cap:
+        raise ConfigError("fallback_confidence must be <= confidence_cap")
+    if cfg.tau_ml_high > cfg.tau_ml_corrob:
+        raise ConfigError("tau_ml_high must be <= tau_ml_corrob")
     for name in ("boost_rare", "boost_common", "override_rare_bonus"):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be > 0")

@@ -1,10 +1,10 @@
 """The orchestrated three-stage inference protocol and trace persistence.
 
 Stage 1 projects the record per agent, stage 2 dispatches every agent and
-blocks until all have resolved (returned or timed out), stage 3 coordinates
-the surviving outputs and runs the final decision cascade. Agents are
-stateless; no information flows between them. Every instance leaves a full
-trace record.
+blocks until all have resolved (returned or timed out), stage 3, ``fuse``,
+coordinates the surviving outputs and runs the final decision cascade. Agents
+are stateless; no information flows between them. Every instance leaves a
+full trace record.
 
 Agents, and the LLM coordinator call, run on one thread pool shared by every
 record, so no record pays for starting threads. Each record has one deadline
@@ -185,24 +185,43 @@ def run_instance(
         "stage3_start_ms": stage3_start,
         "agent_completed_ms": {a.value: t for a, t in sorted(completed_at.items(), key=lambda kv: AGENT_ORDER[kv[0]])},
     }
+    coordination, decision = fuse(
+        outputs, cfg, coordination_backend=coordination_backend, coordinator=coordinator, notes=notes
+    )
+    timings["stage3_ms"] = _ms(start) - stage3_start
+    timings["total_ms"] = _ms(start)
+    trace = TraceRecord(
+        record_id=record.id,
+        projections=projections,
+        agent_outputs=tuple(outputs),
+        coordination=coordination,
+        decision=decision,
+        timings=timings,
+        config_fingerprint=cfg.fingerprint(),
+        notes=tuple(notes),
+    )
+    if coordination is None:
+        raise AllAgentsFailedError(record.id, trace)
+    return decision, trace
 
-    def trace(coordination: CoordinationResult | None, decision: FinalDecision) -> TraceRecord:
-        timings["total_ms"] = _ms(start)
-        return TraceRecord(
-            record_id=record.id,
-            projections=projections,
-            agent_outputs=tuple(outputs),
-            coordination=coordination,
-            decision=decision,
-            timings=timings,
-            config_fingerprint=cfg.fingerprint(),
-            notes=tuple(notes),
-        )
 
+def fuse(
+    outputs: Sequence[AgentOutput],
+    cfg: EngineConfig,
+    *,
+    coordination_backend: SlmBackend | None = None,
+    coordinator: Coordinator | None = None,
+    notes: list[str] | None = None,
+) -> tuple[CoordinationResult | None, FinalDecision]:
+    """Stage 3: coordinate the live outputs, then run the cascade; ``(None,
+    abstain())`` when none is live. An LLM coordinator call runs on the agent
+    pool under its own deadline, past which the rule-based result stands with
+    ``fallback="timeout"`` and a note goes to ``notes``. Under the same config
+    and coordinator, re-fusing a trace's ``agent_outputs`` reproduces its
+    coordination and decision."""
     live = [o for o in outputs if not o.failed]
     if not live:
-        raise AllAgentsFailedError(record.id, trace(None, abstain()))
-
+        return None, abstain()
     if coordinator is not None:
         coordination = coordinator(live, cfg)
     elif cfg.coordination_mode is CoordinationMode.LLM_BASED:
@@ -212,16 +231,12 @@ def run_instance(
         except FutureTimeoutError:
             future.cancel()
             coordination = replace(coordinate_rb(live, cfg), fallback="timeout")
-            notes.append("coordinator abandoned past its deadline")
+            if notes is not None:
+                notes.append("coordinator abandoned past its deadline")
     else:
         coordination = coordinate_rb(live, cfg)
-
     ml_output = next((o for o in live if o.agent is AgentId.ML), None)
-    override_met = check_ml_override(live, cfg)
-    decision = final_decide(ml_output, coordination, override_met, cfg)
-
-    timings["stage3_ms"] = _ms(start) - stage3_start
-    return decision, trace(coordination, decision)
+    return coordination, final_decide(ml_output, coordination, check_ml_override(live, cfg), cfg)
 
 
 def _iter_instances(

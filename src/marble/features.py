@@ -234,12 +234,12 @@ def _parse_label(text: str, row: int) -> Severity | None:
     if stripped.lower() in _MISSING_TOKENS:
         return None
     try:
-        value = int(float(stripped))
-    except ValueError as exc:
-        raise RowError(row, "label out of range") from exc
-    if value not in (1, 2, 3, 4):
+        value = float(stripped)
+    except ValueError:
+        value = math.nan
+    if value not in (1, 2, 3, 4):  # "3.0" is class 3; "2.7" and "inf" are no class
         raise RowError(row, "label out of range")
-    return Severity(value)
+    return Severity(int(value))
 
 
 def ingest_csv(

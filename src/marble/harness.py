@@ -12,7 +12,7 @@ from .agents.base import Agent
 from .coordination import CoordinationMode, CoordinationResult, VoteBreakdown
 from .core import ALL_SEVERITIES, AgentOutput, EngineConfig, Severity
 from .decision import FinalDecision
-from .engine import run_instances
+from .engine import fuse, run_instances
 from .features import AccidentRecord, FeatureRegistry
 
 
@@ -170,28 +170,20 @@ def run_ablation(
 
     Returns the baseline under key "none", one report per excluded agent,
     and a "coordinator" entry where rule-based fusion degrades to an
-    unweighted majority vote: K agents give K+2 reports.
+    unweighted majority vote: K agents give K+2 reports. The agents run once
+    per record; every variant re-fuses those same outputs (a paired
+    comparison), which agents' statelessness makes equal to a rerun.
     """
     if len(agents) < 2:
         raise ValueError("ablation needs at least two agents")
     labels = _require_labels(records)
-
-    def evaluate(subset: Sequence[Agent], coordinator=None) -> MetricsReport:
-        results = run_instances(
-            records,
-            subset,
-            cfg,
-            registry=registry,
-            coordination_backend=coordination_backend,
-            coordinator=coordinator,
-        )
-        return compute_metrics([d for d, _ in results], labels)
-
-    reports: dict[str, MetricsReport] = {"none": evaluate(agents)}
-    for agent in agents:
-        excluded = agent.identity().value
-        reports[excluded] = evaluate([a for a in agents if a is not agent])
-    reports["coordinator"] = evaluate(agents, coordinator=majority_vote_coordinator)
+    results = run_instances(records, agents, cfg, registry=registry, coordination_backend=coordination_backend)
+    reports = {"none": compute_metrics([d for d, _ in results], labels)}
+    variants = [(a.identity().value, a.identity(), None) for a in agents]
+    for key, excluded, coordinator in variants + [("coordinator", None, majority_vote_coordinator)]:
+        kept = ([o for o in trace.agent_outputs if o.agent is not excluded] for _, trace in results)
+        decisions = [fuse(o, cfg, coordination_backend=coordination_backend, coordinator=coordinator)[1] for o in kept]
+        reports[key] = compute_metrics(decisions, labels)
     return reports
 
 
@@ -213,7 +205,7 @@ class ImbalanceScenario:
     distribution: Mapping[Severity, float]
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.distribution.values()):
+        if not all(p >= 0 for p in self.distribution.values()):  # NaN fails too
             raise ScenarioError(f"scenario {self.name!r}: proportions must be >= 0")
         total = sum(self.distribution.values())
         if abs(total - 1.0) > 1e-9:
@@ -328,30 +320,25 @@ def run_imbalance_suite(
     registry: FeatureRegistry | None = None,
     size: int | None = None,
 ) -> dict[str, ScenarioComparison]:
-    """For each scenario, run both coordination modes on the identical
-    resampled set and report both, plus the LLM fallback rate."""
+    """For each scenario, run the agents once on the resampled set, fuse their
+    outputs under both coordination modes (a paired comparison), and report
+    both, plus the LLM fallback rate."""
     if coordination_backend is None:
         raise ValueError("the imbalance suite compares both modes; a coordination backend is required")
     scenarios = list(scenarios) if scenarios is not None else default_scenarios()
+    rb_cfg = replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
+    llm_cfg = replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
     results: dict[str, ScenarioComparison] = {}
     for scenario in scenarios:
         sampled = sample_imbalance(records, scenario, seed, size=size)
         labels = _require_labels(sampled)
-        rb_cfg = replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
         rb_results = run_instances(sampled, agents, rb_cfg, registry=registry)
-        llm_cfg = replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
-        llm_results = run_instances(
-            sampled, agents, llm_cfg, registry=registry, coordination_backend=coordination_backend
-        )
-        fallbacks = sum(
-            1
-            for _, trace in llm_results
-            if trace.coordination is not None and trace.coordination.fallback is not None
-        )
+        llm_results = [fuse(t.agent_outputs, llm_cfg, coordination_backend=coordination_backend) for _, t in rb_results]
+        fallbacks = sum(1 for coordination, _ in llm_results if coordination is not None and coordination.fallback)
         results[scenario.name] = ScenarioComparison(
             scenario=scenario,
             rule_based=compute_metrics([d for d, _ in rb_results], labels),
-            llm_based=compute_metrics([d for d, _ in llm_results], labels),
+            llm_based=compute_metrics([d for _, d in llm_results], labels),
             llm_fallback_rate=fallbacks / len(sampled) if sampled else 0.0,
         )
     return results

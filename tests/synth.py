@@ -9,6 +9,7 @@ so every agent genuinely sees just its own projection.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -119,3 +120,17 @@ def agent_hint_accuracy(records: Sequence[AccidentRecord], agent: AgentId) -> fl
         1 for r in records if r.features[name].text == f"sig{int(r.label)}"
     )
     return hits / len(records)
+
+
+def fallible_coordinator() -> ScriptedBackend:
+    """Coordination backend that is unparseable on about a third of prompts,
+    deterministically per prompt, and otherwise echoes the first reported
+    prediction."""
+
+    def script(prompt: str) -> str:
+        if hashlib.md5(prompt.encode("utf-8")).digest()[0] % 3 == 0:
+            return "no verdict"
+        severity = int(prompt.split("prediction: ")[1][0])
+        return json.dumps({"severity": severity, "confidence": 0.45, "reasoning": "first report"})
+
+    return ScriptedBackend(script)

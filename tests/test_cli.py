@@ -5,6 +5,7 @@ import json
 import pytest
 
 from marble.cli import main
+from marble.harness import ScenarioError
 
 PAYLOAD_2 = '{"severity": 2, "confidence": 0.7, "reasoning": "scripted"}'
 
@@ -157,3 +158,37 @@ def test_config_file_round_trips_through_cli(tmp_path, scripted_file, train_file
 def test_predict_without_agents_exits(tmp_path, input_file):
     with pytest.raises(SystemExit):
         main(["predict", "--input", str(input_file), "--trace", str(tmp_path / "t.jsonl")])
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({"name": "broken", "distribution": {"1": 0.5, "5": 0.5}}, "'broken'"),
+        ({"name": "broken", "distribution": {"1": "half", "2": 0.5}}, "'broken'"),
+        ({"name": "broken"}, "'broken'"),
+        ({"name": "broken", "distribution": {"1": float("nan"), "2": 1.0}}, "'broken'"),
+        ("broken", "None"),
+    ],
+)
+def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, named):
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps([entry]), encoding="utf-8")
+    args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
+    args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(ScenarioError, match=f"scenario {named}"):
+        main(args)
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate", "imbalance"])
+def test_unlabelled_input_exits_with_its_message(tmp_path, scripted_file, train_file, command):
+    input_file = write_csv(tmp_path / "unlabelled.csv", [2, 3], labeled=False)
+    args = [command, "--input", str(input_file), "--train", str(train_file)]
+    args += ["--scripted", str(scripted_file), "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit, match="every input record needs a severity label"):
+        main(args)
+
+
+def test_imbalance_without_coordinator_exits_with_its_message(tmp_path, train_file, input_file):
+    args = ["imbalance", "--input", str(input_file), "--train", str(train_file), "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit, match="needs a coordination backend"):
+        main(args)

@@ -105,6 +105,7 @@ class TestConfigValidation:
             ({"decoding": {"temperature": float("nan")}}, "decoding.temperature"),
             ({"agent_weights": {"ml": float("inf")}}, "agent_weights.ML"),
             ({"class_factors": {"4": float("inf")}}, "class_factors.4"),
+            ({"agent_timeout_ms": 10**400}, "agent_timeout_ms"),
         ],
     )
     def test_non_finite_numbers_rejected(self, overrides, field):
@@ -126,6 +127,33 @@ class TestConfigValidation:
         cfg = EngineConfig.from_dict(overrides)
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"agent_weights": {"ml": "heavy"}}, "agent_weights.ML"),
+            ({"agent_weights": {"spatial": "2"}}, "agent_weights.SPATIAL"),
+            ({"agent_weights": {"temporal": True}}, "agent_weights.TEMPORAL"),
+            ({"agent_weights": {"ml": 10**400}}, "agent_weights.ML"),
+            ({"class_factors": {"4": "high"}}, "class_factors.4"),
+            ({"class_factors": {"1": None}}, "class_factors.1"),
+        ],
+    )
+    def test_non_numeric_weights_and_factors_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            validate_config(EngineConfig.from_dict(overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"fallback_confidence": 0.96}, "fallback_confidence must be <= confidence_cap"),
+            ({"confidence_cap": 0.05}, "fallback_confidence must be <= confidence_cap"),
+            ({"tau_ml_high": 0.85}, "tau_ml_high must be <= tau_ml_corrob"),
+        ],
+    )
+    def test_crossed_bounds_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(EngineConfig.from_dict(overrides))
 
 
 class TestConfigSerialization:
@@ -151,6 +179,12 @@ class TestConfigSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config field"):
             EngineConfig.from_dict({"tau_typo": 0.3})
+
+    def test_int_weights_and_factors_fingerprint_as_floats(self):
+        ints = EngineConfig.from_dict({"agent_weights": {"ml": 3, "spatial": 1}, "class_factors": {"1": 2}})
+        floats = EngineConfig.from_dict({"agent_weights": {"ml": 3.0, "spatial": 1.0}, "class_factors": {"1": 2.0}})
+        assert ints.to_dict()["agent_weights"] == {"ml": 3.0, "spatial": 1.0}
+        assert ints.fingerprint() == floats.fingerprint()
 
     def test_fingerprint_tracks_content(self):
         base = EngineConfig()

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import threading
 import time
 
 import pytest
 
+import synth
 from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent
 from marble.coordination import coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity
 from marble.decision import DecisionSource
 from marble.engine import (
     AllAgentsFailedError,
+    fuse,
     run_batch,
     run_instance,
     run_instances,
@@ -285,3 +288,40 @@ class TestRunBatch:
             a = json.dumps(strip_timings(trace_a.to_dict()), sort_keys=True)
             b = json.dumps(strip_timings(trace_b.to_dict()), sort_keys=True)
             assert a == b
+
+
+def mixed_agents(cfg: EngineConfig) -> list:
+    """Agents whose verdicts and failures vary with the record's token; every
+    agent fails on "poison"."""
+    rng = random.Random(11)
+    tokens = [f"t{i}" for i in range(12)]
+
+    def verdict() -> tuple[int, float] | None:
+        return None if rng.random() < 0.25 else (rng.randint(1, 4), rng.choice([0.3, 0.6, 0.78, 0.9]))
+
+    ml_table = {token: verdict() for token in tokens}
+    agents = [ScriptedAgent(AgentId.ML, lambda features: ml_table.get(features["Weather Conditions"].text))]
+    for kind in SLM_KINDS:
+        script = {": poison": "cannot comply"}
+        for token in tokens:
+            answer = verdict()
+            script[f": {token}\n"] = "cannot comply" if answer is None else payload(*answer)
+        agents.append(SlmAgent(kind, ScriptedBackend(script), cfg))
+    return agents
+
+
+class TestFuse:
+    @pytest.mark.parametrize("mode", list(CoordinationMode))
+    def test_fusing_a_trace_replays_its_coordination_and_decision(self, cfg, mode):
+        mode_cfg = dataclasses.replace(cfg, coordination_mode=mode)
+        records = [weather_record(f"m{i}", f"t{i % 12}") for i in range(24)]
+        records.insert(5, weather_record("bad", "poison"))
+        backend = synth.fallible_coordinator()
+        results = run_instances(records, mixed_agents(mode_cfg), mode_cfg, coordination_backend=backend)
+        for decision, trace in results:
+            assert fuse(trace.agent_outputs, mode_cfg, coordination_backend=backend) == (trace.coordination, decision)
+        traces = [trace for _, trace in results]
+        assert traces[5].coordination is None and traces[5].decision.abstained
+        assert any(o.failed for t in traces if t.coordination for o in t.agent_outputs)
+        if mode is CoordinationMode.LLM_BASED:
+            assert {t.coordination.fallback for t in traces if t.coordination} == {None, "parse"}

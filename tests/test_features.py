@@ -183,6 +183,16 @@ class TestIngestCsv:
         assert errors[0].row == 2
         assert "label out of range" in errors[0].message
 
+    @pytest.mark.parametrize("label", ["inf", "-inf", "1e400", "2.7", "0.5", "4.0001"])
+    def test_non_class_label_counts_against_the_budget(self, tmp_path, label):
+        path = self.write(tmp_path, f"Weather Conditions,severity\nRain,2\nClear,{label}\nFog,3.0\n")
+        errors: list[RowError] = []
+        records = ingest_csv(path, errors_out=errors)
+        assert [int(r.label) for r in records] == [2, 3]
+        assert [e.row for e in errors] == [2]
+        with pytest.raises(RowError, match="budget"):
+            ingest_csv(path, bad_row_budget=0)
+
     def test_unparseable_numeric_becomes_missing(self, tmp_path):
         path = self.write(tmp_path, "Speed Limit,severity\nN/A,2\n")
         records = ingest_csv(path)

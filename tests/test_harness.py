@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import random
 
 import pytest
 
 import synth
 from marble.agents import ScriptedAgent, ScriptedBackend
-from marble.core import AgentId, Severity
+from marble.core import AgentId, CoordinationMode, Severity
 from marble.decision import abstain
+from marble.engine import run_instances
 from marble.harness import (
     ImbalanceScenario,
     LengthMismatchError,
@@ -16,6 +18,7 @@ from marble.harness import (
     comparison_table,
     compute_metrics,
     default_scenarios,
+    majority_vote_coordinator,
     relative_accuracy_drops,
     run_ablation,
     run_imbalance_suite,
@@ -67,6 +70,21 @@ class TestComputeMetrics:
             compute_metrics(sev([1, 2]), sev([1]))
 
 
+class CountingAgent:
+    """Wraps an agent and counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def identity(self):
+        return self.inner.identity()
+
+    def evaluate(self, features):
+        self.calls += 1
+        return self.inner.evaluate(features)
+
+
 class TestAblation:
     def make(self, cfg, n=160):
         accuracies = {
@@ -108,6 +126,30 @@ class TestAblation:
         drops = relative_accuracy_drops(reports)
         agent_keys = [a.identity().value for a in agents]
         assert max(agent_keys, key=lambda k: drops[k]) == "environmental"
+
+    def test_each_agent_evaluates_each_record_once(self, cfg):
+        records, agents = self.make(cfg, n=30)
+        agents = [CountingAgent(a) for a in agents]
+        run_ablation(records, agents, cfg)
+        assert [a.calls for a in agents] == [30] * 5
+
+    @pytest.mark.parametrize("mode", list(CoordinationMode))
+    def test_reports_equal_reruns_of_the_engine(self, cfg, mode):
+        mode_cfg = dataclasses.replace(cfg, coordination_mode=mode)
+        records, agents = self.make(mode_cfg, n=60)
+        agents[1] = ScriptedAgent(AgentId.ENVIRONMENTAL, lambda f: None if f["Weather Conditions"].text == "sig1" else (2, 0.7))
+        labels = [r.label for r in records]
+        backend = synth.fallible_coordinator()
+        reports = run_ablation(records, agents, mode_cfg, coordination_backend=backend)
+
+        def rerun(subset, coordinator=None):
+            results = run_instances(records, subset, mode_cfg, coordination_backend=backend, coordinator=coordinator)
+            return compute_metrics([d for d, _ in results], labels)
+
+        assert reports["none"] == rerun(agents)
+        for agent in agents:
+            assert reports[agent.identity().value] == rerun([a for a in agents if a is not agent])
+        assert reports["coordinator"] == rerun(agents, majority_vote_coordinator)
 
     def test_needs_two_agents(self, cfg):
         records, agents = self.make(cfg, n=10)
@@ -218,6 +260,29 @@ class TestImbalanceSuite:
         comparison = results["uniform"]
         assert comparison.llm_fallback_rate == 1.0
         assert comparison.llm_based == comparison.rule_based
+
+    def test_each_agent_evaluates_each_sampled_record_once(self, cfg):
+        records, agents, backend = self.setup_suite(cfg)
+        agents = [CountingAgent(a) for a in agents]
+        run_imbalance_suite(
+            records, agents, cfg, default_scenarios()[:2], seed=1, coordination_backend=backend, size=30
+        )
+        assert [a.calls for a in agents] == [60] * 5
+        assert backend.calls == 60
+
+    def test_llm_report_equals_a_rerun_in_llm_mode(self, cfg):
+        records, agents, _ = self.setup_suite(cfg)
+        backend = synth.fallible_coordinator()
+        scenario = default_scenarios()[3]
+        comparison = run_imbalance_suite(
+            records, agents, cfg, [scenario], seed=2, coordination_backend=backend, size=80
+        )[scenario.name]
+        sampled = sample_imbalance(records, scenario, 2, size=80)
+        llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+        results = run_instances(sampled, agents, llm_cfg, coordination_backend=backend)
+        assert comparison.llm_based == compute_metrics([d for d, _ in results], [r.label for r in sampled])
+        fallbacks = sum(1 for _, t in results if t.coordination.fallback is not None)
+        assert 0 < fallbacks and comparison.llm_fallback_rate == fallbacks / 80
 
     def test_requires_backend(self, cfg):
         records, agents, _ = self.setup_suite(cfg)
