@@ -13,8 +13,9 @@ import math
 import statistics
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from ..core import ALL_SEVERITIES, AgentId, AgentOutput, Severity
 from ..features import AccidentRecord, FeatureValue
@@ -28,7 +29,13 @@ class TrainError(ValueError):
 
 @dataclass(frozen=True)
 class MlModel:
-    """Per-class token statistics sufficient for posterior estimation."""
+    """Per-class token statistics sufficient for posterior estimation.
+
+    The log prior of each class and, per feature, the four log-likelihoods
+    of each training token (and of an unseen one) are derived from the
+    counts when the model is built, so a prediction is one table lookup and
+    four additions per feature.
+    """
 
     class_counts: Mapping[int, int]
     feature_names: tuple[str, ...]
@@ -37,92 +44,112 @@ class MlModel:
     means: Mapping[str, float]
     tables: Mapping[str, Mapping[int, Mapping[str, int]]]
     vocab_sizes: Mapping[str, int]
-    importance: Mapping[str, float]
+    _log_prior: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _columns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        classes = [int(k) for k in ALL_SEVERITIES]
+        total = sum(self.class_counts.values())
+        prior = tuple(math.log(self.class_counts[k] / total) for k in classes)
+        columns = []
+        for name in self.feature_names:
+            per_class, vocab = self.tables[name], self.vocab_sizes[name]
+            denominators = [self.class_counts[k] + vocab for k in classes]
+            tokens = {t for k in classes for t in per_class[k]}
+            log_table = {
+                t: tuple(math.log((per_class[k].get(t, 0) + 1) / d) for k, d in zip(classes, denominators))
+                for t in tokens
+            }
+            unseen = tuple(math.log(1 / d) for d in denominators)
+            cuts = self.bins[name] if name in self.numeric_features else None
+            columns.append((name, cuts, self.means.get(name), log_table, unseen))
+        object.__setattr__(self, "_log_prior", prior)
+        object.__setattr__(self, "_columns", tuple(columns))
 
     def predict_proba(self, features: Mapping[str, FeatureValue]) -> dict[Severity, float]:
         """Posterior over the four classes; always sums to 1."""
-        total = sum(self.class_counts.values())
-        log_scores: dict[Severity, float] = {}
-        for k in ALL_SEVERITIES:
-            n_k = self.class_counts[int(k)]
-            score = math.log(n_k / total)
-            for name in self.feature_names:
-                token = self._token(name, features.get(name))
-                count = self.tables[name][int(k)].get(token, 0)
-                score += math.log((count + 1) / (n_k + self.vocab_sizes[name]))
-            log_scores[k] = score
+        s1, s2, s3, s4 = self._log_prior
+        for name, cuts, mean, log_table, unseen in self._columns:
+            l1, l2, l3, l4 = log_table.get(_token(features.get(name), cuts, mean), unseen)
+            s1 += l1
+            s2 += l2
+            s3 += l3
+            s4 += l4
+        log_scores = dict(zip(ALL_SEVERITIES, (s1, s2, s3, s4)))
         peak = max(log_scores.values())
         raw = {k: math.exp(v - peak) for k, v in log_scores.items()}
         norm = sum(raw.values())
         return {k: v / norm for k, v in raw.items()}
 
     def feature_importance(self) -> dict[str, float]:
-        return dict(self.importance)
+        """Spread of smoothed class-conditional token probabilities, marginal-weighted."""
+        counts = self.class_counts
+        total = sum(counts.values())
+        out: dict[str, float] = {}
+        for name in self.feature_names:
+            table, vocab = self.tables[name], self.vocab_sizes[name]
+            score = 0.0
+            for token in {t for k in counts for t in table[k]}:
+                marginal = sum(table[k].get(token, 0) for k in counts) / total
+                cond = [(table[k].get(token, 0) + 1) / (counts[k] + vocab) for k in counts]
+                score += marginal * (max(cond) - min(cond))
+            out[name] = score
+        return out
 
-    def _token(self, name: str, value: FeatureValue | None) -> str:
-        if name in self.numeric_features:
-            if value is None or value.kind != "numeric":
-                number = self.means[name]  # mean imputation for missing numerics
-            else:
-                number = value.number
-            return f"bin{bisect_right(self.bins[name], number)}"
-        if value is None or value.is_missing:
-            return _MISSING
-        return value.render()
+
+def _token(value: FeatureValue | None, cuts: tuple[float, ...] | None, mean: float | None) -> str:
+    """The model token of one cell; ``cuts`` is None for a categorical feature."""
+    if cuts is not None:
+        # Mean imputation for missing numerics.
+        number = value.number if value is not None and value.kind == "numeric" else mean
+        return f"bin{bisect_right(cuts, number)}"
+    if value is None or value.is_missing:
+        return _MISSING
+    return value.render()
 
 
 def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
-    """Fit the frequency model; every class must appear at least once."""
-    labeled = [r for r in records if r.label is not None]
-    if len(labeled) != len(records):
+    """Fit the frequency model; every class must appear at least once.
+
+    One pass per feature column: each distinct value is tokenized once and
+    (label, token) pairs are counted in one go.
+    """
+    if any(r.label is None for r in records):
         raise TrainError("training records must all carry a severity label")
-    counts = {int(k): 0 for k in ALL_SEVERITIES}
-    for record in labeled:
-        counts[int(record.label)] += 1
-    for k in ALL_SEVERITIES:
-        if counts[int(k)] == 0:
-            raise TrainError(f"class {int(k)} unrepresented")
+    labels = [int(r.label) for r in records]
+    label_counts = Counter(labels)
+    counts = {int(k): label_counts[int(k)] for k in ALL_SEVERITIES}
+    for k, n in counts.items():
+        if n == 0:
+            raise TrainError(f"class {k} unrepresented")
 
-    feature_names = tuple(sorted({name for r in labeled for name in r.features}))
+    feature_maps = [r.features for r in records]
+    feature_names = tuple(sorted({name for f in feature_maps for name in f}))
     numeric: set[str] = set()
-    for name in feature_names:
-        kinds = {r.features[name].kind for r in labeled if name in r.features}
-        if "numeric" in kinds and "categorical" not in kinds:
-            numeric.add(name)
-
     bins: dict[str, tuple[float, ...]] = {}
     means: dict[str, float] = {}
-    for name in numeric:
-        values = sorted(
-            r.features[name].number
-            for r in labeled
-            if name in r.features and r.features[name].kind == "numeric"
-        )
-        means[name] = sum(values) / len(values)
-        bins[name] = _quintile_cuts(values)
-
-    tables: dict[str, dict[int, dict[str, int]]] = {
-        name: {int(k): {} for k in ALL_SEVERITIES} for name in feature_names
-    }
-    vocab: dict[str, set[str]] = {name: set() for name in feature_names}
-    probe = MlModel(
-        class_counts=counts,
-        feature_names=feature_names,
-        numeric_features=frozenset(numeric),
-        bins=bins,
-        means=means,
-        tables=tables,
-        vocab_sizes={},
-        importance={},
-    )
-    for record in labeled:
-        for name in feature_names:
-            token = probe._token(name, record.features.get(name))
-            table = tables[name][int(record.label)]
-            table[token] = table.get(token, 0) + 1
-            vocab[name].add(token)
-    vocab_sizes = {name: max(1, len(tokens)) for name, tokens in vocab.items()}
-    importance = _importance(counts, tables, vocab_sizes, feature_names)
+    tables: dict[str, dict[int, dict[str, int]]] = {}
+    vocab_sizes: dict[str, int] = {}
+    for name in feature_names:
+        column = [f.get(name) for f in feature_maps]
+        # Ingest shares one FeatureValue per distinct cell text, so keying on
+        # identity finds the distinct cells without hashing every value.
+        keys = list(map(id, column))
+        distinct = dict(zip(keys, column))
+        kinds = {v.kind for v in distinct.values() if v is not None}
+        cuts = mean = None
+        if "numeric" in kinds and "categorical" not in kinds:
+            values = sorted(v.number for v in column if v is not None and v.kind == "numeric")
+            mean = means[name] = sum(values) / len(values)
+            cuts = bins[name] = _quintile_cuts(values)
+            numeric.add(name)
+        token_of = {key: _token(v, cuts, mean) for key, v in distinct.items()}
+        table: dict[int, dict[str, int]] = {int(k): {} for k in ALL_SEVERITIES}
+        for (label, key), n in Counter(zip(labels, keys)).items():
+            per_class, token = table[label], token_of[key]
+            per_class[token] = per_class.get(token, 0) + n
+        tables[name] = table
+        vocab_sizes[name] = max(1, len(set(token_of.values())))
     return MlModel(
         class_counts=counts,
         feature_names=feature_names,
@@ -131,7 +158,6 @@ def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
         means=means,
         tables=tables,
         vocab_sizes=vocab_sizes,
-        importance=importance,
     )
 
 
@@ -139,29 +165,6 @@ def _quintile_cuts(sorted_values: list[float]) -> tuple[float, ...]:
     if len(set(sorted_values)) < 2:
         return ()
     return tuple(statistics.quantiles(sorted_values, n=5, method="inclusive"))
-
-
-def _importance(
-    counts: Mapping[int, int],
-    tables: Mapping[str, Mapping[int, Mapping[str, int]]],
-    vocab_sizes: Mapping[str, int],
-    feature_names: Iterable[str],
-) -> dict[str, float]:
-    """Spread of smoothed class-conditional token probabilities, marginal-weighted."""
-    total = sum(counts.values())
-    out: dict[str, float] = {}
-    for name in feature_names:
-        tokens = {t for k in counts for t in tables[name][k]}
-        score = 0.0
-        for token in tokens:
-            marginal = sum(tables[name][k].get(token, 0) for k in counts) / total
-            cond = [
-                (tables[name][k].get(token, 0) + 1) / (counts[k] + vocab_sizes[name])
-                for k in counts
-            ]
-            score += marginal * (max(cond) - min(cond))
-        out[name] = score
-    return out
 
 
 def _argmax_lowest(probs: Mapping[Severity, float]) -> Severity:

@@ -175,7 +175,9 @@ def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
             distribution = {Severity(int(k)): float(p) for k, p in entry["distribution"].items()}
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario {name!r}: \"distribution\" must map classes 1-4 to proportions") from exc
-        scenarios.append(ImbalanceScenario(entry["name"], distribution))
+        if "name" not in entry:
+            raise ScenarioError("scenario None: \"name\" is required")
+        scenarios.append(ImbalanceScenario(name, distribution))
     return scenarios
 
 

@@ -228,6 +228,11 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
         """Build a config from a (possibly partial) plain dict; defaults fill gaps."""
+        if not isinstance(data, Mapping):
+            raise ConfigError("config must be a JSON object")
+        for name in ("agent_weights", "class_factors", "calibration", "decoding", "endpoint"):
+            if name in data and not isinstance(data[name], Mapping):
+                raise ConfigError(f"{name} must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -11,7 +11,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Mapping
 
@@ -19,7 +20,7 @@ from .core import AgentId, SLM_AGENT_IDS, Severity
 
 
 class SchemaError(ValueError):
-    """The input file lacks a usable header."""
+    """The input file lacks a usable header, or two of its headers collide."""
 
 
 class RowError(ValueError):
@@ -253,9 +254,11 @@ def ingest_csv(
 
     The first row names the features; an optional "severity" column holds
     labels in {1,2,3,4} and an optional "id" column supplies identifiers.
-    Unparseable numerics become missing values. Bad rows raise RowError,
-    which is collected (into ``errors_out`` when given) rather than fatal,
-    until ``bad_row_budget`` is exhausted.
+    Unparseable numerics become missing values. Two headers with the same
+    ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
+    collected (into ``errors_out`` when given) rather than fatal, until
+    ``bad_row_budget`` is exhausted. Each distinct cell text is parsed once
+    and its FeatureValue shared by every record that holds it.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -265,14 +268,20 @@ def ingest_csv(
             raise SchemaError("missing header") from None
         if not header or all(not h.strip() for h in header):
             raise SchemaError("missing header")
-        canon = [canonical_name(h) for h in header]
-        if registry is not None:
+        columns: dict[str, int] = {}
+        for i, h in enumerate(header):
+            j = columns.setdefault(canonical_name(h), i)
+            if j != i:
+                raise SchemaError(f"headers {header[j]!r} and {h!r} collide as {canonical_name(h)!r}")
+        id_col = columns.get("id")
+        label_col = columns.get("severity")
+        is_feature = [i != id_col and i != label_col for i in range(len(header))]
+        names = list(compress(header, is_feature))
+        if registry is not None and names:
             assigned = {canonical_name(n) for n in registry.all_assigned()}
-            feature_cols = [c for c in canon if c not in ("id", "severity")]
-            if feature_cols and not assigned.intersection(feature_cols):
+            if not assigned.intersection(map(canonical_name, names)):
                 raise SchemaError("no registry feature matches the header")
-        id_col = canon.index("id") if "id" in canon else None
-        label_col = canon.index("severity") if "severity" in canon else None
+        parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 
         records: list[AccidentRecord] = []
         seen_ids: set[str] = set()
@@ -287,11 +296,7 @@ def ingest_csv(
                 if rec_id in seen_ids:
                     raise RowError(row_num, f"duplicate id {rec_id!r}")
                 label = _parse_label(cells[label_col], row_num) if label_col is not None else None
-                features = {
-                    header[i]: _parse_cell(cells[i])
-                    for i in range(len(header))
-                    if i != id_col and i != label_col
-                }
+                features = dict(zip(names, map(parse, compress(cells, is_feature))))
                 seen_ids.add(rec_id)
                 records.append(AccidentRecord(id=rec_id, features=features, label=label))
             except RowError as err:

@@ -536,21 +536,30 @@ def oracle_metrics(predictions: list[int | None], labels: list[int]):
     }
 
 
+def _metric_cases(count: int):
+    """Seeded (predictions, labels) vectors, about 5% abstentions."""
+    rng = random.Random(99)
+    for _ in range(count):
+        n = rng.randint(1, 60)
+        labels = [rng.randint(1, 4) for _ in range(n)]
+        predictions: list[int | None] = [
+            None if rng.random() < 0.05 else rng.randint(1, 4) for _ in range(n)
+        ]
+        yield predictions, labels
+
+
+def _computed_metrics(predictions: list[int | None], labels: list[int]):
+    return compute_metrics(
+        [None if p is None else Severity(p) for p in predictions],
+        [Severity(t) for t in labels],
+    )
+
+
 class TestCriterion9Metrics:
     def test_criterion_9(self):
-        sklearn_metrics = pytest.importorskip("sklearn.metrics")
-        rng = random.Random(99)
-        for case in range(1000):
-            n = rng.randint(1, 60)
-            labels = [rng.randint(1, 4) for _ in range(n)]
-            predictions: list[int | None] = [
-                None if rng.random() < 0.05 else rng.randint(1, 4) for _ in range(n)
-            ]
+        for predictions, labels in _metric_cases(1000):
             expected = oracle_metrics(predictions, labels)
-            got = compute_metrics(
-                [None if p is None else Severity(p) for p in predictions],
-                [Severity(t) for t in labels],
-            )
+            got = _computed_metrics(predictions, labels)
             assert [list(r) for r in got.confusion] == expected["matrix"]
             assert got.accuracy == expected["accuracy"]
             assert got.precision == expected["precision"]
@@ -560,15 +569,17 @@ class TestCriterion9Metrics:
             for i, k in enumerate((1, 2, 3, 4)):
                 assert got.per_class[Severity(k)].f1 == expected["per_class_f1"][i]
                 assert got.per_class[Severity(k)].support == expected["supports"][i]
-            # Cross-check a slice against scikit-learn as a second,
-            # library-independent oracle.
-            if case < 50:
-                kept = [(p, t) for p, t in zip(predictions, labels) if p is not None]
-                if kept:
-                    preds = [p for p, _ in kept]
-                    trues = [t for _, t in kept]
-                    sk_f1 = sklearn_metrics.f1_score(
-                        trues, preds, labels=[1, 2, 3, 4], average="macro", zero_division=0
-                    )
-                    assert got.f1 == pytest.approx(sk_f1, abs=1e-12)
         report(9, "compute_metrics matches the hand-built oracle on 1000 randomized vectors")
+
+    def test_criterion_9_sklearn_slice(self):
+        # A second, library-independent oracle on the first 50 vectors; only
+        # this slice needs scikit-learn.
+        sklearn_metrics = pytest.importorskip("sklearn.metrics")
+        for predictions, labels in _metric_cases(50):
+            kept = [(p, t) for p, t in zip(predictions, labels) if p is not None]
+            if kept:
+                sk_f1 = sklearn_metrics.f1_score(
+                    [t for _, t in kept], [p for p, _ in kept],
+                    labels=[1, 2, 3, 4], average="macro", zero_division=0,
+                )
+                assert _computed_metrics(predictions, labels).f1 == pytest.approx(sk_f1, abs=1e-12)

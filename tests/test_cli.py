@@ -168,6 +168,7 @@ def test_predict_without_agents_exits(tmp_path, input_file):
         ({"name": "broken"}, "'broken'"),
         ({"name": "broken", "distribution": {"1": float("nan"), "2": 1.0}}, "'broken'"),
         ("broken", "None"),
+        ({"distribution": {"1": 1.0}}, "None"),
     ],
 )
 def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, named):

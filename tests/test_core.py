@@ -13,6 +13,7 @@ from marble.core import (
     CoordinationMode,
     EngineConfig,
     Severity,
+    load_config,
     validate_config,
 )
 
@@ -175,6 +176,19 @@ class TestConfigSerialization:
         assert cfg.tau_coord_rare == 0.3
         assert cfg.tau_coord_common == 0.5
         assert cfg.agent_weights[AgentId.ML] == 3.0
+
+    @pytest.mark.parametrize("field", ["agent_weights", "class_factors", "calibration", "decoding", "endpoint"])
+    @pytest.mark.parametrize("value", [[1], None])
+    def test_non_object_sections_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a JSON object$"):
+            EngineConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("text", ["[[1]]", "null", "3", '"config"'])
+    def test_non_object_config_file_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(path)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config field"):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from marble.features import (
     FeatureValue,
     RowError,
     SchemaError,
+    _parse_cell,
+    _parse_label,
     canonical_name,
     default_registry,
     format_features,
@@ -209,6 +214,20 @@ class TestIngestCsv:
         with pytest.raises(SchemaError, match="no registry feature"):
             ingest_csv(path, default_registry())
 
+    @pytest.mark.parametrize(
+        "header, first, second",
+        [
+            ("Weather Conditions,weather conditions,severity", "Weather Conditions", "weather conditions"),
+            ("Weather,Speed Limit,Weather,severity", "Weather", "Weather"),
+            ("ID,Speed_Limit,id,speed limit", "ID", "id"),
+        ],
+    )
+    def test_colliding_headers_raise_schema_error_naming_both(self, tmp_path, header, first, second):
+        cells = ",".join("1" for _ in header.split(","))
+        path = self.write(tmp_path, f"{header}\n{cells}\n")
+        with pytest.raises(SchemaError, match=f"headers {first!r} and {second!r} collide"):
+            ingest_csv(path)
+
     def test_bad_row_budget_exceeded(self, tmp_path):
         path = self.write(
             tmp_path, "Weather Conditions,severity\nRain,9\nClear,9\nFog,9\n"
@@ -236,3 +255,117 @@ class TestIngestCsv:
         text = format_features(projected)
         assert "Humidity: unknown" in text
         assert "Visibility: 0.5" in text
+
+
+def reference_ingest_csv(path, registry=None, *, bad_row_budget=100, errors_out=None):
+    """The per-cell ingest that ``ingest_csv`` replaced, kept as its reference.
+
+    It parses every cell on its own and takes the first of colliding
+    headers for id and label; ``ingest_csv`` must agree on every input whose
+    headers do not collide.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("missing header") from None
+        if not header or all(not h.strip() for h in header):
+            raise SchemaError("missing header")
+        canon = [canonical_name(h) for h in header]
+        if registry is not None:
+            assigned = {canonical_name(n) for n in registry.all_assigned()}
+            feature_cols = [c for c in canon if c not in ("id", "severity")]
+            if feature_cols and not assigned.intersection(feature_cols):
+                raise SchemaError("no registry feature matches the header")
+        id_col = canon.index("id") if "id" in canon else None
+        label_col = canon.index("severity") if "severity" in canon else None
+
+        records: list[AccidentRecord] = []
+        seen_ids: set[str] = set()
+        bad = 0
+        for row_num, cells in enumerate(reader, start=1):
+            try:
+                if len(cells) != len(header):
+                    raise RowError(row_num, f"expected {len(header)} columns, got {len(cells)}")
+                rec_id = cells[id_col].strip() if id_col is not None else f"row-{row_num}"
+                if not rec_id:
+                    rec_id = f"row-{row_num}"
+                if rec_id in seen_ids:
+                    raise RowError(row_num, f"duplicate id {rec_id!r}")
+                label = _parse_label(cells[label_col], row_num) if label_col is not None else None
+                features = {
+                    header[i]: _parse_cell(cells[i])
+                    for i in range(len(header))
+                    if i != id_col and i != label_col
+                }
+                seen_ids.add(rec_id)
+                records.append(AccidentRecord(id=rec_id, features=features, label=label))
+            except RowError as err:
+                bad += 1
+                if errors_out is not None:
+                    errors_out.append(err)
+                if bad > bad_row_budget:
+                    raise RowError(row_num, f"bad-row budget ({bad_row_budget}) exceeded: {err.message}") from err
+        return records
+
+
+# Cells repeat (a small pool) or are unique (free text and numbers); the
+# pool mixes numeric, categorical, missing and non-finite spellings.
+_CELL_POOL = ["", " ", "N/A", "unknown", "-", "nan", "inf", "1e400", "30", "30.0", " 30 ", "-0.0",
+              "0.5", "Rain", "rain", " Fog ", "a,b", 'say "hi"']
+_cells = st.one_of(
+    st.sampled_from(_CELL_POOL),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00\r\n"), max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_HEADER_POOL = ["Weather Conditions", "Speed Limit", "Temperature", "Road Type", "Humidity", "mystery"]
+
+
+@st.composite
+def csv_tables(draw):
+    header = draw(st.lists(st.sampled_from(_HEADER_POOL), min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "id")
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "severity")
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        row = [
+            draw(st.sampled_from(["r1", "r2", "", f"u{len(rows)}"])) if h == "id"
+            else draw(st.sampled_from(["1", "2", "3.0", "4", "", "5", "2.7", "x"])) if h == "severity"
+            else draw(_cells)
+            for h in header
+        ]
+        if draw(st.integers(0, 9)) == 0:  # a row with the wrong column count
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        rows.append(row)
+    return header, rows
+
+
+def _ingest_outcome(ingest, path, budget):
+    errors: list[RowError] = []
+    try:
+        records = ingest(path, bad_row_budget=budget, errors_out=errors)
+    except (RowError, SchemaError) as exc:
+        return type(exc).__name__, str(exc), [str(e) for e in errors]
+    return [(r.id, r.label, r.features) for r in records], [str(e) for e in errors]
+
+
+class TestIngestAgainstReference:
+    @given(csv_tables(), st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_records_and_errors_equal_the_per_cell_reference(self, table, budget):
+        header, rows = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows([header, *rows])
+            assert _ingest_outcome(ingest_csv, path, budget) == _ingest_outcome(reference_ingest_csv, path, budget)
+
+    def test_equal_cells_share_one_value(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("Weather Conditions,Road Type,severity\nRain,Rain,1\nRain,Dry,2\n", encoding="utf-8")
+        first, second = ingest_csv(path)
+        assert first.features["Weather Conditions"] is first.features["Road Type"]
+        assert first.features["Weather Conditions"] is second.features["Weather Conditions"]

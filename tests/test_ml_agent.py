@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
+import statistics
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marble.agents.ml import MlModel, TrainError, ml_evaluate, ml_train
-from marble.core import AgentId, Severity
-from marble.features import AccidentRecord, FeatureValue
+from marble.agents.ml import TrainError, ml_evaluate, ml_train
+from marble.core import ALL_SEVERITIES, AgentId, Severity
+from marble.features import AccidentRecord, FeatureValue, ingest_csv
 
 
 def cat_record(rec_id: str, label: int | None, **features: str) -> AccidentRecord:
@@ -172,3 +177,166 @@ class TestSyntheticAccuracy:
                 )
         importance = ml_train(records).feature_importance()
         assert importance["signal"] > importance["noise"]
+
+
+class ReferenceModel:
+    """The record-wise trainer and predictor that ``ml_train`` and
+    ``MlModel.predict_proba`` replaced, kept as their reference."""
+
+    def __init__(self, records):
+        labeled = [r for r in records if r.label is not None]
+        if len(labeled) != len(records):
+            raise TrainError("training records must all carry a severity label")
+        counts = {int(k): 0 for k in ALL_SEVERITIES}
+        for record in labeled:
+            counts[int(record.label)] += 1
+        for k in ALL_SEVERITIES:
+            if counts[int(k)] == 0:
+                raise TrainError(f"class {int(k)} unrepresented")
+        self.class_counts = counts
+        self.feature_names = tuple(sorted({name for r in labeled for name in r.features}))
+        numeric = set()
+        for name in self.feature_names:
+            kinds = {r.features[name].kind for r in labeled if name in r.features}
+            if "numeric" in kinds and "categorical" not in kinds:
+                numeric.add(name)
+        self.numeric_features = frozenset(numeric)
+        self.bins, self.means = {}, {}
+        for name in numeric:
+            values = sorted(
+                r.features[name].number
+                for r in labeled
+                if name in r.features and r.features[name].kind == "numeric"
+            )
+            self.means[name] = sum(values) / len(values)
+            cuts = statistics.quantiles(values, n=5, method="inclusive") if len(set(values)) > 1 else ()
+            self.bins[name] = tuple(cuts)
+        self.tables = {name: {int(k): {} for k in ALL_SEVERITIES} for name in self.feature_names}
+        vocab = {name: set() for name in self.feature_names}
+        for record in labeled:
+            for name in self.feature_names:
+                token = self.token(name, record.features.get(name))
+                table = self.tables[name][int(record.label)]
+                table[token] = table.get(token, 0) + 1
+                vocab[name].add(token)
+        self.vocab_sizes = {name: max(1, len(tokens)) for name, tokens in vocab.items()}
+        self.importance = self._importance()
+
+    def token(self, name, value):
+        if name in self.numeric_features:
+            if value is None or value.kind != "numeric":
+                number = self.means[name]
+            else:
+                number = value.number
+            return f"bin{bisect_right(self.bins[name], number)}"
+        if value is None or value.is_missing:
+            return "(missing)"
+        return value.render()
+
+    def predict_proba(self, features):
+        total = sum(self.class_counts.values())
+        log_scores = {}
+        for k in ALL_SEVERITIES:
+            n_k = self.class_counts[int(k)]
+            score = math.log(n_k / total)
+            for name in self.feature_names:
+                token = self.token(name, features.get(name))
+                count = self.tables[name][int(k)].get(token, 0)
+                score += math.log((count + 1) / (n_k + self.vocab_sizes[name]))
+            log_scores[k] = score
+        peak = max(log_scores.values())
+        raw = {k: math.exp(v - peak) for k, v in log_scores.items()}
+        norm = sum(raw.values())
+        return {k: v / norm for k, v in raw.items()}
+
+    def _importance(self):
+        counts, total = self.class_counts, sum(self.class_counts.values())
+        out = {}
+        for name in self.feature_names:
+            tokens = {t for k in counts for t in self.tables[name][k]}
+            score = 0.0
+            for token in tokens:
+                marginal = sum(self.tables[name][k].get(token, 0) for k in counts) / total
+                cond = [
+                    (self.tables[name][k].get(token, 0) + 1) / (counts[k] + self.vocab_sizes[name])
+                    for k in counts
+                ]
+                score += marginal * (max(cond) - min(cond))
+            out[name] = score
+        return out
+
+
+_MODEL_FIELDS = ("class_counts", "feature_names", "numeric_features", "bins", "means", "tables", "vocab_sizes")
+_NAMES = ["Weather", "Speed", "Road", "Humidity", "Month"]
+# A small pool of prebuilt values, which records share as ingest shares
+# them, beside freshly built values that are equal but distinct objects.
+_SHARED = [FeatureValue.categorical(t) for t in ("Rain", "Fog", "rain")] + [
+    FeatureValue.numeric(x) for x in (0.0, -0.0, 30.0, 30.5, 60.0)
+] + [FeatureValue.numeric(1.5, "miles"), FeatureValue.missing()]
+_values = st.one_of(
+    st.sampled_from(_SHARED),
+    st.sampled_from(["Rain", "Dry", "x"]).map(FeatureValue.categorical),
+    st.floats(-1e6, 1e6, allow_nan=False).map(FeatureValue.numeric),
+    st.sampled_from([10.0, 20.0, 30.0]).map(FeatureValue.numeric),
+    st.just(FeatureValue.missing()),
+)
+# Maps over a subset of the names, so features go absent; "Weather" leans
+# categorical and "Speed" numeric, so that both column kinds are common.
+_feature_maps = st.fixed_dictionaries(
+    {},
+    optional={
+        "Weather": st.one_of(st.sampled_from(_SHARED[:3]), _values),
+        "Speed": st.one_of(st.floats(0, 120, allow_nan=False).map(FeatureValue.numeric), _values),
+        **{name: _values for name in _NAMES[2:]},
+    },
+)
+
+
+@st.composite
+def training_sets(draw):
+    labels = [1, 2, 3, 4] + draw(st.lists(st.integers(1, 4), max_size=40))
+    order = draw(st.permutations(range(len(labels))))
+    return [
+        AccidentRecord(id=f"t{i}", features=draw(_feature_maps), label=Severity(labels[i]))
+        for i in order
+    ]
+
+
+_probes = st.one_of(
+    _feature_maps,
+    st.fixed_dictionaries({name: st.just(FeatureValue.categorical("never-seen")) for name in _NAMES}),
+    st.fixed_dictionaries({"Weather": st.just(FeatureValue.numeric(1e9)), "other": _values}),
+)
+
+
+class TestAgainstReference:
+    @given(training_sets(), st.lists(_probes, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_model_importance_and_posteriors_equal_the_record_wise_reference(self, records, probes):
+        model, reference = ml_train(records), ReferenceModel(records)
+        for name in _MODEL_FIELDS:
+            assert getattr(model, name) == getattr(reference, name), name
+        assert model.feature_importance() == reference.importance
+        for features in probes + [r.features for r in records]:
+            assert model.predict_proba(features) == reference.predict_proba(features)
+
+    def test_reference_agrees_on_an_ingested_training_csv(self, tmp_path):
+        rng = random.Random(13)
+        lines = ["id,Weather Conditions,Speed Limit,Temperature,Road Type,severity"]
+        for i in range(300):
+            lines.append(",".join([
+                f"r{i}",
+                rng.choice(["Rain", "Fog", "Clear", "N/A"]),
+                rng.choice(["30", "40", "60", "70", ""]),
+                f"{rng.uniform(-5, 30):.1f}",
+                rng.choice(["Single", "Dual", "unknown"]),
+                str(i % 4 + 1),
+            ]))
+        path = tmp_path / "train.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = ingest_csv(path)
+        model, reference = ml_train(records), ReferenceModel(records)
+        for name in _MODEL_FIELDS:
+            assert getattr(model, name) == getattr(reference, name), name
+        assert model.feature_importance() == reference.importance
+        assert all(model.predict_proba(r.features) == reference.predict_proba(r.features) for r in records)

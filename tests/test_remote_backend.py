@@ -46,6 +46,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def url(server) -> str:
