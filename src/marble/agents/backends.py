@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import requests
+import urllib3
 
 from ..core import DecodingParams, EndpointParams
 
@@ -86,7 +88,11 @@ class RemoteHttpBackend:
     A call sends the prompt as one user message with the decoding parameters
     (the repetition penalty only where the endpoint accepts it) and returns
     the first choice's text. The credential is read from the named
-    environment variable at call time; ``requests`` applies ``timeout_ms``.
+    environment variable at call time. ``requests`` bounds the connect and
+    each socket read by ``timeout_ms``; the body is read in chunks against
+    one deadline for the whole call, so a reply trickled byte by byte fails
+    once the deadline passes (a reply that stalls outright is held one
+    read's ``timeout_ms`` at most).
     """
 
     def __init__(self, endpoint: EndpointParams):
@@ -109,18 +115,24 @@ class RemoteHttpBackend:
         api_key = os.environ.get(endpoint.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        deadline = time.monotonic() + timeout_ms / 1000.0
         try:
-            response = requests.post(
-                endpoint.url, json=body, headers=headers, timeout=timeout_ms / 1000.0
-            )
-        except requests.Timeout as exc:
+            with requests.post(
+                endpoint.url, json=body, headers=headers, timeout=timeout_ms / 1000.0, stream=True
+            ) as response:
+                if response.status_code >= 400:
+                    raise TransportError(f"HTTP {response.status_code}", status=response.status_code)
+                chunks = []
+                while chunk := response.raw.read1(65536, decode_content=True):
+                    if time.monotonic() > deadline:
+                        raise BackendTimeoutError(f"no completion within {timeout_ms} ms")
+                    chunks.append(chunk)
+        except (requests.Timeout, urllib3.exceptions.TimeoutError) as exc:
             raise BackendTimeoutError(f"no completion within {timeout_ms} ms") from exc
-        except requests.RequestException as exc:
+        except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
             raise TransportError(str(exc)) from exc
-        if response.status_code >= 400:
-            raise TransportError(f"HTTP {response.status_code}", status=response.status_code)
         try:
-            payload = response.json()
+            payload = json.loads(b"".join(chunks))
             return payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc

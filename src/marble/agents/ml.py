@@ -89,7 +89,7 @@ class MlModel:
         for name in self.feature_names:
             table, vocab = self.tables[name], self.vocab_sizes[name]
             score = 0.0
-            for token in {t for k in counts for t in table[k]}:
+            for token in sorted({t for k in counts for t in table[k]}):  # one sum order in every process
                 marginal = sum(table[k].get(token, 0) for k in counts) / total
                 cond = [(table[k].get(token, 0) + 1) / (counts[k] + vocab) for k in counts]
                 score += marginal * (max(cond) - min(cond))

@@ -32,10 +32,21 @@ def _load_cfg(args) -> EngineConfig:
     return cfg
 
 
+def _load_scripted(path: str) -> dict:
+    """The --scripted responses: an object whose entries are a reply or an
+    object of prompt substrings to replies, all strings."""
+    scripted = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(scripted, dict):
+        raise SystemExit("--scripted must hold a JSON object")
+    for key, script in scripted.items():
+        replies = script.values() if isinstance(script, dict) else [script]
+        if not all(isinstance(reply, str) for reply in replies):
+            raise SystemExit(f"--scripted entry {key!r} must be a string or an object of strings")
+    return scripted
+
+
 def _build_agents(cfg: EngineConfig, args):
-    scripted = {}
-    if getattr(args, "scripted", None):
-        scripted = json.loads(Path(args.scripted).read_text(encoding="utf-8"))
+    scripted = _load_scripted(args.scripted) if getattr(args, "scripted", None) else {}
     agents = []
     if getattr(args, "train", None):
         model = ml_train(ingest_csv(args.train))
@@ -66,6 +77,11 @@ def _registry(args):
     return load_registry(args.registry) if getattr(args, "registry", None) else default_registry()
 
 
+def _ingest_input(args, agents, registry):
+    """The --input records; with an SLM agent configured, some header must name a registry feature."""
+    return ingest_csv(args.input, registry if any(a.identity().is_slm for a in agents) else None)
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
@@ -83,13 +99,14 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 def _cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     agents, coordination_backend = _build_agents(cfg, args)
-    records = ingest_csv(args.input)
+    registry = _registry(args)
+    records = _ingest_input(args, agents, registry)
     decisions = run_batch(
         records,
         agents,
         cfg,
         args.trace,
-        registry=_registry(args),
+        registry=registry,
         coordination_backend=coordination_backend,
     )
     out = sys.stdout
@@ -108,12 +125,13 @@ def _evaluation_setup(args):
     labelled records and the output directory."""
     cfg = _load_cfg(args)
     agents, coordination_backend = _build_agents(cfg, args)
-    records = ingest_csv(args.input)
+    registry = _registry(args)
+    records = _ingest_input(args, agents, registry)
     if any(r.label is None for r in records):
         raise SystemExit("every input record needs a severity label for evaluation")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, agents, dict(registry=_registry(args), coordination_backend=coordination_backend), records, out_dir
+    return cfg, agents, dict(registry=registry, coordination_backend=coordination_backend), records, out_dir
 
 
 def _cmd_eval(args) -> int:
@@ -121,18 +139,7 @@ def _cmd_eval(args) -> int:
     decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", **options)
     report = compute_metrics(decisions, [r.label for r in records])
     _write_json(out_dir / "metrics.json", report.to_dict())
-    _write_csv(
-        out_dir / "metrics.csv",
-        [
-            {
-                "accuracy": report.accuracy,
-                "precision": report.precision,
-                "recall": report.recall,
-                "f1": report.f1,
-                "abstentions": report.abstentions,
-            }
-        ],
-    )
+    _write_csv(out_dir / "metrics.csv", [report.summary()])
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.f1:.4f} abstentions={report.abstentions}")
     return 0
 

@@ -132,8 +132,10 @@ def rb_predict(
     Epsilon-ties prefer the class with the fewest supporting agents, then
     rare classes before common, then the lower class index.
     """
-    best = max(breakdown.scores.values())
-    tied = [k for k in ALL_SEVERITIES if best - breakdown.scores[k] <= cfg.tie_epsilon]
+    scores = breakdown.scores
+    best = max(scores.values())
+    # ``== best`` keeps a best that overflowed to inf in the tie: inf - inf is NaN.
+    tied = [k for k in ALL_SEVERITIES if best - scores[k] <= cfg.tie_epsilon or scores[k] == best]
     if len(tied) == 1:
         return tied[0]
     return min(tied, key=lambda k: (len(breakdown.supporters[k]), 0 if k.is_rare else 1, int(k)))

@@ -9,10 +9,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import abc
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
+from functools import cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Annotated, Any, Mapping, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -98,26 +100,38 @@ class CoordinationMode(Enum):
     LLM_BASED = "llm"
 
 
+# Config number types: each field declares its ranges with its type, as
+# (test, message) pairs. A wait much beyond a day overflows the platform's
+# timeout range.
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+Unit = Annotated[float, (lambda x: 0.0 <= x <= 1.0, "must lie in [0,1]")]
+OpenUnit = Annotated[float, (lambda x: 0.0 < x <= 1.0, "must lie in (0,1]")]
+Positive = Annotated[float, _POSITIVE]
+NonNegative = Annotated[float, (lambda x: x >= 0, "must be >= 0")]
+PositiveInt = Annotated[int, _POSITIVE]
+TimeoutMs = Annotated[int, _POSITIVE, (lambda x: x <= 86_400_000, "must be <= 86400000")]
+
+
 @dataclass(frozen=True)
 class CalibrationParams:
     """Piecewise confidence boost applied to rare-class SLM predictions."""
 
-    high_cap: float = 0.98
-    high_delta: float = 0.1
-    high_gate: float = 0.8
-    mid_cap: float = 0.9
-    mid_delta: float = 0.05
-    mid_gate: float = 0.6
+    high_cap: Unit = 0.98
+    high_delta: Positive = 0.1
+    high_gate: Unit = 0.8
+    mid_cap: Unit = 0.9
+    mid_delta: Positive = 0.05
+    mid_gate: Unit = 0.6
 
 
 @dataclass(frozen=True)
 class DecodingParams:
     """Sampling parameters sent to the language-model backend."""
 
-    temperature: float = 0.2
-    top_p: float = 0.90
-    repetition_penalty: float = 1.1
-    max_new_tokens: int = 256
+    temperature: NonNegative = 0.2
+    top_p: OpenUnit = 0.90
+    repetition_penalty: Positive = 1.1
+    max_new_tokens: PositiveInt = 256
 
 
 @dataclass(frozen=True)
@@ -160,55 +174,36 @@ class EngineConfig:
     Defaults follow the published operating point: static agent weights,
     rare-class importance factors, override thresholds, agreement boosts,
     the 0.95 confidence cap, and the SLM decoding setup with its 8-second
-    timeout guardrail.
+    timeout guardrail. Each field's type, with its range, is all that
+    ``to_dict`` and ``from_dict`` need to know about it.
     """
 
-    agent_weights: Mapping[AgentId, float] = field(default_factory=_default_agent_weights)
-    class_factors: Mapping[Severity, float] = field(default_factory=_default_class_factors)
-    tau_ml_high: float = 0.75
-    tau_ml_corrob: float = 0.8
-    tau_coord_rare: float = 0.4
-    tau_coord_common: float = 0.5
-    w1_rare: float = 0.7
-    w1_common: float = 0.5
-    boost_rare: float = 0.1
-    boost_common: float = 0.05
-    override_rare_bonus: float = 0.15
-    confidence_cap: float = 0.95
-    fallback_confidence: float = 0.1
+    agent_weights: Mapping[AgentId, Positive] = field(default_factory=_default_agent_weights)
+    class_factors: Mapping[Severity, Positive] = field(default_factory=_default_class_factors)
+    tau_ml_high: Unit = 0.75
+    tau_ml_corrob: Unit = 0.8
+    tau_coord_rare: Unit = 0.4
+    tau_coord_common: Unit = 0.5
+    w1_rare: Unit = 0.7
+    w1_common: Unit = 0.5
+    boost_rare: Positive = 0.1
+    boost_common: Positive = 0.05
+    override_rare_bonus: Positive = 0.15
+    confidence_cap: Unit = 0.95
+    fallback_confidence: Unit = 0.1
     calibration: CalibrationParams = CalibrationParams()
-    agent_timeout_ms: int = 8000
+    agent_timeout_ms: TimeoutMs = 8000
     decoding: DecodingParams = DecodingParams()
     endpoint: EndpointParams = EndpointParams()
     coordination_mode: CoordinationMode = CoordinationMode.RULE_BASED
-    tie_epsilon: float = 1e-9
+    tie_epsilon: NonNegative = 1e-9
 
     def slm_agent_count(self) -> int:
         """Number of configured SLM agents (the agreement-ratio denominator)."""
         return sum(1 for a in self.agent_weights if a is not AgentId.ML)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "agent_weights": {a.value: w for a, w in self.agent_weights.items()},
-            "class_factors": {str(int(k)): f for k, f in self.class_factors.items()},
-            "tau_ml_high": self.tau_ml_high,
-            "tau_ml_corrob": self.tau_ml_corrob,
-            "tau_coord_rare": self.tau_coord_rare,
-            "tau_coord_common": self.tau_coord_common,
-            "w1_rare": self.w1_rare,
-            "w1_common": self.w1_common,
-            "boost_rare": self.boost_rare,
-            "boost_common": self.boost_common,
-            "override_rare_bonus": self.override_rare_bonus,
-            "confidence_cap": self.confidence_cap,
-            "fallback_confidence": self.fallback_confidence,
-            "calibration": {f.name: getattr(self.calibration, f.name) for f in fields(CalibrationParams)},
-            "agent_timeout_ms": self.agent_timeout_ms,
-            "decoding": {f.name: getattr(self.decoding, f.name) for f in fields(DecodingParams)},
-            "endpoint": {f.name: getattr(self.endpoint, f.name) for f in fields(EndpointParams)},
-            "coordination_mode": self.coordination_mode.value,
-            "tie_epsilon": self.tie_epsilon,
-        }
+        return to_json_value(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -228,50 +223,101 @@ class EngineConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
         """Build a config from a (possibly partial) plain dict; defaults fill gaps."""
-        if not isinstance(data, Mapping):
-            raise ConfigError("config must be a JSON object")
-        for name in ("agent_weights", "class_factors", "calibration", "decoding", "endpoint"):
-            if name in data and not isinstance(data[name], Mapping):
-                raise ConfigError(f"{name} must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config field: {sorted(unknown)[0]}")
-        kwargs: dict[str, Any] = {}
-        if "agent_weights" in data:
-            weights = {_agent_from_key(k): v for k, v in data["agent_weights"].items()}
-            kwargs["agent_weights"] = {a: _number(f"agent_weights.{a.name}", v) for a, v in weights.items()}
-        if "class_factors" in data:
-            factors = {_severity_from_key(k): v for k, v in data["class_factors"].items()}
-            kwargs["class_factors"] = {k: _number(f"class_factors.{int(k)}", v) for k, v in factors.items()}
-        for name, sub in (("calibration", CalibrationParams), ("decoding", DecodingParams), ("endpoint", EndpointParams)):
-            if name in data:
-                sub_known = {f.name for f in fields(sub)}
-                sub_unknown = set(data[name]) - sub_known
-                if sub_unknown:
-                    raise ConfigError(f"unknown config field: {name}.{sorted(sub_unknown)[0]}")
-                kwargs[name] = sub(**data[name])
-        if "coordination_mode" in data:
-            try:
-                kwargs["coordination_mode"] = CoordinationMode(data["coordination_mode"])
-            except ValueError as exc:
-                raise ConfigError(f"coordination_mode must be one of {[m.value for m in CoordinationMode]}") from exc
-        handled = {"agent_weights", "class_factors", "calibration", "decoding", "endpoint", "coordination_mode"}
-        for key in known - handled:
-            if key in data:
-                kwargs[key] = data[key]
-        return cls(**kwargs)
+        return from_json_value(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "EngineConfig":
         return cls.from_dict(json.loads(text))
 
 
+def to_json_value(value: Any) -> Any:
+    """Plain JSON data for a value: dataclasses as objects of their fields,
+    enums by value, mapping keys as strings, tuples as lists."""
+    if type(value) in (float, int, str, bool):
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: to_json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, abc.Mapping):
+        return {str(to_json_value(k)): to_json_value(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [to_json_value(v) for v in value]
+    return value
+
+
+@cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """A dataclass's fields and their resolved types, worked out once per class."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
+    """Read JSON data as type ``tp``, the inverse of ``to_json_value``.
+
+    A dataclass reads from an object of known fields (defaults fill the
+    rest), a mapping from an object keyed by agent id or severity class, a
+    tuple from an array. Numbers must be finite, ints whole, strings and
+    booleans JSON strings and booleans, and ``Annotated`` bounds must hold;
+    else ConfigError names the field by its dotted path ``name``.
+    """
+    if tp is float or tp is int:
+        try:
+            number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+        except OverflowError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"{name} must be a finite number")
+        if tp is float:
+            return number  # a weight of 3 fingerprints as 3.0
+        if not number.is_integer():
+            raise ConfigError(f"{name} must be a whole number")
+        return int(value)  # 8000.0 fingerprints as 8000
+    if tp is str or tp is bool:
+        if not isinstance(value, tp):
+            raise ConfigError(f"{name} must be a {'string' if tp is str else 'boolean'}")
+        return value
+    origin = get_origin(tp)
+    if origin is Annotated:
+        base, *bounds = get_args(tp)
+        value = from_json_value(base, value, name)
+        for holds, message in bounds:
+            if not holds(value):
+                raise ConfigError(f"{name} {message}")
+        return value
+    if is_dataclass(tp):
+        if not isinstance(value, abc.Mapping):
+            raise ConfigError(f"{name or 'config'} must be a JSON object")
+        prefix = f"{name}." if name else ""
+        types = _field_types(tp)
+        unknown = set(value) - types.keys()
+        if unknown:
+            raise ConfigError(f"unknown config field: {prefix}{sorted(unknown)[0]}")
+        return tp(**{k: from_json_value(t, value[k], prefix + k) for k, t in types.items() if k in value})
+    if origin is abc.Mapping:
+        if not isinstance(value, abc.Mapping):
+            raise ConfigError(f"{name} must be a JSON object")
+        key_type, value_type = get_args(tp)
+        agents = key_type is AgentId
+        out = {}
+        for raw_key, item in value.items():
+            key = _agent_from_key(raw_key) if agents else _severity_from_key(raw_key)
+            out[key] = from_json_value(value_type, item, f"{name}.{key.name if agents else int(key)}")
+        return out
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a JSON array")
+        item_type = get_args(tp)[0]
+        return tuple(from_json_value(item_type, item, f"{name}[{i}]") for i, item in enumerate(value))
+    try:  # an enum, read by value
+        return tp(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be one of {[m.value for m in tp]}") from exc
+
+
 def _agent_from_key(key: str) -> AgentId:
-    try:
-        return AgentId(key)
-    except ValueError:
-        pass
+    """An agent by value or, in any case, by name: "ml", "ML", "Spatial"."""
     try:
         return AgentId[key.upper()]
     except KeyError as exc:
@@ -285,85 +331,26 @@ def _severity_from_key(key: Any) -> Severity:
         raise ConfigError(f"severity class keys must be 1-4, got {key!r}") from exc
 
 
-def _number(name: str, value: Any) -> float:
-    """An int or float as a float (a weight of 3 fingerprints as 3.0), else ConfigError."""
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    except OverflowError:
-        pass
-    raise ConfigError(f"{name} must be a finite number")
-
-
-_UNIT_FIELDS = (
-    "tau_ml_high",
-    "tau_ml_corrob",
-    "tau_coord_rare",
-    "tau_coord_common",
-    "w1_rare",
-    "w1_common",
-    "confidence_cap",
-    "fallback_confidence",
-)
-
-
 def validate_config(cfg: EngineConfig) -> EngineConfig:
-    """Return ``cfg`` unchanged if every invariant holds; raise ConfigError otherwise.
-
-    The error names the first violated invariant and field. Every numeric
-    field, weight and factor must first be a finite int or float.
-    """
-    numbers = [(f"agent_weights.{a.name}", cfg.agent_weights[a]) for a in AgentId if a in cfg.agent_weights]
-    numbers += [(f"class_factors.{int(k)}", cfg.class_factors[k]) for k in ALL_SEVERITIES if k in cfg.class_factors]
-    for owner, prefix in ((cfg, ""), (cfg.calibration, "calibration."), (cfg.decoding, "decoding.")):
-        # Annotations are strings in this module.
-        numbers += [(prefix + f.name, getattr(owner, f.name)) for f in fields(owner) if f.type in ("float", "int")]
-    for name, value in numbers:
-        if not math.isfinite(_number(name, value)):
-            raise ConfigError(f"{name} must be a finite number")
-    for agent in AgentId:
-        if agent in cfg.agent_weights and not cfg.agent_weights[agent] > 0:
-            raise ConfigError(f"agent_weights.{agent.name} must be > 0")
-    if not cfg.agent_weights:
+    """Return ``cfg`` unchanged if every invariant holds; raise ConfigError naming
+    the first violated one otherwise. ``cfg.to_dict()`` is read back as
+    ``from_dict`` reads a file, so a config built in code meets the same type
+    and range checks; then come the rules that relate fields."""
+    checked = from_json_value(EngineConfig, cfg.to_dict())
+    if not checked.agent_weights:
         raise ConfigError("agent_weights must not be empty")
     for k in ALL_SEVERITIES:
-        if k not in cfg.class_factors or not cfg.class_factors[k] > 0:
+        if k not in checked.class_factors:
             raise ConfigError(f"class_factors.{int(k)} must be > 0")
-    for name in _UNIT_FIELDS:
-        value = getattr(cfg, name)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{name} must lie in [0,1]")
-    if cfg.fallback_confidence > cfg.confidence_cap:
-        raise ConfigError("fallback_confidence must be <= confidence_cap")
-    if cfg.tau_ml_high > cfg.tau_ml_corrob:
-        raise ConfigError("tau_ml_high must be <= tau_ml_corrob")
-    for name in ("boost_rare", "boost_common", "override_rare_bonus"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"{name} must be > 0")
-    cal = cfg.calibration
-    for name in ("high_delta", "mid_delta"):
-        if not getattr(cal, name) > 0:
-            raise ConfigError(f"calibration.{name} must be > 0")
-    for name in ("high_cap", "high_gate", "mid_cap", "mid_gate"):
-        if not 0.0 <= getattr(cal, name) <= 1.0:
-            raise ConfigError(f"calibration.{name} must lie in [0,1]")
-    if cal.high_cap < cal.high_gate:
-        raise ConfigError("calibration.high_cap must be >= calibration.high_gate")
-    if cal.mid_cap < cal.mid_gate:
-        raise ConfigError("calibration.mid_cap must be >= calibration.mid_gate")
-    if cfg.agent_timeout_ms <= 0:
-        raise ConfigError("agent_timeout_ms must be > 0")
-    dec = cfg.decoding
-    if dec.temperature < 0:
-        raise ConfigError("decoding.temperature must be >= 0")
-    if not 0.0 < dec.top_p <= 1.0:
-        raise ConfigError("decoding.top_p must lie in (0,1]")
-    if not dec.repetition_penalty > 0:
-        raise ConfigError("decoding.repetition_penalty must be > 0")
-    if dec.max_new_tokens <= 0:
-        raise ConfigError("decoding.max_new_tokens must be > 0")
-    if cfg.tie_epsilon < 0:
-        raise ConfigError("tie_epsilon must be >= 0")
+    cal = checked.calibration
+    for holds, message in (
+        (checked.fallback_confidence <= checked.confidence_cap, "fallback_confidence must be <= confidence_cap"),
+        (checked.tau_ml_high <= checked.tau_ml_corrob, "tau_ml_high must be <= tau_ml_corrob"),
+        (cal.high_cap >= cal.high_gate, "calibration.high_cap must be >= calibration.high_gate"),
+        (cal.mid_cap >= cal.mid_gate, "calibration.mid_cap must be >= calibration.mid_gate"),
+    ):
+        if not holds:
+            raise ConfigError(message)
     return cfg
 
 

@@ -16,7 +16,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Mapping
 
-from .core import AgentId, SLM_AGENT_IDS, Severity
+from .core import AgentId, SLM_AGENT_IDS, Severity, from_json_value
 
 
 class SchemaError(ValueError):
@@ -185,12 +185,13 @@ _MISSING = FeatureValue.missing()
 
 
 def load_registry(path: str | Path) -> FeatureRegistry:
-    """Load a JSON registry override: {"environmental": [...], ...}.
-
-    An "ml_only" list is accepted and ignored: the ML agent reads every feature.
-    """
+    """Load a JSON registry override: {"environmental": [...], ...}, read as
+    config is (a malformed entry raises ConfigError naming it). An "ml_only"
+    list is accepted and ignored: the ML agent reads every feature."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return FeatureRegistry({AgentId(k): tuple(v) for k, v in data.items() if k != "ml_only"})
+    if isinstance(data, dict):
+        data.pop("ml_only", None)
+    return FeatureRegistry(from_json_value(Mapping[AgentId, tuple[str, ...]], data, "registry"))
 
 
 def project(

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 from .agents.backends import SlmBackend
 from .agents.base import Agent
 from .coordination import CoordinationMode, CoordinationResult, VoteBreakdown
-from .core import ALL_SEVERITIES, AgentOutput, EngineConfig, Severity
+from .core import ALL_SEVERITIES, AgentOutput, EngineConfig, Severity, to_json_value
 from .decision import FinalDecision
 from .engine import fuse, run_instances
 from .features import AccidentRecord, FeatureRegistry
@@ -49,23 +49,11 @@ class MetricsReport:
     abstentions: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_class": {
-                str(int(k)): {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for k, m in self.per_class.items()
-            },
-            "confusion": [list(row) for row in self.confusion],
-            "abstentions": self.abstentions,
-        }
+        return to_json_value(self)
+
+    def summary(self) -> dict:
+        """The single-number fields, in declaration order: one CSV row."""
+        return {k: v for k, v in self.to_dict().items() if not isinstance(v, (dict, list))}
 
 
 def _extract_prediction(item: object) -> Severity | None:
@@ -349,16 +337,6 @@ def comparison_table(results: Mapping[str, ScenarioComparison]) -> list[dict]:
     rows: list[dict] = []
     for name, comparison in results.items():
         for mode, report in (("rule", comparison.rule_based), ("llm", comparison.llm_based)):
-            rows.append(
-                {
-                    "scenario": name,
-                    "mode": mode,
-                    "accuracy": report.accuracy,
-                    "precision": report.precision,
-                    "recall": report.recall,
-                    "f1": report.f1,
-                    "abstentions": report.abstentions,
-                    "llm_fallback_rate": comparison.llm_fallback_rate if mode == "llm" else 0.0,
-                }
-            )
+            fallback_rate = comparison.llm_fallback_rate if mode == "llm" else 0.0
+            rows.append({"scenario": name, "mode": mode, **report.summary(), "llm_fallback_rate": fallback_rate})
     return rows

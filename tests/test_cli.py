@@ -5,6 +5,7 @@ import json
 import pytest
 
 from marble.cli import main
+from marble.features import SchemaError
 from marble.harness import ScenarioError
 
 PAYLOAD_2 = '{"severity": 2, "confidence": 0.7, "reasoning": "scripted"}'
@@ -193,3 +194,44 @@ def test_imbalance_without_coordinator_exits_with_its_message(tmp_path, train_fi
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file), "--output-dir", str(tmp_path / "out")]
     with pytest.raises(SystemExit, match="needs a coordination backend"):
         main(args)
+
+
+@pytest.fixture
+def unmatched_file(tmp_path):
+    """A labelled CSV none of whose headers names a registry feature."""
+    lines = ["foo,bar,severity"] + [f"a{i},b{i},{i % 4 + 1}" for i in range(8)]
+    path = tmp_path / "unmatched.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_slm_agents_need_a_header_that_names_a_registry_feature(tmp_path, scripted_file, unmatched_file):
+    args = ["predict", "--input", str(unmatched_file), "--scripted", str(scripted_file)]
+    with pytest.raises(SchemaError, match="no registry feature matches the header"):
+        main(args + ["--trace", str(tmp_path / "t.jsonl")])
+    with pytest.raises(SchemaError, match="no registry feature matches the header"):
+        main(["eval"] + args[1:] + ["--output-dir", str(tmp_path / "out")])
+
+
+def test_the_ml_agent_alone_reads_any_header(tmp_path, unmatched_file, capsys):
+    args = ["predict", "--input", str(unmatched_file), "--train", str(unmatched_file)]
+    assert main(args + ["--trace", str(tmp_path / "t.jsonl")]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 9
+
+
+@pytest.mark.parametrize(
+    "scripted, named",
+    [
+        ({"environmental": 5}, "'environmental'"),
+        ({"environmental": {"": 5}}, "'environmental'"),
+        ({"coordinator": [PAYLOAD_2]}, "'coordinator'"),
+        ([PAYLOAD_2], "--scripted must hold a JSON object"),
+    ],
+)
+def test_malformed_scripted_file_exits_before_any_record(tmp_path, input_file, scripted, named):
+    path = tmp_path / "scripted.json"
+    path.write_text(json.dumps(scripted), encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit, match=named):
+        main(["predict", "--input", str(input_file), "--scripted", str(path), "--trace", str(trace)])
+    assert not trace.exists()

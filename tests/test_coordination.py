@@ -16,7 +16,7 @@ from marble.coordination import (
     weighted_avg_confidence,
     weighted_scores,
 )
-from marble.core import AgentId, CoordinationMode, Severity
+from marble.core import AgentId, CoordinationMode, Severity, validate_config
 
 ML = AgentId.ML
 ENV = AgentId.ENVIRONMENTAL
@@ -113,6 +113,14 @@ class TestRbPredict:
         outputs = [out(SPA, 3, 0.6), out(TEMP, 4, 0.5)]
         bd = weighted_scores(outputs, cfg)
         assert bd.scores[Severity(3)] == pytest.approx(bd.scores[Severity(4)], abs=1e-12)
+        assert int(rb_predict(bd, outputs, cfg)) == 4
+
+    def test_overflowing_scores_still_pick_a_class(self, cfg, out):
+        # Valid weights near the float maximum make scores overflow to inf.
+        cfg = validate_config(dataclasses.replace(cfg, agent_weights={SPA: 1.7e308, TEMP: 1.7e308}))
+        outputs = [out(SPA, 3, 0.9), out(TEMP, 4, 0.9)]
+        bd = weighted_scores(outputs, cfg)
+        assert bd.scores[Severity(4)] == float("inf")
         assert int(rb_predict(bd, outputs, cfg)) == 4
 
 

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from marble.agents import ScriptedBackend
+from marble.agents.slm import DEFAULT_TEMPLATES, slm_evaluate
 from marble.core import (
     SLM_AGENT_IDS,
     AgentId,
@@ -11,11 +17,21 @@ from marble.core import (
     CalibrationParams,
     ConfigError,
     CoordinationMode,
+    DecodingParams,
+    EndpointParams,
     EngineConfig,
+    NonNegative,
+    OpenUnit,
+    Positive,
+    PositiveInt,
     Severity,
+    TimeoutMs,
+    Unit,
     load_config,
     validate_config,
 )
+from marble.engine import fuse
+from marble.features import AccidentRecord, FeatureValue, default_registry, project
 
 
 class TestSeverity:
@@ -110,9 +126,8 @@ class TestConfigValidation:
         ],
     )
     def test_non_finite_numbers_rejected(self, overrides, field):
-        cfg = EngineConfig.from_dict(overrides)
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
-            validate_config(cfg)
+            validate_config(EngineConfig.from_dict(overrides))
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -125,9 +140,55 @@ class TestConfigValidation:
         ],
     )
     def test_non_numeric_scalars_rejected(self, overrides, field):
-        cfg = EngineConfig.from_dict(overrides)
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
-            validate_config(cfg)
+            validate_config(EngineConfig.from_dict(overrides))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"tie_epsilon": float("nan")}, "tie_epsilon must be a finite number"),
+            ({"agent_timeout_ms": float("inf")}, "agent_timeout_ms must be a finite number"),
+            ({"agent_timeout_ms": 10**400}, "agent_timeout_ms must be a finite number"),
+            ({"decoding": DecodingParams(temperature=float("nan"))}, "decoding.temperature must be a finite number"),
+            ({"agent_weights": {AgentId.ML: float("inf")}}, "agent_weights.ML must be a finite number"),
+            ({"class_factors": {Severity(4): float("inf")}}, "class_factors.4 must be a finite number"),
+            ({"agent_timeout_ms": "8000"}, "agent_timeout_ms must be a finite number"),
+            ({"tau_ml_high": None}, "tau_ml_high must be a finite number"),
+            ({"boost_rare": True}, "boost_rare must be a finite number"),
+            ({"calibration": CalibrationParams(mid_gate="0.6")}, "calibration.mid_gate must be a finite number"),
+            ({"decoding": DecodingParams(max_new_tokens=[256])}, "decoding.max_new_tokens must be a finite number"),
+            ({"agent_timeout_ms": 2.5}, "agent_timeout_ms must be a whole number"),
+            ({"endpoint": EndpointParams(api_key_env=5)}, "endpoint.api_key_env must be a string"),
+            ({"endpoint": EndpointParams(send_repetition_penalty="false")}, "endpoint.send_repetition_penalty must be a boolean"),
+            ({"coordination_mode": "bogus"}, "coordination_mode must be one of"),
+            ({"calibration": None}, "calibration must be a JSON object"),
+        ],
+    )
+    def test_configs_built_in_code_meet_the_same_checks(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            validate_config(dataclasses.replace(EngineConfig(), **changes))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"endpoint": {"url": "http://127.0.0.1:9/v1", "api_key_env": 5}}, "endpoint.api_key_env must be a string"),
+            ({"endpoint": {"url": 7}}, "endpoint.url must be a string"),
+            ({"endpoint": {"model": None}}, "endpoint.model must be a string"),
+            ({"endpoint": {"send_repetition_penalty": "false"}}, "endpoint.send_repetition_penalty must be a boolean"),
+            ({"endpoint": {"send_repetition_penalty": 0}}, "endpoint.send_repetition_penalty must be a boolean"),
+            ({"agent_timeout_ms": 2.5}, "agent_timeout_ms must be a whole number"),
+            ({"decoding": {"max_new_tokens": 2.5}}, "decoding.max_new_tokens must be a whole number"),
+            ({"agent_timeout_ms": 1e13}, "agent_timeout_ms must be <= 86400000"),
+        ],
+    )
+    def test_fields_of_the_wrong_json_type_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(EngineConfig.from_dict(overrides))
+
+    def test_whole_numbers_read_as_ints(self):
+        cfg = validate_config(EngineConfig.from_dict({"agent_timeout_ms": 8000.0, "decoding": {"max_new_tokens": 256.0}}))
+        assert type(cfg.agent_timeout_ms) is int and type(cfg.decoding.max_new_tokens) is int
+        assert cfg.fingerprint() == EngineConfig().fingerprint()
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -200,8 +261,96 @@ class TestConfigSerialization:
         assert ints.to_dict()["agent_weights"] == {"ml": 3.0, "spatial": 1.0}
         assert ints.fingerprint() == floats.fingerprint()
 
+    def test_fingerprints_are_pinned(self):
+        assert EngineConfig().fingerprint() == "3e93f442105fb7ca"
+        llm = EngineConfig.from_dict({"coordination_mode": "llm", "agent_timeout_ms": 250})
+        assert llm.fingerprint() == "8aa145de11360d60"
+
     def test_fingerprint_tracks_content(self):
         base = EngineConfig()
         changed = dataclasses.replace(base, boost_common=0.06)
         assert base.fingerprint() == EngineConfig().fingerprint()
         assert base.fingerprint() != changed.fingerprint()
+
+
+# Any JSON value, for the fields that should reject it.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# Values inside each declared range, extremes included.
+_positive = st.floats(0, exclude_min=True, allow_infinity=False)
+_in_range = {
+    Unit: st.floats(0, 1),
+    OpenUnit: st.floats(0, 1, exclude_min=True),
+    Positive: _positive,
+    NonNegative: st.floats(0, allow_infinity=False),
+    PositiveInt: st.integers(1, 2**64),
+    TimeoutMs: st.integers(1, 86_400_000) | st.sampled_from([1.0, 250.0]),
+    bool: st.booleans(),
+    str: st.text(max_size=8),
+    CoordinationMode: st.sampled_from(["rule", "llm"]),
+}
+_agent_keys = [a.value for a in AgentId] + ["ML", "Spatial"]
+_weights = st.dictionaries(st.sampled_from(_agent_keys), _positive, min_size=1, max_size=6)
+_factors = st.fixed_dictionaries({k: _positive for k in "1234"})
+# The mappings, in range and (second) wild: unknown keys, missing classes.
+_mappings = {
+    "agent_weights": (_weights, _weights | st.dictionaries(st.sampled_from(_agent_keys + ["pilot"]), _positive | _json)),
+    "class_factors": (_factors, _factors | st.dictionaries(st.sampled_from(["1", "4", "0", "x"]), _positive | _json)),
+}
+
+
+def _documents(cls, wild):
+    """Objects of some of ``cls``'s fields, each in range or, when ``wild``,
+    sometimes any JSON value, plus sometimes an unknown field."""
+    leaves = {}
+    for name, tp in get_type_hints(cls, include_extras=True).items():
+        if dataclasses.is_dataclass(tp):
+            leaves[name] = _documents(tp, wild)
+        elif name in _mappings:
+            leaves[name] = _mappings[name][wild]
+        else:
+            leaves[name] = _in_range[tp]
+        if wild:
+            leaves[name] |= _json
+    if wild:
+        leaves["typo"] = _json
+    return st.fixed_dictionaries({}, optional=leaves)
+
+
+config_documents = _documents(EngineConfig, wild=False) | _documents(EngineConfig, wild=True) | _json
+
+
+@st.composite
+def agent_outputs(draw):
+    agents = draw(st.lists(st.sampled_from(list(AgentId)), unique=True, max_size=5))
+    outputs = []
+    for agent in agents:
+        if draw(st.booleans()):
+            outputs.append(AgentOutput(agent, None, 0.0, failed=True, failure_kind="parse"))
+        else:
+            outputs.append(AgentOutput(agent, Severity(draw(st.integers(1, 4))), draw(st.floats(0, 1))))
+    return outputs
+
+
+_replies = st.sampled_from(
+    ['{"severity": 4, "confidence": 0.97, "reasoning": "r"}', '{"severity": 1, "confidence": 0.7}', "no answer"]
+) | st.text(max_size=30)
+_RECORD = AccidentRecord("r", {name: FeatureValue.categorical("x") for name in default_registry().all_assigned()})
+
+
+class TestEveryValidConfigRuns:
+    @given(config_documents, agent_outputs(), _replies)
+    @settings(max_examples=400, deadline=None)
+    def test_a_config_either_fails_validation_or_runs(self, doc, outputs, reply):
+        try:
+            cfg = validate_config(EngineConfig.from_dict(doc))
+        except ConfigError:
+            return
+        assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+        for mode in CoordinationMode:
+            fuse(outputs, dataclasses.replace(cfg, coordination_mode=mode), coordination_backend=ScriptedBackend(reply))
+        for agent in SLM_AGENT_IDS:
+            slm_evaluate(agent, project(_RECORD, agent), DEFAULT_TEMPLATES[agent], ScriptedBackend(reply), cfg)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marble.core import SLM_AGENT_IDS, AgentId, Severity
+from marble.core import SLM_AGENT_IDS, AgentId, ConfigError, Severity
 from marble.features import (
     AccidentRecord,
     FeatureRegistry,
@@ -22,6 +23,7 @@ from marble.features import (
     default_registry,
     format_features,
     ingest_csv,
+    load_registry,
     project,
 )
 
@@ -73,6 +75,33 @@ class TestRegistry:
     def test_only_slm_domains_take_assignments(self):
         with pytest.raises(ValueError):
             FeatureRegistry(domains={AgentId.ML: ("Humidity",)})
+
+
+class TestLoadRegistry:
+    def load(self, tmp_path, data):
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return load_registry(path)
+
+    def test_reads_domains_in_order_and_ignores_ml_only(self, tmp_path):
+        registry = self.load(tmp_path, {"spatial": ["Latitude", "Longitude"], "Temporal": [], "ml_only": ["Id"]})
+        assert registry.domains == {AgentId.SPATIAL: ("Latitude", "Longitude"), AgentId.TEMPORAL: ()}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"spatial": "Latitude"}, "registry.SPATIAL must be a JSON array"),
+            ({"spatial": [1]}, r"registry.SPATIAL\[0\] must be a string"),
+            ({"spatial": None}, "registry.SPATIAL must be a JSON array"),
+            ({"spatial": ["Latitude", 2]}, r"registry.SPATIAL\[1\] must be a string"),
+            ({"spatial": [1, 2]}, r"registry.SPATIAL\[0\] must be a string"),
+            ([1], "registry must be a JSON object"),
+            ({"weather": ["Rain"]}, "unknown agent id: weather"),
+        ],
+    )
+    def test_malformed_registry_rejected(self, tmp_path, data, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            self.load(tmp_path, data)
 
 
 class TestProject:

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marble
 from marble.agents.ml import TrainError, ml_evaluate, ml_train
 from marble.core import ALL_SEVERITIES, AgentId, Severity
 from marble.features import AccidentRecord, FeatureValue, ingest_csv
@@ -178,6 +183,28 @@ class TestSyntheticAccuracy:
         importance = ml_train(records).feature_importance()
         assert importance["signal"] > importance["noise"]
 
+    def test_feature_importance_is_the_same_under_every_hash_seed(self):
+        # String hashing, and so set order, differs between processes.
+        script = (
+            "import random\n"
+            "from marble.agents.ml import ml_train\n"
+            "from marble.core import Severity\n"
+            "from marble.features import AccidentRecord, FeatureValue\n"
+            "rng = random.Random(3)\n"
+            "records = [AccidentRecord(f'r{i}', {f'f{j}': FeatureValue.categorical(f'v{rng.randrange(40)}')"
+            " for j in range(5)}, Severity(rng.randint(1, 4)) if i > 3 else Severity(i + 1)) for i in range(1000)]\n"
+            "print(repr(ml_train(records).feature_importance()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(marble.__file__).parents[1]))
+        reprs = {
+            subprocess.run(
+                [sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(reprs) == 1
+
 
 class ReferenceModel:
     """The record-wise trainer and predictor that ``ml_train`` and
@@ -255,7 +282,7 @@ class ReferenceModel:
         for name in self.feature_names:
             tokens = {t for k in counts for t in self.tables[name][k]}
             score = 0.0
-            for token in tokens:
+            for token in sorted(tokens):
                 marginal = sum(self.tables[name][k].get(token, 0) for k in counts) / total
                 cond = [
                     (self.tables[name][k].get(token, 0) + 1) / (counts[k] + self.vocab_sizes[name])

@@ -30,7 +30,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        if mode != "trickle":
+            self.wfile.write(payload)
+            return
+        try:  # one byte every 50 ms, until the client hangs up
+            for i in range(len(payload)):
+                self.wfile.write(payload[i : i + 1])
+                time.sleep(0.05)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
 
     def log_message(self, *args):  # keep test output quiet
         pass
@@ -84,6 +92,13 @@ class TestRemoteComplete:
         stub_server.mode = "delay"
         with pytest.raises(BackendTimeoutError):
             complete(url(stub_server), "p", 200)
+
+    def test_trickled_reply_times_out_at_the_deadline(self, stub_server):
+        stub_server.mode = "trickle"
+        start = time.monotonic()
+        with pytest.raises(BackendTimeoutError):
+            complete(url(stub_server), "p", 200)
+        assert time.monotonic() - start < 0.5
 
     def test_http_500_raises_transport_error(self, stub_server):
         stub_server.mode = "error"
