@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import os
+import socket
+import ssl
 import time
 from typing import Callable, Mapping, Protocol, runtime_checkable
-
-import requests
-import urllib3
+from urllib.parse import urlsplit, urlunsplit
 
 from ..core import DecodingParams, EndpointParams
 
@@ -82,25 +84,61 @@ class ScriptedBackend:
         raise TransportError("no scripted response matches the prompt")
 
 
+class _DeadlineSocket(io.RawIOBase):
+    """A connected socket whose every send and receive gets only the time left
+    before one deadline. ``HTTPResponse`` reads the status line, the headers
+    and the body through ``makefile``, so however a server paces its bytes,
+    the deadline bounds the whole exchange."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock = sock
+        self._deadline = deadline
+
+    def sendall(self, data: bytes) -> None:
+        self._sock.settimeout(_time_left(self._deadline))
+        self._sock.sendall(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv_into(buffer)
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError
+    return left
+
+
 class RemoteHttpBackend:
     """Chat-completions-compatible HTTP backend configured from EndpointParams.
 
     A call sends the prompt as one user message with the decoding parameters
     (the repetition penalty only where the endpoint accepts it) and returns
     the first choice's text. The credential is read from the named
-    environment variable at call time. ``requests`` bounds the connect and
-    each socket read by ``timeout_ms``; the body is read in chunks against
-    one deadline for the whole call, so a reply trickled byte by byte fails
-    once the deadline passes (a reply that stalls outright is held one
-    read's ``timeout_ms`` at most).
+    environment variable at call time. Each call opens one connection, and
+    one deadline, ``timeout_ms`` from the start, bounds its connect, TLS
+    handshake, send, status line, headers and body; name resolution is not
+    bounded, and a host name with several addresses gets the time left for
+    each. HTTPS verifies the server against the system CA store. Proxy
+    variables and ``~/.netrc`` are not read.
     """
 
     def __init__(self, endpoint: EndpointParams):
         if not endpoint.url:
             raise ValueError("remote backend requires an endpoint url")
         self._endpoint = endpoint
+        self._url = urlsplit(endpoint.url)
+        self._tls = ssl.create_default_context() if self._url.scheme == "https" else None
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
+        deadline = time.monotonic() + timeout_ms / 1000.0
         endpoint = self._endpoint
         body: dict[str, object] = {
             "model": endpoint.model,
@@ -111,28 +149,40 @@ class RemoteHttpBackend:
         }
         if endpoint.send_repetition_penalty:
             body["repetition_penalty"] = decoding.repetition_penalty
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "Connection": "close"}
         api_key = os.environ.get(endpoint.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        deadline = time.monotonic() + timeout_ms / 1000.0
         try:
-            with requests.post(
-                endpoint.url, json=body, headers=headers, timeout=timeout_ms / 1000.0, stream=True
-            ) as response:
-                if response.status_code >= 400:
-                    raise TransportError(f"HTTP {response.status_code}", status=response.status_code)
-                chunks = []
-                while chunk := response.raw.read1(65536, decode_content=True):
-                    if time.monotonic() > deadline:
-                        raise BackendTimeoutError(f"no completion within {timeout_ms} ms")
-                    chunks.append(chunk)
-        except (requests.Timeout, urllib3.exceptions.TimeoutError) as exc:
+            url = self._url
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"unsupported endpoint url {endpoint.url!r}")
+            host, port = url.hostname, url.port or (443 if self._tls else 80)
+            with socket.create_connection((host, port), timeout=_time_left(deadline)) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # headers and body go out apart
+                if self._tls:  # the TLS socket takes the descriptor over
+                    sock.settimeout(_time_left(deadline))
+                    sock = self._tls.wrap_socket(sock, server_hostname=host)
+                with sock:
+                    conn = (
+                        http.client.HTTPSConnection(host, port, context=self._tls)
+                        if self._tls
+                        else http.client.HTTPConnection(host, port)
+                    )
+                    conn.sock = wrapped = _DeadlineSocket(sock, deadline)
+                    conn.request("POST", urlunsplit(("", "", url.path or "/", url.query, "")),
+                                 json.dumps(body).encode("utf-8"), headers)
+                    response = http.client.HTTPResponse(wrapped, method="POST")
+                    response.begin()
+                    if response.status >= 400:
+                        raise TransportError(f"HTTP {response.status}", status=response.status)
+                    data = response.read()
+        except TimeoutError as exc:
             raise BackendTimeoutError(f"no completion within {timeout_ms} ms") from exc
-        except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         try:
-            payload = json.loads(b"".join(chunks))
+            payload = json.loads(data)
             return payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc

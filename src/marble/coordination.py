@@ -8,6 +8,8 @@ its backend fails or emits something unparseable.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -170,16 +172,21 @@ def weighted_avg_confidence(
 ) -> float:
     """Weight-weighted mean confidence over the agents voting for the class;
     the configured fallback when no agent supports it."""
-    numerator = 0.0
-    denominator = 0.0
-    for output in _live(outputs):
-        if output.prediction == prediction:
-            weight = cfg.agent_weights.get(output.agent, 1.0)
-            numerator += weight * output.confidence
-            denominator += weight
+    votes = [
+        (cfg.agent_weights.get(o.agent, 1.0), o.confidence)
+        for o in _live(outputs)
+        if o.prediction == prediction
+    ]
+    denominator = sum(w for w, _ in votes)
     if denominator == 0.0:
         return cfg.fallback_confidence
-    return numerator / denominator
+    if denominator == math.inf or denominator < sys.float_info.min:
+        # A sum past the float range (inf / inf) or below its normal range
+        # (rounded products) loses the mean: rescale by the largest weight.
+        top = max(w for w, _ in votes)
+        votes = [(w / top, c) for w, c in votes]
+        denominator = sum(w for w, _ in votes)
+    return sum(w * c for w, c in votes) / denominator
 
 
 def coordinate_rb(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> CoordinationResult:

@@ -335,8 +335,12 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
     """Return ``cfg`` unchanged if every invariant holds; raise ConfigError naming
     the first violated one otherwise. ``cfg.to_dict()`` is read back as
     ``from_dict`` reads a file, so a config built in code meets the same type
-    and range checks; then come the rules that relate fields."""
+    and range checks, and must equal what is read back; then come the rules
+    that relate fields."""
     checked = from_json_value(EngineConfig, cfg.to_dict())
+    if checked != cfg:  # such as an enum field set to its JSON value
+        name = next(f.name for f in fields(cfg) if getattr(checked, f.name) != getattr(cfg, f.name))
+        raise ConfigError(f"{name} must be set as its declared type, not as {getattr(cfg, name)!r}")
     if not checked.agent_weights:
         raise ConfigError("agent_weights must not be empty")
     for k in ALL_SEVERITIES:

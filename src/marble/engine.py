@@ -213,13 +213,14 @@ def fuse(
     coordinator: Coordinator | None = None,
     notes: list[str] | None = None,
 ) -> tuple[CoordinationResult | None, FinalDecision]:
-    """Stage 3: coordinate the live outputs, then run the cascade; ``(None,
-    abstain())`` when none is live. An LLM coordinator call runs on the agent
+    """Stage 3: coordinate the live outputs, in agent order whatever the order
+    of ``outputs``, then run the cascade; ``(None, abstain())`` when none is
+    live. An LLM coordinator call runs on the agent
     pool under its own deadline, past which the rule-based result stands with
     ``fallback="timeout"`` and a note goes to ``notes``. Under the same config
     and coordinator, re-fusing a trace's ``agent_outputs`` reproduces its
     coordination and decision."""
-    live = [o for o in outputs if not o.failed]
+    live = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     if not live:
         return None, abstain()
     if coordinator is not None:

@@ -16,7 +16,7 @@ from marble.coordination import (
     weighted_avg_confidence,
     weighted_scores,
 )
-from marble.core import AgentId, CoordinationMode, Severity, validate_config
+from marble.core import AgentId, CoordinationMode, EngineConfig, Severity, validate_config
 
 ML = AgentId.ML
 ENV = AgentId.ENVIRONMENTAL
@@ -171,6 +171,17 @@ class TestWeightedAvgConfidence:
         outputs = [out(TEMP, 3, 0.42)]
         bd = weighted_scores(outputs, cfg)
         assert weighted_avg_confidence(Severity(1), bd, outputs, cfg) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("weight", [1e308, 5e-324])
+    def test_weights_at_the_ends_of_the_float_range_keep_the_mean(self, out, weight):
+        # 2e308 overflows to inf (inf / inf is NaN); 5e-324 * 0.9 rounds to 5e-324.
+        # A zero tie_epsilon keeps the tiny scores from tying every class.
+        weights = {"spatial": weight, "temporal": weight}
+        cfg = validate_config(EngineConfig.from_dict({"agent_weights": weights, "tie_epsilon": 0.0}))
+        outputs = [out(SPA, 2, 0.9), out(TEMP, 2, 0.9)]
+        bd = weighted_scores(outputs, cfg)
+        assert weighted_avg_confidence(Severity(2), bd, outputs, cfg) == pytest.approx(0.9, abs=1e-12)
+        assert coordinate_rb(outputs, cfg).confidence == pytest.approx(0.95)  # 0.9 + boost, capped
 
 
 class TestCoordinateRb:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from marble.agents import ScriptedBackend
@@ -30,6 +31,7 @@ from marble.core import (
     load_config,
     validate_config,
 )
+from marble.coordination import weighted_avg_confidence
 from marble.engine import fuse
 from marble.features import AccidentRecord, FeatureValue, default_registry, project
 
@@ -166,6 +168,21 @@ class TestConfigValidation:
     )
     def test_configs_built_in_code_meet_the_same_checks(self, changes, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            validate_config(dataclasses.replace(EngineConfig(), **changes))
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"coordination_mode": "llm"}, "coordination_mode"),
+            ({"agent_weights": {"ml": 3.0, "spatial": 1.0}}, "agent_weights"),
+            ({"calibration": {"high_cap": 0.9}}, "calibration"),
+        ],
+    )
+    def test_a_field_set_in_code_to_its_json_form_is_rejected(self, changes, field):
+        # The engine would test ``is CoordinationMode.LLM_BASED`` and look
+        # weights up by AgentId: a value that only serializes like the right
+        # one must not validate.
+        with pytest.raises(ConfigError, match=f"^{field} must be set as its declared type"):
             validate_config(dataclasses.replace(EngineConfig(), **changes))
 
     @pytest.mark.parametrize(
@@ -354,3 +371,59 @@ class TestEveryValidConfigRuns:
             fuse(outputs, dataclasses.replace(cfg, coordination_mode=mode), coordination_backend=ScriptedBackend(reply))
         for agent in SLM_AGENT_IDS:
             slm_evaluate(agent, project(_RECORD, agent), DEFAULT_TEMPLATES[agent], ScriptedBackend(reply), cfg)
+
+
+@st.composite
+def live_outputs(draw):
+    agents = draw(st.lists(st.sampled_from(list(AgentId)), unique=True, min_size=1, max_size=5))
+    return [AgentOutput(agent, Severity(draw(st.integers(1, 4))), draw(st.floats(0, 1))) for agent in agents]
+
+
+# Weights at both ends of the float range, where sums overflow or round.
+_extreme_weights = st.dictionaries(
+    st.sampled_from([a.value for a in AgentId]), st.sampled_from([5e-324, 1.0, 1e308]) | _positive, min_size=1
+)
+
+
+class TestFusionProperties:
+    @given(
+        _documents(EngineConfig, wild=False),
+        _extreme_weights,
+        live_outputs(),
+        st.lists(st.sampled_from(list(AgentId)), max_size=3),
+        st.randoms(use_true_random=False),
+        _replies,
+    )
+    @example(  # two weights that sum past the float maximum
+        {},
+        {"spatial": 1e308, "temporal": 1e308},
+        [AgentOutput(AgentId.SPATIAL, Severity(2), 0.9), AgentOutput(AgentId.TEMPORAL, Severity(2), 0.9)],
+        [],
+        random.Random(0),
+        "no answer",
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fusion_invariants(self, doc, weights, live, failed_agents, rnd, reply):
+        try:
+            cfg = validate_config(EngineConfig.from_dict({**doc, "agent_weights": weights}))
+        except ConfigError:
+            assume(False)
+        coordination, decision = fuse(live, cfg, coordination_backend=ScriptedBackend(reply))
+
+        # Neither the order of the outputs nor failed ones change anything.
+        mixed = live + [AgentOutput(a, None, 0.0, failed=True, failure_kind="timeout") for a in failed_agents]
+        rnd.shuffle(mixed)
+        assert fuse(mixed, cfg, coordination_backend=ScriptedBackend(reply)) == (coordination, decision)
+
+        # The decided class comes from a live agent or the coordinator.
+        assert decision.prediction in {o.prediction for o in live} | {coordination.prediction}
+
+        # A voted class's mean confidence lies within its supporters' range.
+        supporters = [o.confidence for o in live if o.prediction == coordination.prediction]
+        if coordination.method is CoordinationMode.RULE_BASED and not coordination.override_applied and supporters:
+            mean = weighted_avg_confidence(coordination.prediction, coordination.breakdown, live, cfg)
+            assert min(supporters) - 1e-12 <= mean <= max(supporters) + 1e-12
+
+        # Without the ML agent, only the coordinator's rules can fire.
+        if all(o.agent is not AgentId.ML for o in live):
+            assert decision.rule_fired in (2, 4)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import marble
 from marble.agents.backends import BackendTimeoutError, RemoteHttpBackend, TransportError
 from marble.core import DecodingParams, EndpointParams
 
@@ -26,10 +31,22 @@ class _Handler(BaseHTTPRequestHandler):
         payload = json.dumps(
             {"choices": [{"message": {"content": self.server.canned}}]}
         ).encode("utf-8")
+        if mode == "trickle_headers":
+            head = f"HTTP/1.0 200 OK\r\nContent-Length: {len(payload)}\r\n\r\n".encode("ascii")
+            try:  # one byte every 50 ms, until the client hangs up
+                for i in range(len(head)):
+                    self.wfile.write(head[i : i + 1])
+                    time.sleep(0.05)
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
+        if mode == "stall_after_headers":
+            time.sleep(0.6)
+            return
         if mode != "trickle":
             self.wfile.write(payload)
             return
@@ -122,3 +139,31 @@ class TestRemoteHttpBackend:
     def test_requires_url(self):
         with pytest.raises(ValueError):
             RemoteHttpBackend(EndpointParams(url=""))
+
+
+class TestOneDeadline:
+    @pytest.mark.parametrize("mode", ["trickle", "stall_after_headers", "trickle_headers"])
+    def test_a_paced_reply_times_out_at_the_deadline(self, stub_server, mode):
+        stub_server.mode = mode
+        start = time.monotonic()
+        with pytest.raises(BackendTimeoutError):
+            complete(url(stub_server), "p", 200)
+        assert time.monotonic() - start < 0.5
+
+    def test_https_to_a_plain_http_server_fails_within_the_deadline(self, stub_server):
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            complete(url(stub_server).replace("http://", "https://"), "p", 2000)
+        assert time.monotonic() - start < 2.0
+
+    @pytest.mark.parametrize("bad", ["ftp://127.0.0.1/x", "http:///no-host"])
+    def test_unsupported_url_raises_transport_error(self, bad):
+        with pytest.raises(TransportError):
+            complete(bad, "p", 500)
+
+    def test_importing_the_cli_loads_no_http_library(self):
+        src = str(Path(marble.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, marble.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
