@@ -163,16 +163,16 @@ class RemoteHttpBackend:
                 if self._tls:  # the TLS socket takes the descriptor over
                     sock.settimeout(_time_left(deadline))
                     sock = self._tls.wrap_socket(sock, server_hostname=host)
-                with sock:
+                wrapped = _DeadlineSocket(sock, deadline)
+                with sock, http.client.HTTPResponse(wrapped, method="POST") as response:
                     conn = (
                         http.client.HTTPSConnection(host, port, context=self._tls)
                         if self._tls
                         else http.client.HTTPConnection(host, port)
                     )
-                    conn.sock = wrapped = _DeadlineSocket(sock, deadline)
+                    conn.sock = wrapped
                     conn.request("POST", urlunsplit(("", "", url.path or "/", url.query, "")),
                                  json.dumps(body).encode("utf-8"), headers)
-                    response = http.client.HTTPResponse(wrapped, method="POST")
                     response.begin()
                     if response.status >= 400:
                         raise TransportError(f"HTTP {response.status}", status=response.status)

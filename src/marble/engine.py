@@ -215,8 +215,8 @@ def fuse(
 ) -> tuple[CoordinationResult | None, FinalDecision]:
     """Stage 3: coordinate the live outputs, in agent order whatever the order
     of ``outputs``, then run the cascade; ``(None, abstain())`` when none is
-    live. An LLM coordinator call runs on the agent
-    pool under its own deadline, past which the rule-based result stands with
+    live. An LLM coordinator call runs on the agent pool under its own
+    deadline, past which the rule-based result stands with
     ``fallback="timeout"`` and a note goes to ``notes``. Under the same config
     and coordinator, re-fusing a trace's ``agent_outputs`` reproduces its
     coordination and decision."""
