@@ -6,8 +6,8 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -142,7 +142,7 @@ class TestRemoteHttpBackend:
 
 
 class TestOneDeadline:
-    @pytest.mark.parametrize("mode", ["trickle", "stall_after_headers", "trickle_headers"])
+    @pytest.mark.parametrize("mode", ["stall_after_headers", "trickle_headers"])
     def test_a_paced_reply_times_out_at_the_deadline(self, stub_server, mode):
         stub_server.mode = mode
         start = time.monotonic()
