@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import os
-import socket
-import ssl
 import time
-from typing import Callable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable
 from urllib.parse import urlsplit, urlunsplit
 
 from ..core import DecodingParams, EndpointParams
+
+if TYPE_CHECKING:
+    import socket
 
 
 class TransportError(Exception):
@@ -127,10 +127,18 @@ class RemoteHttpBackend:
     handshake, send, status line, headers and body; name resolution is not
     bounded, and a host name with several addresses gets the time left for
     each. HTTPS verifies the server against the system CA store. Proxy
-    variables and ``~/.netrc`` are not read.
+    variables and ``~/.netrc`` are not read. The HTTP, socket and TLS
+    modules load when the first instance is built, so a process that never
+    builds one never pays for them.
     """
 
     def __init__(self, endpoint: EndpointParams):
+        # The HTTP stack loads here: not on package import, and not inside
+        # the first call's deadline.
+        import http.client
+        import socket
+        import ssl
+
         if not endpoint.url:
             raise ValueError("remote backend requires an endpoint url")
         self._endpoint = endpoint
@@ -138,6 +146,9 @@ class RemoteHttpBackend:
         self._tls = ssl.create_default_context() if self._url.scheme == "https" else None
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
+        import http.client
+        import socket
+
         deadline = time.monotonic() + timeout_ms / 1000.0
         endpoint = self._endpoint
         body: dict[str, object] = {

@@ -129,15 +129,16 @@ def check_ml_override(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> bool
 def rb_predict(
     breakdown: VoteBreakdown, outputs: Sequence[AgentOutput], cfg: EngineConfig
 ) -> Severity:
-    """Argmax of the weighted scores.
+    """Argmax of the weighted scores over the classes some agent voted for.
 
     Epsilon-ties prefer the class with the fewest supporting agents, then
     rare classes before common, then the lower class index.
     """
     scores = breakdown.scores
-    best = max(scores.values())
+    voted = [k for k in ALL_SEVERITIES if breakdown.supporters[k]]
+    best = max(scores[k] for k in voted)
     # ``== best`` keeps a best that overflowed to inf in the tie: inf - inf is NaN.
-    tied = [k for k in ALL_SEVERITIES if best - scores[k] <= cfg.tie_epsilon or scores[k] == best]
+    tied = [k for k in voted if best - scores[k] <= cfg.tie_epsilon or scores[k] == best]
     if len(tied) == 1:
         return tied[0]
     return min(tied, key=lambda k: (len(breakdown.supporters[k]), 0 if k.is_rare else 1, int(k)))

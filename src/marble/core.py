@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
 from functools import cache
 from pathlib import Path
-from typing import Annotated, Any, Mapping, get_args, get_origin, get_type_hints
+from types import NoneType, UnionType
+from typing import Annotated, Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -258,9 +259,10 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
 
     A dataclass reads from an object of known fields (defaults fill the
     rest), a mapping from an object keyed by agent id or severity class, a
-    tuple from an array. Numbers must be finite, ints whole, strings and
-    booleans JSON strings and booleans, and ``Annotated`` bounds must hold;
-    else ConfigError names the field by its dotted path ``name``.
+    tuple from an array, and ``X | None`` from null or as ``X``. Numbers
+    must be finite, ints whole, strings and booleans JSON strings and
+    booleans, and ``Annotated`` bounds must hold; else ConfigError names the
+    field by its dotted path ``name``.
     """
     if tp is float or tp is int:
         try:
@@ -286,6 +288,11 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
             if not holds(value):
                 raise ConfigError(f"{name} {message}")
         return value
+    if origin is Union or origin is UnionType:  # Optional[X] or X | None
+        if value is None:
+            return None
+        (inner,) = (arg for arg in get_args(tp) if arg is not NoneType)
+        return from_json_value(inner, value, name)
     if is_dataclass(tp):
         if not isinstance(value, abc.Mapping):
             raise ConfigError(f"{name or 'config'} must be a JSON object")
@@ -310,10 +317,12 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
             raise ConfigError(f"{name} must be a JSON array")
         item_type = get_args(tp)[0]
         return tuple(from_json_value(item_type, item, f"{name}[{i}]") for i, item in enumerate(value))
-    try:  # an enum, read by value
-        return tp(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be one of {[m.value for m in tp]}") from exc
+    try:  # an enum, read by value; ``true`` is not the IntEnum member 1
+        if not isinstance(value, bool):
+            return tp(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be one of {[m.value for m in tp]}")
 
 
 def _agent_from_key(key: str) -> AgentId:

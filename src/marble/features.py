@@ -35,7 +35,7 @@ class RowError(ValueError):
 _MISSING_TOKENS = {"", "n/a", "na", "none", "null", "unknown", "nan", "-"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureValue:
     """One feature cell: a categorical label, a finite number (with an
     optional unit tag), or an explicit missing marker."""
@@ -47,18 +47,18 @@ class FeatureValue:
 
     @classmethod
     def categorical(cls, label: str) -> "FeatureValue":
-        return cls(kind="categorical", text=label)
+        return cls("categorical", label)
 
     @classmethod
     def numeric(cls, value: float, unit: str = "") -> "FeatureValue":
         # Non-finite numerics are never stored; they degrade to missing.
         if not math.isfinite(value):
             return cls.missing()
-        return cls(kind="numeric", number=float(value), unit=unit)
+        return cls("numeric", "", float(value), unit)
 
     @classmethod
     def missing(cls) -> "FeatureValue":
-        return cls(kind="missing")
+        return cls("missing")
 
     @property
     def is_missing(self) -> bool:
@@ -223,7 +223,7 @@ def format_features(subset: Mapping[str, FeatureValue]) -> str:
 def _parse_cell(text: str) -> FeatureValue:
     stripped = text.strip()
     if stripped.lower() in _MISSING_TOKENS:
-        return FeatureValue.missing()
+        return _MISSING
     try:
         number = float(stripped)
     except ValueError:

@@ -68,11 +68,13 @@ def oracle_rule_based(votes: list[tuple[str, int, float]]) -> tuple[int, float]:
             return ml_class, min(0.95, ml_conf + 0.15)
         return ml_class, min(0.95, ml_conf)
 
-    best = max(scores.values())
-    tied = [k for k in (1, 2, 3, 4) if best - scores[k] <= 1e-9]
     supporter_count = {
         k: sum(1 for _, kk, _ in votes if kk == k) for k in (1, 2, 3, 4)
     }
+    # Only a class some agent voted for can win, even when every score ties at 0.
+    voted = [k for k in (1, 2, 3, 4) if supporter_count[k]]
+    best = max(scores[k] for k in voted)
+    tied = [k for k in voted if best - scores[k] <= 1e-9]
     winner = min(tied, key=lambda k: (supporter_count[k], 0 if k in RARE else 1, k))
 
     slm_agree = sum(1 for name, kk, _ in votes if kk == winner and name != "ml")

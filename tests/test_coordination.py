@@ -123,6 +123,17 @@ class TestRbPredict:
         assert bd.scores[Severity(4)] == float("inf")
         assert int(rb_predict(bd, outputs, cfg)) == 4
 
+    @pytest.mark.parametrize(
+        "doc, confidence",
+        [({}, 0.0), ({"agent_weights": {"spatial": 5e-324, "temporal": 5e-324}}, 0.9)],
+    )
+    def test_epsilon_tie_admits_only_supported_classes(self, out, doc, confidence):
+        # Every score lies within tie_epsilon of zero, but only class 2 has supporters.
+        cfg = validate_config(EngineConfig.from_dict(doc))
+        outputs = [out(SPA, 2, confidence), out(TEMP, 2, confidence)]
+        assert int(rb_predict(weighted_scores(outputs, cfg), outputs, cfg)) == 2
+        assert int(coordinate_rb(outputs, cfg).prediction) == 2
+
 
 class TestAgreementBoost:
     def test_rare_with_three_of_four(self, cfg, out):
@@ -175,9 +186,8 @@ class TestWeightedAvgConfidence:
     @pytest.mark.parametrize("weight", [1e308, 5e-324])
     def test_weights_at_the_ends_of_the_float_range_keep_the_mean(self, out, weight):
         # 2e308 overflows to inf (inf / inf is NaN); 5e-324 * 0.9 rounds to 5e-324.
-        # A zero tie_epsilon keeps the tiny scores from tying every class.
         weights = {"spatial": weight, "temporal": weight}
-        cfg = validate_config(EngineConfig.from_dict({"agent_weights": weights, "tie_epsilon": 0.0}))
+        cfg = validate_config(EngineConfig.from_dict({"agent_weights": weights}))
         outputs = [out(SPA, 2, 0.9), out(TEMP, 2, 0.9)]
         bd = weighted_scores(outputs, cfg)
         assert weighted_avg_confidence(Severity(2), bd, outputs, cfg) == pytest.approx(0.9, abs=1e-12)

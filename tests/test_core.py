@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
-from typing import get_type_hints
+from typing import Optional, get_type_hints
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,7 +28,9 @@ from marble.core import (
     Severity,
     TimeoutMs,
     Unit,
+    from_json_value,
     load_config,
+    to_json_value,
     validate_config,
 )
 from marble.coordination import weighted_avg_confidence
@@ -278,6 +280,29 @@ class TestConfigSerialization:
         assert ints.to_dict()["agent_weights"] == {"ml": 3.0, "spatial": 1.0}
         assert ints.fingerprint() == floats.fingerprint()
 
+    @pytest.mark.parametrize(
+        "tp, good, bad, message",
+        [
+            (Severity | None, Severity(3), "3", "must be one of"),
+            (Optional[Severity], Severity(3), True, "must be one of"),
+            (str | None, "timeout", 3, "must be a string"),
+            (Optional[str], "timeout", ["timeout"], "must be a string"),
+        ],
+    )
+    def test_optional_types_read_null_or_the_inner_type(self, tp, good, bad, message):
+        assert from_json_value(tp, None, "out.field") is None
+        assert from_json_value(tp, to_json_value(good), "out.field") == good
+        with pytest.raises(ConfigError, match=f"^out.field {message}"):
+            from_json_value(tp, bad, "out.field")
+
+    def test_agent_outputs_read_back(self):
+        outputs = [
+            AgentOutput(AgentId.SPATIAL, Severity(4), 0.7, reasoning="r", raw_confidence=0.6, notes=("n",)),
+            AgentOutput(AgentId.ML, None, 0.0, failed=True, failure_kind="timeout"),
+        ]
+        for output in outputs:
+            assert from_json_value(AgentOutput, to_json_value(output)) == output
+
     def test_fingerprints_are_pinned(self):
         assert EngineConfig().fingerprint() == "3e93f442105fb7ca"
         llm = EngineConfig.from_dict({"coordination_mode": "llm", "agent_timeout_ms": 250})
@@ -402,6 +427,14 @@ class TestFusionProperties:
         random.Random(0),
         "no answer",
     )
+    @example(  # every score within tie_epsilon of zero, only class 2 voted for
+        {},
+        {"spatial": 1.0},
+        [AgentOutput(AgentId.SPATIAL, Severity(2), 0.0), AgentOutput(AgentId.TEMPORAL, Severity(2), 0.0)],
+        [],
+        random.Random(0),
+        "no answer",
+    )
     @settings(max_examples=300, deadline=None)
     def test_fusion_invariants(self, doc, weights, live, failed_agents, rnd, reply):
         try:
@@ -415,12 +448,16 @@ class TestFusionProperties:
         rnd.shuffle(mixed)
         assert fuse(mixed, cfg, coordination_backend=ScriptedBackend(reply)) == (coordination, decision)
 
-        # The decided class comes from a live agent or the coordinator.
-        assert decision.prediction in {o.prediction for o in live} | {coordination.prediction}
+        # The decided class comes from a live agent or the coordinator, and
+        # a rule-based coordination decides a live prediction.
+        predicted = {o.prediction for o in live}
+        assert decision.prediction in predicted | {coordination.prediction}
+        if coordination.method is CoordinationMode.RULE_BASED:
+            assert coordination.prediction in predicted
 
         # A voted class's mean confidence lies within its supporters' range.
         supporters = [o.confidence for o in live if o.prediction == coordination.prediction]
-        if coordination.method is CoordinationMode.RULE_BASED and not coordination.override_applied and supporters:
+        if coordination.method is CoordinationMode.RULE_BASED and not coordination.override_applied:
             mean = weighted_avg_confidence(coordination.prediction, coordination.breakdown, live, cfg)
             assert min(supporters) - 1e-12 <= mean <= max(supporters) + 1e-12
 

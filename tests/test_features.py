@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -55,6 +57,15 @@ class TestFeatureValue:
         assert FeatureValue.numeric(0.5, "miles").render() == "0.5 miles"
         assert FeatureValue.numeric(30.0).render() == "30"
         assert FeatureValue.missing().render() == "unknown"
+
+    @pytest.mark.parametrize(
+        "value", [FeatureValue.categorical("Rainy"), FeatureValue.numeric(0.5, "miles"), FeatureValue.missing()]
+    )
+    def test_copies_are_equal_and_hash_alike(self, value):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value
+            assert hash(copied) == hash(value)
+        assert not hasattr(value, "__dict__")
 
 
 class TestRegistry:
@@ -232,6 +243,11 @@ class TestIngestCsv:
         records = ingest_csv(path)
         assert len(records) == 1
         assert records[0].features["Speed Limit"].is_missing
+
+    @pytest.mark.parametrize("cell", ["", "n/a", "inf"])
+    def test_missing_and_non_finite_cells_equal_the_missing_marker(self, tmp_path, cell):
+        path = self.write(tmp_path, f"Speed Limit,severity\n{cell},2\n")
+        assert ingest_csv(path)[0].features["Speed Limit"] == FeatureValue.missing()
 
     def test_missing_header(self, tmp_path):
         path = self.write(tmp_path, "")

@@ -164,6 +164,7 @@ class TestOneDeadline:
     def test_importing_the_cli_loads_no_http_library(self):
         src = str(Path(marble.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        probe = "import sys, marble.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        http = "{'http.client', 'ssl', 'socket', 'email', 'requests', 'urllib3'}"
+        probe = f"import sys, marble, marble.cli; print(sorted({http} & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
