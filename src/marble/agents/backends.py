@@ -128,13 +128,12 @@ class RemoteHttpBackend:
     bounded, and a host name with several addresses gets the time left for
     each. HTTPS verifies the server against the system CA store. Proxy
     variables and ``~/.netrc`` are not read. The HTTP, socket and TLS
-    modules load when the first instance is built, so a process that never
-    builds one never pays for them.
+    modules load when the first instance is built, not on package import.
     """
 
     def __init__(self, endpoint: EndpointParams):
-        # The HTTP stack loads here: not on package import, and not inside
-        # the first call's deadline.
+        # Here rather than in ``complete``, so the first call's deadline
+        # does not pay for the import.
         import http.client
         import socket
         import ssl
