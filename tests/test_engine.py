@@ -5,13 +5,14 @@ import json
 import random
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import synth
-from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent
+from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent, TransportError
 from marble.coordination import coordinate_rb
-from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity
+from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, validate_config
 from marble.decision import DecisionSource
 from marble.engine import (
     AllAgentsFailedError,
@@ -325,3 +326,82 @@ class TestFuse:
         assert any(o.failed for t in traces if t.coordination for o in t.agent_outputs)
         if mode is CoordinationMode.LLM_BASED:
             assert {t.coordination.fallback for t in traces if t.coordination} == {None, "parse"}
+
+
+# Written once by ``golden_traces()`` below and never rewritten by the test:
+# a change that alters any trace byte other than a timing field fails it.
+GOLDEN_TRACES = Path(__file__).parent / "data" / "golden_traces.jsonl"
+GOLDEN_TIMEOUT_MS = 40
+
+# The agents that fail on a record, and how; "r4" fails on every agent.
+GOLDEN_FAULTS = {
+    "r1": {AgentId.ENVIRONMENTAL: "parse"},
+    "r2": {AgentId.INFRASTRUCTURAL: "transport"},
+    "r3": {AgentId.TEMPORAL: "timeout"},
+    "r4": {
+        AgentId.ML: "parse",
+        AgentId.ENVIRONMENTAL: "parse",
+        AgentId.INFRASTRUCTURAL: "transport",
+        AgentId.SPATIAL: "timeout",
+        AgentId.TEMPORAL: "parse",
+    },
+    "r5": {AgentId.ML: "parse", AgentId.SPATIAL: "parse"},
+    "r6": {AgentId.ENVIRONMENTAL: "timeout", AgentId.INFRASTRUCTURAL: "transport"},
+}
+GOLDEN_CONFIDENCES = {
+    AgentId.ML: 0.78,
+    AgentId.ENVIRONMENTAL: 0.7,
+    AgentId.INFRASTRUCTURAL: 0.6,
+    AgentId.SPATIAL: 0.85,
+    AgentId.TEMPORAL: 0.5,
+}
+
+
+class FaultingHintBackend:
+    """A hint backend that fails when the hint in its prompt reads
+    "fault-parse", "fault-transport" or "fault-timeout"."""
+
+    def __init__(self, confidence: float):
+        self._hint = synth.hint_backend(confidence)
+        self._faults = {
+            ": fault-parse": ScriptedBackend("no verdict"),
+            ": fault-transport": ScriptedBackend("", error=TransportError("refused", status=503)),
+            ": fault-timeout": ScriptedBackend("", delay_ms=GOLDEN_TIMEOUT_MS),
+        }
+
+    def complete(self, prompt, decoding, timeout_ms):
+        backend = next((b for token, b in self._faults.items() if token in prompt), self._hint)
+        return backend.complete(prompt, decoding, timeout_ms)
+
+
+def golden_traces() -> list[str]:
+    """Trace lines, timing fields stripped, of eight hint records run in rule
+    mode and then in LLM mode with ``synth.fallible_coordinator()``."""
+
+    def ml_responder(features):
+        text = features[synth.HINT_FEATURES[AgentId.ML]].text
+        return None if text.startswith("fault-") else (int(text.removeprefix("sig")), GOLDEN_CONFIDENCES[AgentId.ML])
+
+    records = []
+    for r in synth.generate_records(8, seed=5, accuracies=dict.fromkeys(AgentId, 0.7)):
+        faults = {
+            synth.HINT_FEATURES[agent]: FeatureValue.categorical(f"fault-{kind}")
+            for agent, kind in GOLDEN_FAULTS.get(r.id, {}).items()
+        }
+        records.append(AccidentRecord(id=r.id, features={**r.features, **faults}, label=r.label))
+    lines = []
+    for mode in CoordinationMode:
+        cfg = validate_config(EngineConfig(coordination_mode=mode, agent_timeout_ms=GOLDEN_TIMEOUT_MS))
+        agents = [ScriptedAgent(AgentId.ML, ml_responder)]
+        agents += [SlmAgent(kind, FaultingHintBackend(GOLDEN_CONFIDENCES[kind]), cfg) for kind in SLM_KINDS]
+        results = run_instances(records, agents, cfg, coordination_backend=synth.fallible_coordinator())
+        lines += [json.dumps(strip_timings(trace.to_dict()), ensure_ascii=False) for _, trace in results]
+    return lines
+
+
+def test_traces_match_the_golden_file():
+    expected = GOLDEN_TRACES.read_text(encoding="utf-8").splitlines()
+    actual = golden_traces()
+    for number, (want, got) in enumerate(zip(expected, actual), start=1):
+        assert got == want, f"line {number}, record {json.loads(want)['record_id']}, differs"
+    assert len(actual) == len(expected)
