@@ -63,14 +63,7 @@ class ScriptedAgent:
         if isinstance(result, AgentOutput):
             return result
         if result is None:
-            return AgentOutput(
-                agent=self._kind,
-                prediction=None,
-                confidence=0.0,
-                failed=True,
-                failure_kind="parse",
-                latency_ms=latency,
-            )
+            return AgentOutput.failure(self._kind, "parse", latency)
         pred, conf = result
         return AgentOutput(
             agent=self._kind,

@@ -167,26 +167,17 @@ def _quintile_cuts(sorted_values: list[float]) -> tuple[float, ...]:
     return tuple(statistics.quantiles(sorted_values, n=5, method="inclusive"))
 
 
-def _argmax_lowest(probs: Mapping[Severity, float]) -> Severity:
-    """Argmax over classes; exact ties resolve to the lower class index."""
-    best = ALL_SEVERITIES[0]
-    for k in ALL_SEVERITIES[1:]:
-        if probs[k] > probs[best]:
-            best = k
-    return best
-
-
 def ml_evaluate(model: MlModel, features: Mapping[str, FeatureValue]) -> AgentOutput:
-    """Maximum-posterior prediction; confidence is that maximum, uncalibrated."""
+    """Maximum-posterior prediction; confidence is that maximum, uncalibrated.
+    ``max`` keeps the first maximum, so an exact tie goes to the lower class."""
     start = time.perf_counter()
     probs = model.predict_proba(features)
-    prediction = _argmax_lowest(probs)
+    prediction = max(ALL_SEVERITIES, key=probs.__getitem__)
     confidence = probs[prediction]
     return AgentOutput(
         agent=AgentId.ML,
         prediction=prediction,
         confidence=confidence,
-        reasoning="",
         raw_confidence=confidence,
         latency_ms=int((time.perf_counter() - start) * 1000),
     )

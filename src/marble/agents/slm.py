@@ -265,6 +265,19 @@ def calibrate(raw_confidence: float, prediction: Severity, cfg: EngineConfig) ->
     return raw_confidence
 
 
+def ask(backend: SlmBackend, prompt: str, cfg: EngineConfig) -> ParsedPrediction | str:
+    """One model call, shared by the agents and the LLM coordinator: the
+    parsed reply, or the kind of failure ("timeout", "transport" or "parse")."""
+    try:
+        return parse_response_detailed(backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms))
+    except BackendTimeoutError:
+        return "timeout"
+    except TransportError:
+        return "transport"
+    except ParseError:
+        return "parse"
+
+
 def slm_evaluate(
     agent: AgentId,
     features: Mapping[str, FeatureValue],
@@ -280,37 +293,18 @@ def slm_evaluate(
     if not agent.is_slm:
         raise ValueError("slm_evaluate only serves SLM domains")
     start = time.perf_counter()
-
-    def fail(kind: str) -> AgentOutput:
-        return AgentOutput(
-            agent=agent,
-            prediction=None,
-            confidence=0.0,
-            failed=True,
-            failure_kind=kind,
-            latency_ms=int((time.perf_counter() - start) * 1000),
-        )
-
-    prompt = build_prompt(template, format_features(features))
-    try:
-        raw = backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms)
-    except BackendTimeoutError:
-        return fail("timeout")
-    except TransportError:
-        return fail("transport")
-    try:
-        parsed = parse_response_detailed(raw)
-    except ParseError:
-        return fail("parse")
-    notes = ("confidence clamped to [0,1]",) if parsed.clamped else ()
+    parsed = ask(backend, build_prompt(template, format_features(features)), cfg)
+    latency_ms = int((time.perf_counter() - start) * 1000)
+    if isinstance(parsed, str):
+        return AgentOutput.failure(agent, parsed, latency_ms)
     return AgentOutput(
         agent=agent,
         prediction=parsed.severity,
         confidence=calibrate(parsed.confidence, parsed.severity, cfg),
         reasoning=parsed.reasoning,
         raw_confidence=parsed.confidence,
-        latency_ms=int((time.perf_counter() - start) * 1000),
-        notes=notes,
+        latency_ms=latency_ms,
+        notes=("confidence clamped to [0,1]",) if parsed.clamped else (),
     )
 
 

@@ -13,8 +13,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .agents.backends import BackendTimeoutError, SlmBackend, TransportError
-from .agents.slm import ParseError, parse_response_detailed
+from .agents.backends import SlmBackend
+from .agents.slm import ask
 from .core import (
     AGENT_ORDER,
     ALL_SEVERITIES,
@@ -126,9 +126,7 @@ def check_ml_override(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> bool
     return False
 
 
-def rb_predict(
-    breakdown: VoteBreakdown, outputs: Sequence[AgentOutput], cfg: EngineConfig
-) -> Severity:
+def rb_predict(breakdown: VoteBreakdown, cfg: EngineConfig) -> Severity:
     """Argmax of the weighted scores over the classes some agent voted for.
 
     Epsilon-ties prefer the class with the fewest supporting agents, then
@@ -166,10 +164,7 @@ def agreement_boost(prediction: Severity, breakdown: VoteBreakdown, cfg: EngineC
 
 
 def weighted_avg_confidence(
-    prediction: Severity,
-    breakdown: VoteBreakdown,
-    outputs: Sequence[AgentOutput],
-    cfg: EngineConfig,
+    prediction: Severity, outputs: Sequence[AgentOutput], cfg: EngineConfig
 ) -> float:
     """Weight-weighted mean confidence over the agents voting for the class;
     the configured fallback when no agent supports it."""
@@ -195,14 +190,12 @@ def coordinate_rb(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> Coordina
 
     Confidence is floored at the fallback value and capped at the
     configured maximum, so the result always lies inside
-    [fallback_confidence, confidence_cap].
+    [fallback_confidence, confidence_cap]. Failed outputs are skipped;
+    ``weighted_scores`` raises EmptyInputError when none is live.
     """
-    live = _live(outputs)
-    if not live:
-        raise EmptyInputError("all agents failed")
-    breakdown = weighted_scores(live, cfg)
-    if check_ml_override(live, cfg):
-        ml = _ml_output(live)
+    breakdown = weighted_scores(outputs, cfg)
+    if check_ml_override(outputs, cfg):
+        ml = _ml_output(outputs)
         if ml.prediction.is_rare:
             confidence = min(cfg.confidence_cap, ml.confidence + cfg.override_rare_bonus)
         else:
@@ -214,9 +207,9 @@ def coordinate_rb(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> Coordina
             breakdown=breakdown,
             override_applied=True,
         )
-    prediction = rb_predict(breakdown, live, cfg)
+    prediction = rb_predict(breakdown, cfg)
     boost = agreement_boost(prediction, breakdown, cfg)
-    average = weighted_avg_confidence(prediction, breakdown, live, cfg)
+    average = weighted_avg_confidence(prediction, outputs, cfg)
     confidence = min(cfg.confidence_cap, max(cfg.fallback_confidence, average + boost))
     return CoordinationResult(
         prediction=prediction,
@@ -277,16 +270,9 @@ def coordinate_llm(
     live = _live(outputs)
     if not live:
         raise EmptyInputError("all agents failed")
-    prompt = format_meta_prompt(live, cfg)
-    try:
-        raw = backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms)
-        parsed = parse_response_detailed(raw)
-    except BackendTimeoutError:
-        return replace(coordinate_rb(live, cfg), fallback="timeout")
-    except TransportError:
-        return replace(coordinate_rb(live, cfg), fallback="transport")
-    except ParseError:
-        return replace(coordinate_rb(live, cfg), fallback="parse")
+    parsed = ask(backend, format_meta_prompt(live, cfg), cfg)
+    if isinstance(parsed, str):
+        return replace(coordinate_rb(live, cfg), fallback=parsed)
     return CoordinationResult(
         prediction=parsed.severity,
         confidence=parsed.confidence,

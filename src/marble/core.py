@@ -95,6 +95,11 @@ class AgentOutput:
         if self.agent is AgentId.ML and self.reasoning:
             raise ValueError("the ML agent carries no reasoning text")
 
+    @classmethod
+    def failure(cls, agent: AgentId, kind: str, latency_ms: int) -> "AgentOutput":
+        """The failed output of ``agent``: no prediction, and why (``kind``)."""
+        return cls(agent, None, 0.0, latency_ms=latency_ms, failed=True, failure_kind=kind)
+
 
 class CoordinationMode(Enum):
     RULE_BASED = "rule"

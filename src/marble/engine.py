@@ -163,16 +163,7 @@ def run_instance(
         except FutureTimeoutError:
             future.cancel()
             completed_at[identity] = _ms(start)
-            outputs.append(
-                AgentOutput(
-                    agent=identity,
-                    prediction=None,
-                    confidence=0.0,
-                    failed=True,
-                    failure_kind="timeout",
-                    latency_ms=cfg.agent_timeout_ms + _BARRIER_GRACE_MS,
-                )
-            )
+            outputs.append(AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS))
             notes.append(f"agent {identity.value} abandoned past the barrier deadline")
     outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
     stage2_done = _ms(start)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from marble.agents.backends import ScriptedBackend
+from marble.agents.backends import ScriptedBackend, TransportError
 from marble.coordination import (
     EmptyInputError,
     agreement_boost,
@@ -89,7 +89,7 @@ class TestRbPredict:
     def test_plain_argmax(self, cfg, out):
         outputs = five_agents(out)
         bd = weighted_scores(outputs, cfg)
-        assert int(rb_predict(bd, outputs, cfg)) == 2  # 3.0 > 2.628
+        assert int(rb_predict(bd, cfg)) == 2  # 3.0 > 2.628
 
     def test_tie_prefers_fewer_supporters(self, cfg, out):
         # S'_1 = S'_3 = 1.44 with one vs two supporters.
@@ -101,19 +101,19 @@ class TestRbPredict:
         bd = weighted_scores(outputs, cfg)
         assert bd.scores[Severity(1)] == pytest.approx(1.44, abs=1e-9)
         assert bd.scores[Severity(3)] == pytest.approx(1.44, abs=1e-9)
-        assert int(rb_predict(bd, outputs, cfg)) == 1
+        assert int(rb_predict(bd, cfg)) == 1
 
     def test_residual_tie_prefers_lower_common_index(self, cfg, out):
         outputs = [out(SPA, 2, 0.5), out(TEMP, 3, 0.5)]
         bd = weighted_scores(outputs, cfg)
-        assert int(rb_predict(bd, outputs, cfg)) == 2
+        assert int(rb_predict(bd, cfg)) == 2
 
     def test_residual_tie_prefers_rare_over_common(self, cfg, out):
         # Same score, same supporter count; class 4 is rare and wins.
         outputs = [out(SPA, 3, 0.6), out(TEMP, 4, 0.5)]
         bd = weighted_scores(outputs, cfg)
         assert bd.scores[Severity(3)] == pytest.approx(bd.scores[Severity(4)], abs=1e-12)
-        assert int(rb_predict(bd, outputs, cfg)) == 4
+        assert int(rb_predict(bd, cfg)) == 4
 
     def test_overflowing_scores_still_pick_a_class(self, cfg, out):
         # Valid weights near the float maximum make scores overflow to inf.
@@ -121,7 +121,7 @@ class TestRbPredict:
         outputs = [out(SPA, 3, 0.9), out(TEMP, 4, 0.9)]
         bd = weighted_scores(outputs, cfg)
         assert bd.scores[Severity(4)] == float("inf")
-        assert int(rb_predict(bd, outputs, cfg)) == 4
+        assert int(rb_predict(bd, cfg)) == 4
 
     @pytest.mark.parametrize(
         "doc, confidence",
@@ -131,7 +131,7 @@ class TestRbPredict:
         # Every score lies within tie_epsilon of zero, but only class 2 has supporters.
         cfg = validate_config(EngineConfig.from_dict(doc))
         outputs = [out(SPA, 2, confidence), out(TEMP, 2, confidence)]
-        assert int(rb_predict(weighted_scores(outputs, cfg), outputs, cfg)) == 2
+        assert int(rb_predict(weighted_scores(outputs, cfg), cfg)) == 2
         assert int(coordinate_rb(outputs, cfg).prediction) == 2
 
 
@@ -167,21 +167,18 @@ class TestAgreementBoost:
 class TestWeightedAvgConfidence:
     def test_hand_computed_mean(self, cfg, out):
         outputs = [out(ENV, 4, 0.9), out(INFRA, 4, 0.7), out(SPA, 2, 0.6)]
-        bd = weighted_scores(outputs, cfg)
         expected = (1.5 * 0.9 + 1.2 * 0.7) / (1.5 + 1.2)
-        value = weighted_avg_confidence(Severity(4), bd, outputs, cfg)
+        value = weighted_avg_confidence(Severity(4), outputs, cfg)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.8111111111111111, abs=1e-12)
 
     def test_single_supporter_passes_through(self, cfg, out):
         outputs = [out(TEMP, 3, 0.42)]
-        bd = weighted_scores(outputs, cfg)
-        assert weighted_avg_confidence(Severity(3), bd, outputs, cfg) == pytest.approx(0.42)
+        assert weighted_avg_confidence(Severity(3), outputs, cfg) == pytest.approx(0.42)
 
     def test_no_supporters_fall_back(self, cfg, out):
         outputs = [out(TEMP, 3, 0.42)]
-        bd = weighted_scores(outputs, cfg)
-        assert weighted_avg_confidence(Severity(1), bd, outputs, cfg) == pytest.approx(0.1)
+        assert weighted_avg_confidence(Severity(1), outputs, cfg) == pytest.approx(0.1)
 
     @pytest.mark.parametrize("weight", [1e308, 5e-324])
     def test_weights_at_the_ends_of_the_float_range_keep_the_mean(self, out, weight):
@@ -189,8 +186,7 @@ class TestWeightedAvgConfidence:
         weights = {"spatial": weight, "temporal": weight}
         cfg = validate_config(EngineConfig.from_dict({"agent_weights": weights}))
         outputs = [out(SPA, 2, 0.9), out(TEMP, 2, 0.9)]
-        bd = weighted_scores(outputs, cfg)
-        assert weighted_avg_confidence(Severity(2), bd, outputs, cfg) == pytest.approx(0.9, abs=1e-12)
+        assert weighted_avg_confidence(Severity(2), outputs, cfg) == pytest.approx(0.9, abs=1e-12)
         assert coordinate_rb(outputs, cfg).confidence == pytest.approx(0.95)  # 0.9 + boost, capped
 
 
@@ -275,9 +271,16 @@ class TestCoordinateLlm:
         assert result.fallback == "timeout"
         assert dataclasses.replace(result, fallback=None) == reference
 
-    def test_out_of_range_class_falls_back_with_parse_flag(self, cfg, out):
+    @pytest.mark.parametrize(
+        "backend, kind",
+        [
+            (ScriptedBackend('{"severity": 7, "confidence": 0.7, "reasoning": "x"}'), "parse"),
+            (ScriptedBackend("", error=TransportError("boom", status=503)), "transport"),
+        ],
+        ids=["parse", "transport"],
+    )
+    def test_failed_call_falls_back_with_its_kind(self, cfg, out, backend, kind):
         outputs = five_agents(out)
-        backend = ScriptedBackend('{"severity": 7, "confidence": 0.7, "reasoning": "x"}')
         result = coordinate_llm(outputs, backend, cfg)
-        assert result.fallback == "parse"
+        assert result.fallback == kind
         assert dataclasses.replace(result, fallback=None) == coordinate_rb(outputs, cfg)

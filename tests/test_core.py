@@ -458,7 +458,7 @@ class TestFusionProperties:
         # A voted class's mean confidence lies within its supporters' range.
         supporters = [o.confidence for o in live if o.prediction == coordination.prediction]
         if coordination.method is CoordinationMode.RULE_BASED and not coordination.override_applied:
-            mean = weighted_avg_confidence(coordination.prediction, coordination.breakdown, live, cfg)
+            mean = weighted_avg_confidence(coordination.prediction, live, cfg)
             assert min(supporters) - 1e-12 <= mean <= max(supporters) + 1e-12
 
         # Without the ML agent, only the coordinator's rules can fire.
