@@ -12,7 +12,7 @@ from pathlib import Path
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, ml_train
 from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, load_config, validate_config
 from .engine import run_batch
-from .features import default_registry, ingest_csv, load_registry
+from .features import RowError, default_registry, ingest_csv, load_registry
 from .harness import (
     comparison_table,
     compute_metrics,
@@ -45,41 +45,46 @@ def _load_scripted(path: str) -> dict:
     return scripted
 
 
+def _ingest(path: str, registry=None):
+    """The records of a CSV; each row it skips is named on stderr."""
+    errors: list[RowError] = []
+    records = ingest_csv(path, registry, errors_out=errors)
+    for err in errors:
+        print(f"{path}: skipped row {err.row}: {err.message}", file=sys.stderr)
+    return records
+
+
 def _build_agents(cfg: EngineConfig, args):
-    scripted = _load_scripted(args.scripted) if getattr(args, "scripted", None) else {}
-    agents = []
-    if getattr(args, "train", None):
-        model = ml_train(ingest_csv(args.train))
-        agents.append(MlAgent(model))
+    scripted = _load_scripted(args.scripted) if args.scripted else {}
+
+    def backend(name: str):
+        """The scripted backend for ``name``, else the endpoint's, else none."""
+        if name in scripted:
+            return ScriptedBackend(scripted[name])
+        return RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url else None
+
+    agents = [MlAgent(ml_train(_ingest(args.train)))] if args.train else []
     for kind in SLM_AGENT_IDS:
-        if kind.value in scripted:
-            backend = ScriptedBackend(scripted[kind.value])
-        elif cfg.endpoint.url:
-            backend = RemoteHttpBackend(cfg.endpoint)
-        else:
-            continue
-        agents.append(SlmAgent(kind, backend, cfg))
+        if (slm_backend := backend(kind.value)) is not None:
+            agents.append(SlmAgent(kind, slm_backend, cfg))
     if not agents:
         raise SystemExit(
             "no agents configured: provide --train for the ML agent and/or an "
             "endpoint url (or --scripted) for the SLM agents"
         )
-    if "coordinator" in scripted:
-        coordination_backend = ScriptedBackend(scripted["coordinator"])
-    elif cfg.endpoint.url:
-        coordination_backend = RemoteHttpBackend(cfg.endpoint)
-    else:
-        coordination_backend = None
-    return agents, coordination_backend
+    return agents, backend("coordinator")
 
 
-def _registry(args):
-    return load_registry(args.registry) if getattr(args, "registry", None) else default_registry()
-
-
-def _ingest_input(args, agents, registry):
-    """The --input records; with an SLM agent configured, some header must name a registry feature."""
-    return ingest_csv(args.input, registry if any(a.identity().is_slm for a in agents) else None)
+def _setup(args):
+    """Set-up shared by every command: the config, the agents, the options
+    every run takes (feature registry and coordination backend) and the
+    --input records."""
+    cfg = _load_cfg(args)
+    agents, coordination_backend = _build_agents(cfg, args)
+    registry = load_registry(args.registry) if args.registry else default_registry()
+    # With an SLM agent configured, some header must name a registry feature.
+    records = _ingest(args.input, registry if any(a.identity().is_slm for a in agents) else None)
+    return cfg, agents, dict(registry=registry, coordination_backend=coordination_backend), records
 
 
 def _write_json(path: Path, payload) -> None:
@@ -97,18 +102,8 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _cmd_predict(args) -> int:
-    cfg = _load_cfg(args)
-    agents, coordination_backend = _build_agents(cfg, args)
-    registry = _registry(args)
-    records = _ingest_input(args, agents, registry)
-    decisions = run_batch(
-        records,
-        agents,
-        cfg,
-        args.trace,
-        registry=registry,
-        coordination_backend=coordination_backend,
-    )
+    cfg, agents, options, records = _setup(args)
+    decisions = run_batch(records, agents, cfg, args.trace, **options)
     out = sys.stdout
     out.write("id,prediction,confidence,source,rule\n")
     for record, decision in zip(records, decisions):
@@ -120,18 +115,14 @@ def _cmd_predict(args) -> int:
 
 
 def _evaluation_setup(args):
-    """Set-up shared by eval, ablate and imbalance: the config, the agents, the
-    options every run takes (feature registry and coordination backend), the
-    labelled records and the output directory."""
-    cfg = _load_cfg(args)
-    agents, coordination_backend = _build_agents(cfg, args)
-    registry = _registry(args)
-    records = _ingest_input(args, agents, registry)
+    """``_setup`` for eval, ablate and imbalance, whose records must all be
+    labelled, and their output directory."""
+    cfg, agents, options, records = _setup(args)
     if any(r.label is None for r in records):
         raise SystemExit("every input record needs a severity label for evaluation")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, agents, dict(registry=registry, coordination_backend=coordination_backend), records, out_dir
+    return cfg, agents, options, records, out_dir
 
 
 def _cmd_eval(args) -> int:

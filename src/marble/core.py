@@ -266,8 +266,8 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
     rest), a mapping from an object keyed by agent id or severity class, a
     tuple from an array, and ``X | None`` from null or as ``X``. Numbers
     must be finite, ints whole, strings and booleans JSON strings and
-    booleans, and ``Annotated`` bounds must hold; else ConfigError names the
-    field by its dotted path ``name``.
+    booleans, and ``Annotated`` bounds must hold, as must a dataclass's
+    constructor; else ConfigError names the field by its dotted path ``name``.
     """
     if tp is float or tp is int:
         try:
@@ -306,7 +306,11 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
         unknown = set(value) - types.keys()
         if unknown:
             raise ConfigError(f"unknown config field: {prefix}{sorted(unknown)[0]}")
-        return tp(**{k: from_json_value(t, value[k], prefix + k) for k, t in types.items() if k in value})
+        kwargs = {k: from_json_value(t, value[k], prefix + k) for k, t in types.items() if k in value}
+        try:
+            return tp(**kwargs)
+        except (TypeError, ValueError) as exc:  # a missing required field, or a __post_init__ check
+            raise ConfigError(f"{name or tp.__name__}: {exc}") from exc
     if origin is abc.Mapping:
         if not isinstance(value, abc.Mapping):
             raise ConfigError(f"{name} must be a JSON object")

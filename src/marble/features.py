@@ -251,7 +251,7 @@ def ingest_csv(
     bad_row_budget: int = 100,
     errors_out: list[RowError] | None = None,
 ) -> list[AccidentRecord]:
-    """Read a UTF-8, comma-delimited CSV into accident records.
+    """Read a UTF-8 comma-delimited CSV, BOM or not, into accident records.
 
     The first row names the features; an optional "severity" column holds
     labels in {1,2,3,4} and an optional "id" column supplies identifiers.
@@ -261,7 +261,7 @@ def ingest_csv(
     ``bad_row_budget`` is exhausted. Each distinct cell text is parsed once
     and its FeatureValue shared by every record that holds it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from .agents.backends import SlmBackend
 from .agents.base import Agent
-from .coordination import CoordinationMode, CoordinationResult, VoteBreakdown
+from .coordination import CoordinationMode, CoordinationResult, weighted_scores
 from .core import ALL_SEVERITIES, AgentOutput, EngineConfig, Severity, to_json_value
 from .decision import FinalDecision
 from .engine import fuse, run_instances
@@ -107,43 +107,21 @@ def majority_vote_coordinator(
 ) -> CoordinationResult:
     """Degraded coordinator for the ablation study: unweighted one-agent-one-vote.
 
-    Ties prefer rare classes, then the lower class index; confidence is the
-    plain mean over the winning class's supporters, capped like the
-    rule-based path.
+    The supporters are those of ``weighted_scores``, scored by count. Ties
+    prefer rare classes, then the lower class index; confidence is the plain
+    mean over the winning class's supporters, capped like the rule-based
+    path. Raises EmptyInputError when no output is live, as ``coordinate_rb``.
     """
-    votes: dict[Severity, list[AgentOutput]] = {k: [] for k in ALL_SEVERITIES}
-    for output in outputs:
-        if not output.failed:
-            votes[output.prediction].append(output)
-    winner = min(
-        ALL_SEVERITIES, key=lambda k: (-len(votes[k]), 0 if k.is_rare else 1, int(k))
-    )
-    supporters = votes[winner]
-    confidence = (
-        min(cfg.confidence_cap, sum(o.confidence for o in supporters) / len(supporters))
-        if supporters
-        else cfg.fallback_confidence
-    )
-    breakdown = VoteBreakdown(
-        scores={k: float(len(votes[k])) for k in ALL_SEVERITIES},
-        supporters={k: tuple(o.agent for o in votes[k]) for k in ALL_SEVERITIES},
-        slm_supporters={
-            k: tuple(o.agent for o in votes[k] if o.agent.is_slm) for k in ALL_SEVERITIES
-        },
-    )
+    tally = weighted_scores(outputs, cfg)
+    breakdown = replace(tally, scores={k: float(len(v)) for k, v in tally.supporters.items()})
+    winner = min(ALL_SEVERITIES, key=lambda k: (-breakdown.scores[k], 0 if k.is_rare else 1, int(k)))
+    confidences = [o.confidence for o in outputs if not o.failed and o.prediction == winner]
     return CoordinationResult(
         prediction=winner,
-        confidence=confidence,
+        confidence=min(cfg.confidence_cap, sum(confidences) / len(confidences)),
         method=CoordinationMode.RULE_BASED,
         breakdown=breakdown,
     )
-
-
-def _require_labels(records: Sequence[AccidentRecord]) -> list[Severity]:
-    labels = [r.label for r in records]
-    if any(label is None for label in labels):
-        raise ValueError("evaluation records must all carry labels")
-    return labels  # type: ignore[return-value]
 
 
 def run_ablation(
@@ -164,7 +142,9 @@ def run_ablation(
     """
     if len(agents) < 2:
         raise ValueError("ablation needs at least two agents")
-    labels = _require_labels(records)
+    labels = [r.label for r in records]
+    if None in labels:
+        raise ValueError("evaluation records must all carry labels")
     results = run_instances(records, agents, cfg, registry=registry, coordination_backend=coordination_backend)
     reports = {"none": compute_metrics([d for d, _ in results], labels)}
     variants = [(a.identity().value, a.identity(), None) for a in agents]
@@ -230,9 +210,12 @@ def sample_imbalance(
 
     Per-class counts follow the largest-remainder method, so they land
     within one record of the exact target. Classes short on source records
-    are drawn with replacement. Deterministic per seed.
+    are drawn with replacement, each copy under an id no other record holds.
+    Deterministic per seed.
     """
     size = len(records) if size is None else size
+    if size < 0:
+        raise ScenarioError(f"scenario {scenario.name!r}: size must be >= 0, got {size}")
     pools: dict[Severity, list[AccidentRecord]] = {k: [] for k in ALL_SEVERITIES}
     for record in records:
         if record.label is not None:
@@ -245,7 +228,6 @@ def sample_imbalance(
             )
     rng = random.Random(seed)
     sampled: list[AccidentRecord] = []
-    seen: dict[str, int] = {}
     for k in ALL_SEVERITIES:
         pool, count = pools[k], targets[k]
         if count == 0:
@@ -257,14 +239,20 @@ def sample_imbalance(
             chosen.extend(rng.choices(pool, k=count - len(pool)))
         sampled.extend(chosen)
     rng.shuffle(sampled)
-    # Re-id duplicates from replacement sampling so ids stay unique.
+    # Re-id duplicates from replacement sampling so ids stay unique: the nth
+    # copy of "a" is "a~n", or the next "a~m" that no record holds yet.
+    taken = {r.id for r in sampled}
+    copies: dict[str, int] = {}
     out: list[AccidentRecord] = []
     for record in sampled:
-        n = seen.get(record.id, 0)
-        seen[record.id] = n + 1
-        out.append(
-            record if n == 0 else AccidentRecord(f"{record.id}~{n}", record.features, record.label)
-        )
+        n = copies.get(record.id, 0)
+        while n and f"{record.id}~{n}" in taken:
+            n += 1
+        copies[record.id] = n + 1
+        if n:
+            taken.add(f"{record.id}~{n}")
+            record = AccidentRecord(f"{record.id}~{n}", record.features, record.label)
+        out.append(record)
     return out
 
 
@@ -308,25 +296,30 @@ def run_imbalance_suite(
     registry: FeatureRegistry | None = None,
     size: int | None = None,
 ) -> dict[str, ScenarioComparison]:
-    """For each scenario, run the agents once on the resampled set, fuse their
-    outputs under both coordination modes (a paired comparison), and report
-    both, plus the LLM fallback rate."""
+    """Draw every scenario, run the agents once per distinct record drawn, fuse
+    each record's outputs under both coordination modes (a paired comparison),
+    and report both per scenario, plus the LLM fallback rate."""
     if coordination_backend is None:
         raise ValueError("the imbalance suite compares both modes; a coordination backend is required")
     scenarios = list(scenarios) if scenarios is not None else default_scenarios()
     rb_cfg = replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
     llm_cfg = replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+    drawn = [sample_imbalance(records, scenario, seed, size=size) for scenario in scenarios]
+    # Agents see only a record's features, and a resampled duplicate shares its
+    # source's features mapping: one result per mapping serves every draw of it.
+    distinct = {id(r.features): r for sampled in drawn for r in sampled}
+    rb_results = run_instances(list(distinct.values()), agents, rb_cfg, registry=registry)
+    llm_results = [fuse(t.agent_outputs, llm_cfg, coordination_backend=coordination_backend) for _, t in rb_results]
+    by_features = dict(zip(distinct, zip(rb_results, llm_results)))
     results: dict[str, ScenarioComparison] = {}
-    for scenario in scenarios:
-        sampled = sample_imbalance(records, scenario, seed, size=size)
-        labels = _require_labels(sampled)
-        rb_results = run_instances(sampled, agents, rb_cfg, registry=registry)
-        llm_results = [fuse(t.agent_outputs, llm_cfg, coordination_backend=coordination_backend) for _, t in rb_results]
-        fallbacks = sum(1 for coordination, _ in llm_results if coordination is not None and coordination.fallback)
+    for scenario, sampled in zip(scenarios, drawn):
+        labels = [r.label for r in sampled]
+        runs = [by_features[id(r.features)] for r in sampled]
+        fallbacks = sum(1 for _, (coordination, _) in runs if coordination is not None and coordination.fallback)
         results[scenario.name] = ScenarioComparison(
             scenario=scenario,
-            rule_based=compute_metrics([d for d, _ in rb_results], labels),
-            llm_based=compute_metrics([d for _, d in llm_results], labels),
+            rule_based=compute_metrics([d for (d, _), _ in runs], labels),
+            llm_based=compute_metrics([d for _, (_, d) in runs], labels),
             llm_fallback_rate=fallbacks / len(sampled) if sampled else 0.0,
         )
     return results

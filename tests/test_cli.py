@@ -63,6 +63,21 @@ def test_predict_writes_stdout_and_trace(tmp_path, scripted_file, train_file, in
     assert len(trace.read_text(encoding="utf-8").splitlines()) == 3
 
 
+def test_predict_names_every_skipped_row_on_stderr(tmp_path, scripted_file, train_file, capsys):
+    bad = write_csv(tmp_path / "bad.csv", [2, 9, 3, 4])
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    lines[3] = "x2,Rain,Monday"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["predict", "--input", str(bad), "--train", str(train_file), "--scripted", str(scripted_file)]
+    assert main(args + ["--trace", str(tmp_path / "t.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["x0", "x3"]
+    assert captured.err.splitlines() == [
+        f"{bad}: skipped row 2: label out of range",
+        f"{bad}: skipped row 3: expected 6 columns, got 3",
+    ]
+
+
 def test_predict_llm_mode_uses_scripted_coordinator(tmp_path, scripted_file, train_file, input_file):
     trace = tmp_path / "trace.jsonl"
     rc = main(

@@ -303,6 +303,17 @@ class TestConfigSerialization:
         for output in outputs:
             assert from_json_value(AgentOutput, to_json_value(output)) == output
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("", {"prediction": 2, "confidence": 0.5}, "^AgentOutput: .*missing 1 required positional argument: 'agent'"),
+            ("outputs[1]", {"agent": "ml", "prediction": None, "confidence": 0.5}, r"^outputs\[1\]: non-failed output"),
+        ],
+    )
+    def test_a_constructor_failure_is_a_named_config_error(self, name, value, message):
+        with pytest.raises(ConfigError, match=message):
+            from_json_value(AgentOutput, value, name)
+
     def test_fingerprints_are_pinned(self):
         assert EngineConfig().fingerprint() == "3e93f442105fb7ca"
         llm = EngineConfig.from_dict({"coordination_mode": "llm", "agent_timeout_ms": 250})

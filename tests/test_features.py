@@ -216,6 +216,13 @@ class TestIngestCsv:
         assert records[0].features["Weather Conditions"].text == "Rain"
         assert records[1].features["Speed Limit"].number == 60.0
 
+    def test_a_utf8_bom_is_not_part_of_the_first_header(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_text("id,Weather Conditions,severity\na,Rain,2\n", encoding="utf-8-sig")
+        (record,) = ingest_csv(path)
+        assert record.id == "a"
+        assert list(record.features) == ["Weather Conditions"]
+
     def test_label_out_of_range_collected(self, tmp_path):
         path = self.write(
             tmp_path,

@@ -8,7 +8,8 @@ import pytest
 
 import synth
 from marble.agents import ScriptedAgent, ScriptedBackend
-from marble.core import AgentId, CoordinationMode, Severity
+from marble.coordination import EmptyInputError, weighted_scores
+from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import abstain
 from marble.engine import run_instances
 from marble.harness import (
@@ -157,6 +158,26 @@ class TestAblation:
             run_ablation(records, agents[:1], cfg)
 
 
+class TestMajorityVote:
+    def test_counts_the_supporters_of_the_weighted_tally(self, cfg, out):
+        outputs = [
+            out(AgentId.ML, 2, 0.9),
+            out(AgentId.SPATIAL, 4, 0.4),
+            out(AgentId.TEMPORAL, 4, 0.6),
+            AgentOutput.failure(AgentId.ENVIRONMENTAL, "parse", 1),
+        ]
+        result = majority_vote_coordinator(outputs, cfg)
+        tally = weighted_scores(outputs, cfg)
+        assert (result.prediction, result.confidence) == (Severity(4), pytest.approx(0.5))
+        assert result.breakdown.supporters == tally.supporters
+        assert result.breakdown.slm_supporters == tally.slm_supporters
+        assert result.breakdown.scores == dict(zip(sev([1, 2, 3, 4]), [0.0, 1.0, 0.0, 2.0]))
+
+    def test_no_live_output_raises(self, cfg):
+        with pytest.raises(EmptyInputError):
+            majority_vote_coordinator([AgentOutput.failure(AgentId.ML, "timeout", 1)], cfg)
+
+
 class TestSampleImbalance:
     def make_pool(self, per_class=120):
         records = []
@@ -212,6 +233,18 @@ class TestSampleImbalance:
         ids = [r.id for r in sampled]
         assert len(ids) == len(set(ids))
 
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_duplicates_skip_ids_already_taken(self, seed):
+        pool = [synth.AccidentRecord(i, {}, Severity(1)) for i in ("a", "a~1")]
+        scenario = ImbalanceScenario("fatal_only", {Severity(1): 1.0})
+        ids = [r.id for r in sample_imbalance(pool, scenario, seed=seed, size=4)]
+        assert len(ids) == len(set(ids)) == 4
+        assert {"a", "a~1"} <= set(ids)
+
+    def test_negative_size_names_the_scenario(self):
+        with pytest.raises(ScenarioError, match="scenario 'uniform'.*size"):
+            sample_imbalance(self.make_pool(per_class=5), default_scenarios()[0], seed=1, size=-3)
+
     def test_bad_distribution_rejected(self):
         with pytest.raises(ScenarioError, match="sum"):
             ImbalanceScenario("broken", {Severity(1): 0.5, Severity(2): 0.2})
@@ -261,14 +294,14 @@ class TestImbalanceSuite:
         assert comparison.llm_fallback_rate == 1.0
         assert comparison.llm_based == comparison.rule_based
 
-    def test_each_agent_evaluates_each_sampled_record_once(self, cfg):
+    def test_each_agent_evaluates_each_drawn_record_once(self, cfg):
         records, agents, backend = self.setup_suite(cfg)
         agents = [CountingAgent(a) for a in agents]
-        run_imbalance_suite(
-            records, agents, cfg, default_scenarios()[:2], seed=1, coordination_backend=backend, size=30
-        )
-        assert [a.calls for a in agents] == [60] * 5
-        assert backend.calls == 60
+        scenarios = default_scenarios()[:2]
+        run_imbalance_suite(records, agents, cfg, scenarios, seed=1, coordination_backend=backend, size=30)
+        drawn = {r.id.partition("~")[0] for s in scenarios for r in sample_imbalance(records, s, 1, size=30)}
+        assert [a.calls for a in agents] == [len(drawn)] * 5
+        assert backend.calls == len(drawn)
 
     def test_llm_report_equals_a_rerun_in_llm_mode(self, cfg):
         records, agents, _ = self.setup_suite(cfg)
@@ -283,6 +316,21 @@ class TestImbalanceSuite:
         assert comparison.llm_based == compute_metrics([d for d, _ in results], [r.label for r in sampled])
         fallbacks = sum(1 for _, t in results if t.coordination.fallback is not None)
         assert 0 < fallbacks and comparison.llm_fallback_rate == fallbacks / 80
+
+    def test_rule_report_equals_a_rerun_in_rule_mode(self, cfg):
+        records, agents, _ = self.setup_suite(cfg)
+        records = records[:40]  # size 60 draws duplicates, and both scenarios share records
+        scenarios = default_scenarios()[:2]
+        results = run_imbalance_suite(
+            records, agents, cfg, scenarios, seed=4, coordination_backend=synth.fallible_coordinator(), size=60
+        )
+        rb_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
+        drawn = [sample_imbalance(records, s, 4, size=60) for s in scenarios]
+        assert all(any("~" in r.id for r in sampled) for sampled in drawn)
+        assert {r.id for r in drawn[0]} & {r.id for r in drawn[1]}
+        for scenario, sampled in zip(scenarios, drawn):
+            rerun = run_instances(sampled, agents, rb_cfg)
+            assert results[scenario.name].rule_based == compute_metrics([d for d, _ in rerun], [r.label for r in sampled])
 
     def test_requires_backend(self, cfg):
         records, agents, _ = self.setup_suite(cfg)
