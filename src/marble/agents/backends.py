@@ -192,7 +192,9 @@ class RemoteHttpBackend:
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         try:
-            payload = json.loads(data)
-            return payload["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(content, str):  # null for a refusal or a tool call
+            raise TransportError(f"malformed completion payload: content is not text: {content!r:.80}")
+        return content

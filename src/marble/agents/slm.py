@@ -267,9 +267,11 @@ def calibrate(raw_confidence: float, prediction: Severity, cfg: EngineConfig) ->
 
 def ask(backend: SlmBackend, prompt: str, cfg: EngineConfig) -> ParsedPrediction | str:
     """One model call, shared by the agents and the LLM coordinator: the
-    parsed reply, or the kind of failure ("timeout", "transport" or "parse")."""
+    parsed reply, or the kind of failure ("timeout", "transport" or "parse").
+    A reply that is not text is a parse failure."""
     try:
-        return parse_response_detailed(backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms))
+        reply = backend.complete(prompt, cfg.decoding, cfg.agent_timeout_ms)
+        return parse_response_detailed(reply) if isinstance(reply, str) else "parse"
     except BackendTimeoutError:
         return "timeout"
     except TransportError:

@@ -46,12 +46,17 @@ def _load_scripted(path: str) -> dict:
 
 
 def _ingest(path: str, registry=None):
-    """The records of a CSV; each row it skips is named on stderr."""
+    """The records of a CSV; each row it skips is named on stderr, and a CSV
+    past the bad-row budget ends the command with one line."""
     errors: list[RowError] = []
-    records = ingest_csv(path, registry, errors_out=errors)
-    for err in errors:
-        print(f"{path}: skipped row {err.row}: {err.message}", file=sys.stderr)
-    return records
+    try:
+        return ingest_csv(path, registry, errors_out=errors)
+    except RowError as err:
+        errors.pop()  # the row that ran the budget out, which ``err`` names
+        raise SystemExit(f"{path}: {err}") from None
+    finally:
+        for skipped in errors:
+            print(f"{path}: skipped row {skipped.row}: {skipped.message}", file=sys.stderr)
 
 
 def _build_agents(cfg: EngineConfig, args):

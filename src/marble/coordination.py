@@ -44,32 +44,22 @@ class CoordinationResult:
     prediction: Severity
     confidence: float
     method: CoordinationMode
-    breakdown: VoteBreakdown | None = None
     override_applied: bool = False
     boost_applied: float = 0.0
     reasoning: str = ""
     fallback: str | None = None  # failure class when LLM coordination fell back
+    breakdown: VoteBreakdown | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "prediction": int(self.prediction),
-            "confidence": self.confidence,
-            "method": self.method.value,
-            "override_applied": self.override_applied,
-            "boost_applied": self.boost_applied,
-            "reasoning": self.reasoning,
-            "fallback": self.fallback,
-        }
-        if self.breakdown is not None:
+        """The trace form: the fields in declaration order, the method by
+        value, and the breakdown, when there is one, as its fields keyed by
+        class number, with supporter tuples as lists of agent values."""
+        out = {**vars(self), "method": self.method.value}
+        breakdown = out.pop("breakdown")
+        if breakdown is not None:
             out["breakdown"] = {
-                "scores": {str(int(k)): v for k, v in self.breakdown.scores.items()},
-                "supporters": {
-                    str(int(k)): [a.value for a in v] for k, v in self.breakdown.supporters.items()
-                },
-                "slm_supporters": {
-                    str(int(k)): [a.value for a in v]
-                    for k, v in self.breakdown.slm_supporters.items()
-                },
+                name: {str(int(k)): [a.value for a in v] if isinstance(v, tuple) else v for k, v in by_class.items()}
+                for name, by_class in vars(breakdown).items()
             }
         return out
 

@@ -76,11 +76,11 @@ class AgentOutput:
     agent: AgentId
     prediction: Severity | None
     confidence: float
-    reasoning: str = ""
     raw_confidence: float = 0.0
-    latency_ms: int = 0
+    reasoning: str = ""
     failed: bool = False
     failure_kind: str | None = None
+    latency_ms: int = 0
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -99,6 +99,10 @@ class AgentOutput:
     def failure(cls, agent: AgentId, kind: str, latency_ms: int) -> "AgentOutput":
         """The failed output of ``agent``: no prediction, and why (``kind``)."""
         return cls(agent, None, 0.0, latency_ms=latency_ms, failed=True, failure_kind=kind)
+
+    def to_dict(self) -> dict:
+        """The trace form: the fields in declaration order, the agent by value."""
+        return {**vars(self), "agent": self.agent.value, "notes": list(self.notes)}
 
 
 class CoordinationMode(Enum):

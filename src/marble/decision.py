@@ -31,12 +31,8 @@ class FinalDecision:
         return self.prediction is None
 
     def to_dict(self) -> dict:
-        return {
-            "prediction": None if self.prediction is None else int(self.prediction),
-            "confidence": self.confidence,
-            "source": self.source.value,
-            "rule_fired": self.rule_fired,
-        }
+        """The trace form: the fields in declaration order, the source by value."""
+        return {**vars(self), "source": self.source.value}
 
 
 def abstain() -> FinalDecision:

@@ -73,20 +73,7 @@ class TraceRecord:
                 agent.value: {name: value.to_dict() for name, value in features.items()}
                 for agent, features in self.projections.items()
             },
-            "agent_outputs": [
-                {
-                    "agent": o.agent.value,
-                    "prediction": None if o.prediction is None else int(o.prediction),
-                    "confidence": o.confidence,
-                    "raw_confidence": o.raw_confidence,
-                    "reasoning": o.reasoning,
-                    "failed": o.failed,
-                    "failure_kind": o.failure_kind,
-                    "latency_ms": o.latency_ms,
-                    "notes": list(o.notes),
-                }
-                for o in self.agent_outputs
-            ],
+            "agent_outputs": [o.to_dict() for o in self.agent_outputs],
             "coordination": None if self.coordination is None else self.coordination.to_dict(),
             "decision": self.decision.to_dict(),
             "timings": dict(self.timings),

@@ -78,6 +78,16 @@ def test_predict_names_every_skipped_row_on_stderr(tmp_path, scripted_file, trai
     ]
 
 
+def test_predict_past_the_bad_row_budget_names_the_rows_then_exits(tmp_path, scripted_file, train_file, capsys):
+    bad = write_csv(tmp_path / "bad.csv", [9 if i % 2 else 2 for i in range(210)])
+    args = ["predict", "--input", str(bad), "--train", str(train_file), "--scripted", str(scripted_file)]
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--trace", str(tmp_path / "t.jsonl")])
+    assert exit_.value.code == f"{bad}: row 202: bad-row budget (100) exceeded: label out of range"
+    skipped = [f"{bad}: skipped row {row}: label out of range" for row in range(2, 202, 2)]
+    assert capsys.readouterr().err.splitlines() == skipped
+
+
 def test_predict_llm_mode_uses_scripted_coordinator(tmp_path, scripted_file, train_file, input_file):
     trace = tmp_path / "trace.jsonl"
     rc = main(

@@ -11,11 +11,12 @@ import pytest
 
 import synth
 from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent, TransportError
-from marble.coordination import coordinate_rb
-from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, validate_config
-from marble.decision import DecisionSource
+from marble.coordination import CoordinationResult, coordinate_rb
+from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, from_json_value, validate_config
+from marble.decision import DecisionSource, FinalDecision
 from marble.engine import (
     AllAgentsFailedError,
+    TraceRecord,
     fuse,
     run_batch,
     run_instance,
@@ -281,6 +282,18 @@ class TestRunBatch:
         lines = sink.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["record_id"] for line in lines] == [f"s{i}" for i in range(k)]
 
+    def test_a_backend_reply_that_is_not_text_is_a_parse_failure(self, tmp_path):
+        cfg = validate_config(EngineConfig(coordination_mode=CoordinationMode.LLM_BASED))
+        silent = ScriptedBackend(lambda prompt: None)
+        agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), SlmAgent(AgentId.SPATIAL, silent, cfg)]
+        sink = tmp_path / "trace.jsonl"
+        decisions = run_batch([record(f"n{i}") for i in range(3)], agents, cfg, sink, coordination_backend=silent)
+        lines = [json.loads(line) for line in sink.read_text(encoding="utf-8").splitlines()]
+        assert len(decisions) == len(lines) == 3
+        for line in lines:
+            assert [o["failure_kind"] for o in line["agent_outputs"]] == [None, "parse"]
+            assert line["coordination"]["fallback"] == "parse"
+
     def test_traces_are_deterministic_modulo_timings(self, cfg, tmp_path):
         records = [record(f"d{i}") for i in range(5)]
         first = run_instances(records, unanimous_agents(cfg, 0.7), cfg)
@@ -374,9 +387,9 @@ class FaultingHintBackend:
         return backend.complete(prompt, decoding, timeout_ms)
 
 
-def golden_traces() -> list[str]:
-    """Trace lines, timing fields stripped, of eight hint records run in rule
-    mode and then in LLM mode with ``synth.fallible_coordinator()``."""
+def golden_run() -> list[TraceRecord]:
+    """The traces of eight hint records run in rule mode and then in LLM mode
+    with ``synth.fallible_coordinator()``."""
 
     def ml_responder(features):
         text = features[synth.HINT_FEATURES[AgentId.ML]].text
@@ -389,14 +402,19 @@ def golden_traces() -> list[str]:
             for agent, kind in GOLDEN_FAULTS.get(r.id, {}).items()
         }
         records.append(AccidentRecord(id=r.id, features={**r.features, **faults}, label=r.label))
-    lines = []
+    traces = []
     for mode in CoordinationMode:
         cfg = validate_config(EngineConfig(coordination_mode=mode, agent_timeout_ms=GOLDEN_TIMEOUT_MS))
         agents = [ScriptedAgent(AgentId.ML, ml_responder)]
         agents += [SlmAgent(kind, FaultingHintBackend(GOLDEN_CONFIDENCES[kind]), cfg) for kind in SLM_KINDS]
         results = run_instances(records, agents, cfg, coordination_backend=synth.fallible_coordinator())
-        lines += [json.dumps(strip_timings(trace.to_dict()), ensure_ascii=False) for _, trace in results]
-    return lines
+        traces += [trace for _, trace in results]
+    return traces
+
+
+def golden_traces() -> list[str]:
+    """The trace lines of ``golden_run()``, timing fields stripped."""
+    return [json.dumps(strip_timings(trace.to_dict()), ensure_ascii=False) for trace in golden_run()]
 
 
 def test_traces_match_the_golden_file():
@@ -405,3 +423,16 @@ def test_traces_match_the_golden_file():
     for number, (want, got) in enumerate(zip(expected, actual), start=1):
         assert got == want, f"line {number}, record {json.loads(want)['record_id']}, differs"
     assert len(actual) == len(expected)
+
+
+def test_trace_objects_read_back_from_their_json_form():
+    """The keys of a trace's agent outputs, coordination (its breakdown
+    included) and decision are their objects' field names, so a reader
+    rebuilds them with ``from_json_value``."""
+    for trace in golden_run():
+        d = trace.to_dict()
+        assert json.loads(json.dumps(d, ensure_ascii=False)) == d
+        assert [from_json_value(AgentOutput, entry) for entry in d["agent_outputs"]] == list(trace.agent_outputs)
+        assert from_json_value(FinalDecision, d["decision"]) == trace.decision
+        if trace.coordination is not None:
+            assert from_json_value(CoordinationResult, d["coordination"]) == trace.coordination

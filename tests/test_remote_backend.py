@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import marble
+from marble.agents import SlmAgent
 from marble.agents.backends import BackendTimeoutError, RemoteHttpBackend, TransportError
-from marble.core import DecodingParams, EndpointParams
+from marble.core import AgentId, DecodingParams, EndpointParams
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -122,6 +123,14 @@ class TestRemoteComplete:
         with pytest.raises(TransportError) as err:
             complete(url(stub_server), "p", 2000)
         assert err.value.status == 500
+
+    def test_null_content_fails_the_agent_as_transport(self, stub_server, cfg):
+        stub_server.canned = None  # what a refusal or a tool call sends
+        with pytest.raises(TransportError, match="malformed completion payload"):
+            complete(url(stub_server), "p", 2000)
+        backend = RemoteHttpBackend(EndpointParams(url=url(stub_server)))
+        output = SlmAgent(AgentId.SPATIAL, backend, cfg).evaluate({})
+        assert (output.failed, output.failure_kind) == (True, "transport")
 
     def test_unreachable_host_raises_transport_error(self):
         with pytest.raises(TransportError):
