@@ -65,25 +65,19 @@ class CoordinationResult:
 
 
 def _live(outputs: Sequence[AgentOutput]) -> list[AgentOutput]:
-    return [o for o in outputs if not o.failed]
-
-
-def _ml_output(outputs: Sequence[AgentOutput]) -> AgentOutput | None:
-    for o in outputs:
-        if o.agent is AgentId.ML and not o.failed:
-            return o
-    return None
+    """The outputs that did not fail; EmptyInputError when none is left."""
+    live = [o for o in outputs if not o.failed]
+    if not live:
+        raise EmptyInputError("all agents failed")
+    return live
 
 
 def weighted_scores(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> VoteBreakdown:
     """Per-class score: sum over voters of weight * confidence * class factor."""
-    live = _live(outputs)
-    if not live:
-        raise EmptyInputError("all agents failed")
     scores = {k: 0.0 for k in ALL_SEVERITIES}
     supporters: dict[Severity, list[AgentId]] = {k: [] for k in ALL_SEVERITIES}
     slm_supporters: dict[Severity, list[AgentId]] = {k: [] for k in ALL_SEVERITIES}
-    for output in live:
+    for output in _live(outputs):
         k = output.prediction
         weight = cfg.agent_weights.get(output.agent, 1.0)
         scores[k] += weight * output.confidence * cfg.class_factors[k]
@@ -104,16 +98,16 @@ def check_ml_override(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> bool
     or the lower threshold with at least one SLM agent agreeing. False when
     the ML agent failed or is absent.
     """
-    ml = _ml_output(outputs)
-    if ml is None:
-        return False
-    if ml.confidence >= cfg.tau_ml_corrob:
-        return True
-    if ml.confidence >= cfg.tau_ml_high:
-        return any(
-            o.agent.is_slm and not o.failed and o.prediction == ml.prediction for o in outputs
-        )
-    return False
+    return _overriding_ml(outputs, cfg) is not None
+
+
+def _overriding_ml(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> AgentOutput | None:
+    """The live ML output when it overrides the vote (``check_ml_override``), else None."""
+    ml = next((o for o in outputs if o.agent is AgentId.ML and not o.failed), None)
+    if ml is None or ml.confidence >= cfg.tau_ml_corrob:
+        return ml
+    agreed = any(o.agent.is_slm and not o.failed and o.prediction == ml.prediction for o in outputs)
+    return ml if ml.confidence >= cfg.tau_ml_high and agreed else None
 
 
 def rb_predict(breakdown: VoteBreakdown, cfg: EngineConfig) -> Severity:
@@ -160,8 +154,8 @@ def weighted_avg_confidence(
     the configured fallback when no agent supports it."""
     votes = [
         (cfg.agent_weights.get(o.agent, 1.0), o.confidence)
-        for o in _live(outputs)
-        if o.prediction == prediction
+        for o in outputs
+        if not o.failed and o.prediction == prediction
     ]
     denominator = sum(w for w, _ in votes)
     if denominator == 0.0:
@@ -184,8 +178,8 @@ def coordinate_rb(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> Coordina
     ``weighted_scores`` raises EmptyInputError when none is live.
     """
     breakdown = weighted_scores(outputs, cfg)
-    if check_ml_override(outputs, cfg):
-        ml = _ml_output(outputs)
+    ml = _overriding_ml(outputs, cfg)
+    if ml is not None:
         if ml.prediction.is_rare:
             confidence = min(cfg.confidence_cap, ml.confidence + cfg.override_rare_bonus)
         else:
@@ -220,7 +214,7 @@ def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str
     Blocks appear in canonical agent order (ML first), each carrying the
     agent's prediction, confidence, static weight, and reasoning.
     """
-    ordered = sorted(_live(outputs), key=lambda o: AGENT_ORDER[o.agent])
+    ordered = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     lines = [
         "You are the coordinating analyst for a team assessing one road accident.",
         "Each agent examined a different aspect of the accident and reported a "
@@ -258,8 +252,6 @@ def coordinate_llm(
     with the failure class recorded in ``fallback``.
     """
     live = _live(outputs)
-    if not live:
-        raise EmptyInputError("all agents failed")
     parsed = ask(backend, format_meta_prompt(live, cfg), cfg)
     if isinstance(parsed, str):
         return replace(coordinate_rb(live, cfg), fallback=parsed)

@@ -114,12 +114,7 @@ def run_instance(
     identities = [a.identity() for a in agents]
     if len(set(identities)) != len(identities):
         raise ValueError("agent identities must be distinct")
-    if (
-        coordinator is None
-        and cfg.coordination_mode is CoordinationMode.LLM_BASED
-        and coordination_backend is None
-    ):
-        raise ValueError("LLM coordination mode requires a coordination backend")
+    _require_a_coordinator(cfg, coordination_backend, coordinator)
 
     start = time.perf_counter()
     notes: list[str] = []
@@ -183,6 +178,11 @@ def run_instance(
     return decision, trace
 
 
+def _require_a_coordinator(cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None) -> None:
+    if coordinator is None and cfg.coordination_mode is CoordinationMode.LLM_BASED and backend is None:
+        raise ValueError("LLM coordination mode requires a coordination backend")
+
+
 def fuse(
     outputs: Sequence[AgentOutput],
     cfg: EngineConfig,
@@ -193,29 +193,32 @@ def fuse(
 ) -> tuple[CoordinationResult | None, FinalDecision]:
     """Stage 3: coordinate the live outputs, in agent order whatever the order
     of ``outputs``, then run the cascade; ``(None, abstain())`` when none is
-    live. An LLM coordinator call runs on the agent pool under its own
-    deadline, past which the rule-based result stands with
-    ``fallback="timeout"`` and a note goes to ``notes``. Under the same config
-    and coordinator, re-fusing a trace's ``agent_outputs`` reproduces its
-    coordination and decision."""
+    live. A ``coordinator`` is always called; else the rule-based result comes
+    first, and when it applies the ML override (rule 1) it stands and no LLM
+    call is made. An LLM call runs on the agent pool under its own deadline,
+    past which the rule-based result stands with ``fallback="timeout"`` and a
+    note goes to ``notes``. Re-fusing a trace's ``agent_outputs`` under the
+    same config and coordinator reproduces its coordination and decision."""
+    _require_a_coordinator(cfg, coordination_backend, coordinator)
     live = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     if not live:
         return None, abstain()
     if coordinator is not None:
-        coordination = coordinator(live, cfg)
-    elif cfg.coordination_mode is CoordinationMode.LLM_BASED:
-        future = _AGENT_POOL.submit(coordinate_llm, live, coordination_backend, cfg)
-        try:
-            coordination = future.result(timeout=(cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0)
-        except FutureTimeoutError:
-            future.cancel()
-            coordination = replace(coordinate_rb(live, cfg), fallback="timeout")
-            if notes is not None:
-                notes.append("coordinator abandoned past its deadline")
+        coordination, override = coordinator(live, cfg), check_ml_override(live, cfg)
     else:
         coordination = coordinate_rb(live, cfg)
+        override = coordination.override_applied
+        if cfg.coordination_mode is CoordinationMode.LLM_BASED and not override:
+            future = _AGENT_POOL.submit(coordinate_llm, live, coordination_backend, cfg)
+            try:
+                coordination = future.result(timeout=(cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0)
+            except FutureTimeoutError:
+                future.cancel()
+                coordination = replace(coordination, fallback="timeout")
+                if notes is not None:
+                    notes.append("coordinator abandoned past its deadline")
     ml_output = next((o for o in live if o.agent is AgentId.ML), None)
-    return coordination, final_decide(ml_output, coordination, check_ml_override(live, cfg), cfg)
+    return coordination, final_decide(ml_output, coordination, override, cfg)
 
 
 def _iter_instances(

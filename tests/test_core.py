@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from marble.agents import ScriptedBackend
 from marble.agents.slm import DEFAULT_TEMPLATES, slm_evaluate
 from marble.core import (
+    AGENT_ORDER,
     SLM_AGENT_IDS,
     AgentId,
     AgentOutput,
@@ -33,7 +34,7 @@ from marble.core import (
     to_json_value,
     validate_config,
 )
-from marble.coordination import weighted_avg_confidence
+from marble.coordination import check_ml_override, coordinate_rb, weighted_avg_confidence
 from marble.engine import fuse
 from marble.features import AccidentRecord, FeatureValue, default_registry, project
 
@@ -446,18 +447,43 @@ class TestFusionProperties:
         random.Random(0),
         "no answer",
     )
+    @example(  # LLM mode, and the ML override holds
+        {"coordination_mode": "llm"},
+        {"ml": 1.0},
+        [AgentOutput(AgentId.ML, Severity(3), 0.9), AgentOutput(AgentId.SPATIAL, Severity(2), 0.6)],
+        [AgentId.TEMPORAL],
+        random.Random(0),
+        '{"severity": 4, "confidence": 0.97, "reasoning": "r"}',
+    )
     @settings(max_examples=300, deadline=None)
     def test_fusion_invariants(self, doc, weights, live, failed_agents, rnd, reply):
         try:
             cfg = validate_config(EngineConfig.from_dict({**doc, "agent_weights": weights}))
         except ConfigError:
             assume(False)
-        coordination, decision = fuse(live, cfg, coordination_backend=ScriptedBackend(reply))
+        backend = ScriptedBackend(reply)
+        coordination, decision = fuse(live, cfg, coordination_backend=backend)
+
+        # The coordinator is asked once in LLM mode, unless the ML override
+        # holds: then rule 1 decides, nothing is asked, and the coordination
+        # and decision are rule mode's.
+        override = check_ml_override(live, cfg)
+        assert backend.calls == (cfg.coordination_mode is CoordinationMode.LLM_BASED and not override)
+        if override:
+            rule_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
+            assert coordination == coordinate_rb(sorted(live, key=lambda o: AGENT_ORDER[o.agent]), cfg)
+            assert decision == fuse(live, rule_cfg)[1]
 
         # Neither the order of the outputs nor failed ones change anything.
-        mixed = live + [AgentOutput(a, None, 0.0, failed=True, failure_kind="timeout") for a in failed_agents]
+        failed = [AgentOutput(a, None, 0.0, failed=True, failure_kind="timeout") for a in failed_agents]
+        mixed = live + failed
         rnd.shuffle(mixed)
         assert fuse(mixed, cfg, coordination_backend=ScriptedBackend(reply)) == (coordination, decision)
+
+        # With no live output, nothing is asked.
+        calls = backend.calls
+        assert fuse(failed, cfg, coordination_backend=backend)[0] is None
+        assert backend.calls == calls
 
         # The decided class comes from a live agent or the coordinator, and
         # a rule-based coordination decides a live prediction.

@@ -340,6 +340,26 @@ class TestFuse:
         if mode is CoordinationMode.LLM_BASED:
             assert {t.coordination.fallback for t in traces if t.coordination} == {None, "parse"}
 
+    def test_a_custom_coordinator_is_called_when_rule_1_decides(self, cfg):
+        seen = []
+
+        def coordinator(outputs, cfg):
+            seen.append(cfg.coordination_mode)
+            return coordinate_rb(outputs, cfg)
+
+        for mode in CoordinationMode:
+            mode_cfg = dataclasses.replace(cfg, coordination_mode=mode)
+            decision, _ = run_instance(record(), unanimous_agents(mode_cfg, 0.9), mode_cfg, coordinator=coordinator)
+            assert decision.rule_fired == 1
+        assert seen == list(CoordinationMode)
+
+    @pytest.mark.parametrize("ml_confidence", [None, 0.5, 0.9])
+    def test_llm_mode_without_a_backend_is_named_whatever_the_outputs(self, cfg, ml_confidence):
+        llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+        outputs = [] if ml_confidence is None else [AgentOutput(AgentId.ML, Severity(3), ml_confidence)]
+        with pytest.raises(ValueError, match="LLM coordination mode requires a coordination backend"):
+            fuse(outputs, llm_cfg)
+
 
 # Written once by ``golden_traces()`` below and never rewritten by the test:
 # a change that alters any trace byte other than a timing field fails it.
@@ -387,27 +407,34 @@ class FaultingHintBackend:
         return backend.complete(prompt, decoding, timeout_ms)
 
 
+def golden_config(mode: CoordinationMode) -> EngineConfig:
+    return validate_config(EngineConfig(coordination_mode=mode, agent_timeout_ms=GOLDEN_TIMEOUT_MS))
+
+
 def golden_run() -> list[TraceRecord]:
     """The traces of eight hint records run in rule mode and then in LLM mode
-    with ``synth.fallible_coordinator()``."""
+    with ``synth.fallible_coordinator()``, then of two more run in LLM mode:
+    r8, which the ML override decides, and r9, which it does not and on which
+    the coordinator's reply does not parse."""
 
     def ml_responder(features):
         text = features[synth.HINT_FEATURES[AgentId.ML]].text
         return None if text.startswith("fault-") else (int(text.removeprefix("sig")), GOLDEN_CONFIDENCES[AgentId.ML])
 
     records = []
-    for r in synth.generate_records(8, seed=5, accuracies=dict.fromkeys(AgentId, 0.7)):
+    for r in synth.generate_records(10, seed=5, accuracies=dict.fromkeys(AgentId, 0.7)):
         faults = {
             synth.HINT_FEATURES[agent]: FeatureValue.categorical(f"fault-{kind}")
             for agent, kind in GOLDEN_FAULTS.get(r.id, {}).items()
         }
         records.append(AccidentRecord(id=r.id, features={**r.features, **faults}, label=r.label))
     traces = []
-    for mode in CoordinationMode:
-        cfg = validate_config(EngineConfig(coordination_mode=mode, agent_timeout_ms=GOLDEN_TIMEOUT_MS))
+    llm = CoordinationMode.LLM_BASED
+    for mode, batch in ((CoordinationMode.RULE_BASED, records[:8]), (llm, records[:8]), (llm, records[8:])):
+        cfg = golden_config(mode)
         agents = [ScriptedAgent(AgentId.ML, ml_responder)]
         agents += [SlmAgent(kind, FaultingHintBackend(GOLDEN_CONFIDENCES[kind]), cfg) for kind in SLM_KINDS]
-        results = run_instances(records, agents, cfg, coordination_backend=synth.fallible_coordinator())
+        results = run_instances(batch, agents, cfg, coordination_backend=synth.fallible_coordinator())
         traces += [trace for _, trace in results]
     return traces
 
@@ -423,6 +450,20 @@ def test_traces_match_the_golden_file():
     for number, (want, got) in enumerate(zip(expected, actual), start=1):
         assert got == want, f"line {number}, record {json.loads(want)['record_id']}, differs"
     assert len(actual) == len(expected)
+
+
+def test_golden_llm_lines_that_rule_1_decides_read_as_skipped_calls():
+    """An LLM-mode record that the ML override decides records the rule-based
+    coordination with no fallback, as no coordinator was called; the others
+    include a coordinator reply that did not parse."""
+    llm_fingerprint = golden_config(CoordinationMode.LLM_BASED).fingerprint()
+    lines = [json.loads(line) for line in GOLDEN_TRACES.read_text(encoding="utf-8").splitlines()]
+    llm_lines = [d for d in lines if d["config_fingerprint"] == llm_fingerprint and d["coordination"]]
+    for d in llm_lines:
+        if d["decision"]["rule_fired"] == 1:
+            c = d["coordination"]
+            assert (c["method"], c["override_applied"], c["fallback"]) == ("rule", True, None), d["record_id"]
+    assert any(d["decision"]["rule_fired"] != 1 and d["coordination"]["fallback"] == "parse" for d in llm_lines)
 
 
 def test_trace_objects_read_back_from_their_json_form():
