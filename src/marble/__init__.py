@@ -24,7 +24,7 @@ from .coordination import (
     coordinate_rb,
 )
 from .decision import DecisionSource, FinalDecision, abstain, final_decide
-from .engine import AllAgentsFailedError, TraceRecord, fuse, run_batch, run_instance, run_instances
+from .engine import TraceRecord, fuse, run_batch, run_instance, run_instances
 from .features import (
     AccidentRecord,
     FeatureRegistry,
@@ -50,7 +50,6 @@ __all__ = [
     "AccidentRecord",
     "AgentId",
     "AgentOutput",
-    "AllAgentsFailedError",
     "ConfigError",
     "CoordinationMode",
     "CoordinationResult",

@@ -311,24 +311,17 @@ def slm_evaluate(
 
 
 class SlmAgent:
-    """Agent wrapper binding a domain, its template, a backend, and the config."""
+    """Agent wrapper binding a domain, with its default template, to a backend and the config."""
 
-    def __init__(
-        self,
-        kind: AgentId,
-        backend: SlmBackend,
-        cfg: EngineConfig,
-        template: PromptTemplate | None = None,
-    ):
+    def __init__(self, kind: AgentId, backend: SlmBackend, cfg: EngineConfig):
         if not kind.is_slm:
             raise ValueError("SlmAgent serves SLM domains only")
         self._kind = kind
         self._backend = backend
         self._cfg = cfg
-        self._template = template or DEFAULT_TEMPLATES[kind]
 
     def identity(self) -> AgentId:
         return self._kind
 
     def evaluate(self, features: Mapping[str, FeatureValue]) -> AgentOutput:
-        return slm_evaluate(self._kind, features, self._template, self._backend, self._cfg)
+        return slm_evaluate(self._kind, features, DEFAULT_TEMPLATES[self._kind], self._backend, self._cfg)

@@ -215,9 +215,6 @@ class EngineConfig:
     def to_dict(self) -> dict[str, Any]:
         return to_json_value(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def fingerprint(self) -> str:
         """Stable hash of the serialized config, for trace provenance.
 
@@ -234,10 +231,6 @@ class EngineConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
         """Build a config from a (possibly partial) plain dict; defaults fill gaps."""
         return from_json_value(cls, data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EngineConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def to_json_value(value: Any) -> Any:
@@ -383,4 +376,4 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
 def load_config(path: str | Path) -> EngineConfig:
     """Load, merge over defaults, and validate a JSON config file."""
     text = Path(path).read_text(encoding="utf-8")
-    return validate_config(EngineConfig.from_json(text))
+    return validate_config(EngineConfig.from_dict(json.loads(text)))

@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -41,15 +42,6 @@ _AGENT_POOL_WORKERS = 64
 _AGENT_POOL = ThreadPoolExecutor(max_workers=_AGENT_POOL_WORKERS, thread_name_prefix="marble-agent")
 
 Coordinator = Callable[[Sequence[AgentOutput], EngineConfig], CoordinationResult]
-
-
-class AllAgentsFailedError(RuntimeError):
-    """Every configured agent failed for one record; carries the trace."""
-
-    def __init__(self, record_id: str, trace: "TraceRecord"):
-        super().__init__(f"all agents failed for record {record_id!r}")
-        self.record_id = record_id
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -106,8 +98,8 @@ def run_instance(
 ) -> tuple[FinalDecision, TraceRecord]:
     """Run the full pipeline on one record.
 
-    Raises AllAgentsFailedError (with the trace attached) when no agent
-    produces a usable output.
+    When no agent produces a usable output, the decision is ``abstain()`` and
+    the trace's ``coordination`` is None, as ``fuse`` returns them.
     """
     if not agents:
         raise ValueError("at least one agent must be configured")
@@ -163,7 +155,7 @@ def run_instance(
     )
     timings["stage3_ms"] = _ms(start) - stage3_start
     timings["total_ms"] = _ms(start)
-    trace = TraceRecord(
+    return decision, TraceRecord(
         record_id=record.id,
         projections=projections,
         agent_outputs=tuple(outputs),
@@ -173,9 +165,6 @@ def run_instance(
         config_fingerprint=cfg.fingerprint(),
         notes=tuple(notes),
     )
-    if coordination is None:
-        raise AllAgentsFailedError(record.id, trace)
-    return decision, trace
 
 
 def _require_a_coordinator(cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None) -> None:
@@ -230,13 +219,7 @@ def _iter_instances(
 ) -> Iterator[tuple[FinalDecision, TraceRecord]]:
     """Yield each record's result in input order as soon as it and every
     earlier record are done; ``options`` go to ``run_instance``."""
-
-    def one(record: AccidentRecord) -> tuple[FinalDecision, TraceRecord]:
-        try:
-            return run_instance(record, agents, cfg, **options)
-        except AllAgentsFailedError as err:
-            return err.trace.decision, err.trace
-
+    one = partial(run_instance, agents=agents, cfg=cfg, **options)
     if max_workers <= 1:
         yield from map(one, records)
         return
@@ -254,8 +237,8 @@ def run_instances(
     coordinator: Coordinator | None = None,
     max_workers: int = 1,
 ) -> list[tuple[FinalDecision, TraceRecord]]:
-    """Run every record, preserving input order; all-failed records become
-    abstentions rather than errors."""
+    """Run every record, preserving input order; each pair is the one
+    ``run_instance`` returns for its record."""
     options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
     return list(_iter_instances(records, agents, cfg, max_workers, **options))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import re
 from typing import Optional, get_type_hints
@@ -241,7 +242,7 @@ class TestConfigValidation:
 class TestConfigSerialization:
     def test_round_trip_identity(self):
         cfg = EngineConfig()
-        assert EngineConfig.from_json(cfg.to_json()) == cfg
+        assert EngineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_round_trip_of_customized_config(self):
         cfg = dataclasses.replace(
@@ -250,7 +251,7 @@ class TestConfigSerialization:
             boost_rare=0.2,
             coordination_mode=CoordinationMode.LLM_BASED,
         )
-        assert EngineConfig.from_json(cfg.to_json()) == cfg
+        assert EngineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_partial_dict_fills_defaults(self):
         cfg = EngineConfig.from_dict({"tau_coord_rare": 0.3})

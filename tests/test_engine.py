@@ -15,7 +15,6 @@ from marble.coordination import CoordinationResult, coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, from_json_value, validate_config
 from marble.decision import DecisionSource, FinalDecision
 from marble.engine import (
-    AllAgentsFailedError,
     TraceRecord,
     fuse,
     run_batch,
@@ -87,14 +86,16 @@ class TestRunInstance:
         assert len(live) == 4
         assert int(decision.prediction) == 2
 
-    def test_all_agents_failing_raises_with_trace(self, cfg):
+    def test_all_agents_failing_abstains_with_trace(self, cfg):
         agents = [ScriptedAgent(kind, lambda features: None) for kind in SLM_KINDS]
-        with pytest.raises(AllAgentsFailedError) as err:
-            run_instance(record("doomed"), agents, cfg)
-        trace = err.value.trace
+        decision, trace = run_instance(record("doomed"), agents, cfg)
         assert trace.record_id == "doomed"
-        assert trace.decision.abstained
         assert all(o.failed for o in trace.agent_outputs)
+        assert decision.abstained and decision == trace.decision and trace.coordination is None
+        [(batch_decision, batch_trace)] = run_instances([record("doomed")], agents, cfg)
+        assert batch_decision == decision
+        assert strip_timings(batch_trace.to_dict()) == strip_timings(trace.to_dict())
+        assert fuse(trace.agent_outputs, cfg) == (None, decision)
 
     def test_rogue_agent_is_abandoned_at_the_barrier(self, cfg):
         fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)

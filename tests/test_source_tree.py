@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,16 @@ def test_every_private_module_name_is_read_in_its_module(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(private_module_names(tree) - read) == []
+
+
+@pytest.mark.parametrize("module_name", ["marble", "marble.agents"])
+def test_every_exported_name_resolves_once(module_name):
+    module = importlib.import_module(module_name)
+    assert sorted(n for n in module.__all__ if not hasattr(module, n)) == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_star_import_runs():
+    namespace: dict = {}
+    exec("from marble import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(importlib.import_module("marble").__all__)
