@@ -40,7 +40,6 @@ class ScriptedAgent:
         *,
         prediction: int | None = None,
         confidence: float = 0.5,
-        reasoning: str = "",
     ):
         if responder is None and prediction is None:
             raise ValueError("scripted agent needs a responder or a fixed prediction")
@@ -48,7 +47,6 @@ class ScriptedAgent:
         self._responder = responder
         self._prediction = prediction
         self._confidence = confidence
-        self._reasoning = "" if kind is AgentId.ML else reasoning
 
     def identity(self) -> AgentId:
         return self._kind
@@ -69,7 +67,6 @@ class ScriptedAgent:
             agent=self._kind,
             prediction=Severity(pred),
             confidence=conf,
-            reasoning=self._reasoning,
             raw_confidence=conf,
             latency_ms=latency,
         )

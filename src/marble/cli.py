@@ -109,13 +109,11 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 def _cmd_predict(args) -> int:
     cfg, agents, options, records = _setup(args)
     decisions = run_batch(records, agents, cfg, args.trace, **options)
-    out = sys.stdout
-    out.write("id,prediction,confidence,source,rule\n")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["id", "prediction", "confidence", "source", "rule"])
     for record, decision in zip(records, decisions):
         pred = "" if decision.prediction is None else int(decision.prediction)
-        out.write(
-            f"{record.id},{pred},{decision.confidence},{decision.source.value},{decision.rule_fired}\n"
-        )
+        out.writerow([record.id, pred, decision.confidence, decision.source.value, decision.rule_fired])
     return 0
 
 

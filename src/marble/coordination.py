@@ -2,15 +2,15 @@
 
 Two mechanisms: deterministic rule-based voting (the default) built on
 weighted scores, an ML override, tie-breaking, and an agreement boost; and
-an LLM-based meta-reasoner that falls back to the rule-based path whenever
-its backend fails or emits something unparseable.
+an LLM-based meta-reasoner that reports its verdict or the kind of its
+failure, on which the engine falls back to the rule-based result.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .agents.backends import SlmBackend
@@ -47,7 +47,7 @@ class CoordinationResult:
     override_applied: bool = False
     boost_applied: float = 0.0
     reasoning: str = ""
-    fallback: str | None = None  # failure class when LLM coordination fell back
+    fallback: str | None = None  # failure kind of the coordinator this result stands in for
     breakdown: VoteBreakdown | None = None
 
     def to_dict(self) -> dict:
@@ -245,16 +245,13 @@ def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str
 
 def coordinate_llm(
     outputs: Sequence[AgentOutput], backend: SlmBackend, cfg: EngineConfig
-) -> CoordinationResult:
-    """LLM-based coordination with a guaranteed rule-based fallback.
-
-    Any parse, transport, or timeout failure produces the rule-based result
-    with the failure class recorded in ``fallback``.
-    """
-    live = _live(outputs)
-    parsed = ask(backend, format_meta_prompt(live, cfg), cfg)
+) -> CoordinationResult | str:
+    """LLM-based coordination: the model's verdict, or the kind of its
+    failure ("timeout", "parse" or "transport"), on which ``engine.fuse``
+    falls back to the rule-based result."""
+    parsed = ask(backend, format_meta_prompt(_live(outputs), cfg), cfg)
     if isinstance(parsed, str):
-        return replace(coordinate_rb(live, cfg), fallback=parsed)
+        return parsed
     return CoordinationResult(
         prediction=parsed.severity,
         confidence=parsed.confidence,

@@ -6,7 +6,7 @@ coordinates the surviving outputs and runs the final decision cascade. Agents
 are stateless; no information flows between them. Every instance leaves a
 full trace record.
 
-Agents, and the LLM coordinator call, run on one thread pool shared by every
+Agents, and the coordinator call, run on one thread pool shared by every
 record, so no record pays for starting threads. Each record has one deadline
 for its agents, the barrier; backends bound their own calls (``SlmBackend``).
 """
@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .agents.base import Agent
 from .agents.backends import SlmBackend
-from .coordination import CoordinationResult, check_ml_override, coordinate_llm, coordinate_rb
+from .coordination import CoordinationResult, coordinate_llm, coordinate_rb
 from .core import AGENT_ORDER, AgentId, AgentOutput, CoordinationMode, EngineConfig
 from .decision import FinalDecision, abstain, final_decide
 from .features import AccidentRecord, FeatureRegistry, FeatureValue, project
@@ -41,7 +41,9 @@ _BARRIER_GRACE_MS = 500
 _AGENT_POOL_WORKERS = 64
 _AGENT_POOL = ThreadPoolExecutor(max_workers=_AGENT_POOL_WORKERS, thread_name_prefix="marble-agent")
 
-Coordinator = Callable[[Sequence[AgentOutput], EngineConfig], CoordinationResult]
+# A coordinator answers with its verdict or with the kind of its failure
+# (``ask``'s kinds); ``fuse`` owns the fallback to the rule-based result.
+Coordinator = Callable[[Sequence[AgentOutput], EngineConfig], CoordinationResult | str]
 
 
 @dataclass(frozen=True)
@@ -182,32 +184,32 @@ def fuse(
 ) -> tuple[CoordinationResult | None, FinalDecision]:
     """Stage 3: coordinate the live outputs, in agent order whatever the order
     of ``outputs``, then run the cascade; ``(None, abstain())`` when none is
-    live. A ``coordinator`` is always called; else the rule-based result comes
-    first, and when it applies the ML override (rule 1) it stands and no LLM
-    call is made. An LLM call runs on the agent pool under its own deadline,
-    past which the rule-based result stands with ``fallback="timeout"`` and a
-    note goes to ``notes``. Re-fusing a trace's ``agent_outputs`` under the
-    same config and coordinator reproduces its coordination and decision."""
+    live. The rule-based result comes first; when it applies the ML override
+    (rule 1) it stands. Else the coordinator, ``coordinator`` or in LLM mode
+    the backend's ``coordinate_llm``, runs on the agent pool under its own
+    deadline. Its failure kind, or ``"timeout"`` past the deadline (with a
+    note in ``notes``), leaves the rule-based result with that ``fallback``.
+    Re-fusing a trace's ``agent_outputs`` under the same config and
+    coordinator reproduces its coordination and decision."""
     _require_a_coordinator(cfg, coordination_backend, coordinator)
     live = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     if not live:
         return None, abstain()
-    if coordinator is not None:
-        coordination, override = coordinator(live, cfg), check_ml_override(live, cfg)
-    else:
-        coordination = coordinate_rb(live, cfg)
-        override = coordination.override_applied
-        if cfg.coordination_mode is CoordinationMode.LLM_BASED and not override:
-            future = _AGENT_POOL.submit(coordinate_llm, live, coordination_backend, cfg)
-            try:
-                coordination = future.result(timeout=(cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0)
-            except FutureTimeoutError:
-                future.cancel()
-                coordination = replace(coordination, fallback="timeout")
-                if notes is not None:
-                    notes.append("coordinator abandoned past its deadline")
+    coordination = rule_based = coordinate_rb(live, cfg)
+    if coordinator is None and cfg.coordination_mode is CoordinationMode.LLM_BASED:
+        coordinator = lambda live, cfg: coordinate_llm(live, coordination_backend, cfg)  # noqa: E731
+    if coordinator is not None and not rule_based.override_applied:
+        future = _AGENT_POOL.submit(coordinator, live, cfg)
+        try:
+            answer = future.result(timeout=(cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0)
+        except FutureTimeoutError:
+            future.cancel()
+            answer = "timeout"
+            if notes is not None:
+                notes.append("coordinator abandoned past its deadline")
+        coordination = answer if isinstance(answer, CoordinationResult) else replace(rule_based, fallback=answer)
     ml_output = next((o for o in live if o.agent is AgentId.ML), None)
-    return coordination, final_decide(ml_output, coordination, override, cfg)
+    return coordination, final_decide(ml_output, coordination, rule_based.override_applied, cfg)
 
 
 def _iter_instances(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -61,6 +63,24 @@ def test_predict_writes_stdout_and_trace(tmp_path, scripted_file, train_file, in
     assert lines[0] == "id,prediction,confidence,source,rule"
     assert len(lines) == 4
     assert len(trace.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_predict_quotes_ids_with_commas_and_quotes(tmp_path, scripted_file, train_file, capsys):
+    path = tmp_path / "odd.csv"
+    path.write_text(
+        'id,Weather Conditions,Day of Week,Road Type,Point of Impact,severity\n'
+        '"a,b",Rain,Monday,Motorway,Front,2\n'
+        '"q""x",Rain,Monday,Motorway,Front,3\n'
+        "plain,Rain,Monday,Motorway,Front,3\n",
+        encoding="utf-8",
+    )
+    args = ["predict", "--input", str(path), "--train", str(train_file), "--scripted", str(scripted_file)]
+    assert main(args + ["--trace", str(tmp_path / "t.jsonl")]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["id", "a,b", 'q"x', "plain"]
+    assert {len(row) for row in rows} == {5}
+    assert out.splitlines()[3].startswith("plain,")
 
 
 def test_predict_names_every_skipped_row_on_stderr(tmp_path, scripted_file, train_file, capsys):

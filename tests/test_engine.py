@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import marble.coordination
+import marble.engine
 import synth
 from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent, TransportError
 from marble.coordination import CoordinationResult, coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, from_json_value, validate_config
-from marble.decision import DecisionSource, FinalDecision
+from marble.decision import DecisionSource, FinalDecision, final_decide
 from marble.engine import (
     TraceRecord,
     fuse,
@@ -341,7 +343,7 @@ class TestFuse:
         if mode is CoordinationMode.LLM_BASED:
             assert {t.coordination.fallback for t in traces if t.coordination} == {None, "parse"}
 
-    def test_a_custom_coordinator_is_called_when_rule_1_decides(self, cfg):
+    def test_a_custom_coordinator_is_skipped_when_rule_1_decides(self, cfg):
         seen = []
 
         def coordinator(outputs, cfg):
@@ -350,9 +352,52 @@ class TestFuse:
 
         for mode in CoordinationMode:
             mode_cfg = dataclasses.replace(cfg, coordination_mode=mode)
-            decision, _ = run_instance(record(), unanimous_agents(mode_cfg, 0.9), mode_cfg, coordinator=coordinator)
+            decision, trace = run_instance(record(), unanimous_agents(mode_cfg, 0.9), mode_cfg, coordinator=coordinator)
             assert decision.rule_fired == 1
+            assert trace.coordination == coordinate_rb(trace.agent_outputs, mode_cfg)
+        assert seen == []
+        for mode in CoordinationMode:
+            mode_cfg = dataclasses.replace(cfg, coordination_mode=mode)
+            run_instance(record(), unanimous_agents(mode_cfg, 0.6), mode_cfg, coordinator=coordinator)
         assert seen == list(CoordinationMode)
+
+    def test_a_custom_coordinator_past_its_deadline_falls_back(self, cfg):
+        fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
+
+        def hung(outputs, cfg):
+            time.sleep(1.5)
+            return coordinate_rb(outputs, cfg)
+
+        start = time.perf_counter()
+        decision, trace = run_instance(record(), unanimous_agents(fast_cfg, 0.6), fast_cfg, coordinator=hung)
+        assert time.perf_counter() - start < 1.2
+        assert trace.coordination == dataclasses.replace(coordinate_rb(trace.agent_outputs, fast_cfg), fallback="timeout")
+        assert "coordinator abandoned past its deadline" in trace.notes
+        assert int(decision.prediction) == 3
+
+    @pytest.mark.parametrize("kind", ["timeout", "parse", "transport"])
+    def test_a_coordinator_failure_kind_gives_the_rule_based_result(self, cfg, kind):
+        live = [AgentOutput(AgentId.ML, Severity(2), 0.6), AgentOutput(AgentId.SPATIAL, Severity(4), 0.7)]
+        coordination, decision = fuse(live, cfg, coordinator=lambda outputs, cfg: kind)
+        assert coordination == dataclasses.replace(coordinate_rb(live, cfg), fallback=kind)
+        assert decision == final_decide(live[0], coordination, False, cfg)
+
+    def test_llm_mode_computes_the_rule_based_result_once_per_live_record(self, cfg, monkeypatch):
+        llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+        calls = []
+
+        def counting(outputs, cfg):
+            calls.append(1)
+            return coordinate_rb(outputs, cfg)
+
+        monkeypatch.setattr(marble.engine, "coordinate_rb", counting)
+        monkeypatch.setattr(marble.coordination, "coordinate_rb", counting)
+        records = [weather_record(f"m{i}", f"t{i % 12}") for i in range(24)]
+        records.insert(5, weather_record("bad", "poison"))
+        results = run_instances(records, mixed_agents(llm_cfg), llm_cfg, coordination_backend=synth.fallible_coordinator())
+        coordinated = [trace.coordination for _, trace in results if trace.coordination is not None]
+        assert "parse" in {c.fallback for c in coordinated}
+        assert len(calls) == len(coordinated)
 
     @pytest.mark.parametrize("ml_confidence", [None, 0.5, 0.9])
     def test_llm_mode_without_a_backend_is_named_whatever_the_outputs(self, cfg, ml_confidence):

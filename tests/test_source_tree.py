@@ -42,3 +42,19 @@ def test_star_import_runs():
     namespace: dict = {}
     exec("from marble import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(importlib.import_module("marble").__all__)
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_the_benchmark_imports_from_marble_resolves(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "marble"
+        for alias in node.names
+    ]
+    missing = [f"{module}.{name}" for module, name in imports if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
