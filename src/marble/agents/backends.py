@@ -34,8 +34,8 @@ class SlmBackend(Protocol):
     ``complete`` must return, or raise ``BackendTimeoutError``, within
     ``timeout_ms``; it raises ``TransportError`` for any other failure to
     obtain a completion. The engine calls it directly and relies on this
-    bound: a call that overruns holds a worker of the shared agent pool
-    until it returns, and the engine abandons its result at the barrier.
+    bound: a call that overruns its deadline holds one thread of the agent
+    pool until it returns, and the engine abandons its result at the barrier.
     """
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str: ...

@@ -169,15 +169,18 @@ def _cmd_ablate(args) -> int:
 def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
     if not path:
         return default_scenarios()
+    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(entries, list):
+        raise ScenarioError("--scenarios must be a JSON array of scenario objects")
     scenarios = []
-    for entry in json.loads(Path(path).read_text(encoding="utf-8")):
+    for entry in entries:
         name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ScenarioError(f"scenario {name!r}: each scenario must be an object with a string \"name\"")
         try:
             distribution = {Severity(int(k)): float(p) for k, p in entry["distribution"].items()}
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario {name!r}: \"distribution\" must map classes 1-4 to proportions") from exc
-        if "name" not in entry:
-            raise ScenarioError("scenario None: \"name\" is required")
         scenarios.append(ImbalanceScenario(name, distribution))
     return scenarios
 

@@ -14,6 +14,7 @@ for its agents, the barrier; backends bound their own calls (``SlmBackend``).
 from __future__ import annotations
 
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -33,13 +34,10 @@ from .features import AccidentRecord, FeatureRegistry, FeatureValue, project
 # future; covers agents that fail to enforce their own deadline.
 _BARRIER_GRACE_MS = 500
 
-# The agent pool shared by every record. It starts no thread until the first
-# record, and then one only when none is idle, so the live count follows the
-# actual concurrency: eight records in flight with five agents and a
-# coordinator call each use 48. The rest of the bound is headroom for workers
-# held by calls that overran their deadline, and for more records in flight.
-_AGENT_POOL_WORKERS = 64
-_AGENT_POOL = ThreadPoolExecutor(max_workers=_AGENT_POOL_WORKERS, thread_name_prefix="marble-agent")
+# The agent pool shared by every record. It starts a thread only when none is
+# idle, so its threads follow the records in flight. Its bound is out of reach:
+# at a reachable one, agents would queue and spend the wait against the barrier.
+_AGENT_POOL = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="marble-agent")
 
 # A coordinator answers with its verdict or with the kind of its failure
 # (``ask``'s kinds); ``fuse`` owns the fallback to the rule-based result.

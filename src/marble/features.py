@@ -16,7 +16,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Mapping
 
-from .core import AgentId, SLM_AGENT_IDS, Severity, from_json_value
+from .core import AgentId, ConfigError, SLM_AGENT_IDS, Severity, from_json_value
 
 
 class SchemaError(ValueError):
@@ -162,7 +162,7 @@ class FeatureRegistry:
     def __post_init__(self) -> None:
         for agent in self.domains:
             if not agent.is_slm:
-                raise ValueError("only SLM domains take feature assignments")
+                raise ConfigError(f"registry.{agent.name}: only SLM domains take feature assignments")
         canonical = {a: tuple((n, canonical_name(n)) for n in names) for a, names in self.domains.items()}
         object.__setattr__(self, "_canonical", canonical)
 

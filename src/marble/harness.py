@@ -302,6 +302,10 @@ def run_imbalance_suite(
     if coordination_backend is None:
         raise ValueError("the imbalance suite compares both modes; a coordination backend is required")
     scenarios = list(scenarios) if scenarios is not None else default_scenarios()
+    names = [s.name for s in scenarios]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ScenarioError(f"scenario {name!r} is named more than once; each name keys one report")
     rb_cfg = replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
     llm_cfg = replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
     drawn = [sample_imbalance(records, scenario, seed, size=size) for scenario in scenarios]

@@ -215,6 +215,7 @@ def test_predict_without_agents_exits(tmp_path, input_file):
         ({"name": "broken", "distribution": {"1": float("nan"), "2": 1.0}}, "'broken'"),
         ("broken", "None"),
         ({"distribution": {"1": 1.0}}, "None"),
+        ({"name": 3, "distribution": {"2": 1.0}}, "3"),
     ],
 )
 def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, named):
@@ -223,6 +224,16 @@ def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_fi
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
     args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
     with pytest.raises(ScenarioError, match=f"scenario {named}"):
+        main(args)
+
+
+@pytest.mark.parametrize("document", [5, None, {"name": "a", "distribution": {"1": 1.0}}])
+def test_scenarios_must_be_a_json_array(tmp_path, scripted_file, train_file, input_file, document):
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps(document), encoding="utf-8")
+    args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
+    args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(ScenarioError, match="^--scenarios must be a JSON array of scenario objects$"):
         main(args)
 
 

@@ -131,6 +131,28 @@ class TestRunInstance:
         assert time.perf_counter() - start < 0.3  # the rogue agent is still asleep
         assert int(decision.prediction) == 3
 
+    def test_agents_of_many_records_in_flight_never_queue_past_the_barrier(self, cfg):
+        # 64 records at once, each with four 300 ms model calls: a pool capped
+        # at 64 workers queues them, and the queued ones miss their barrier.
+        # The first pass warms the pool, so a loaded machine's thread start-up
+        # does not count against the second.
+        slow_cfg = dataclasses.replace(cfg, agent_timeout_ms=400)
+        agents = [ScriptedAgent(AgentId.ML, prediction=3, confidence=0.7)]
+        agents += [SlmAgent(kind, ScriptedBackend(payload(3, 0.7), delay_ms=300), slow_cfg) for kind in SLM_KINDS]
+        records = [record(f"q{i}") for i in range(128)]
+        run_instances(records, agents, slow_cfg, max_workers=64)
+        results = run_instances(records, agents, slow_cfg, max_workers=64)
+        assert sum(o.failed for _, t in results for o in t.agent_outputs) == 0
+        assert [n for _, t in results for n in t.notes if "abandoned" in n] == []
+
+    def test_calls_that_overran_their_deadline_do_not_starve_the_next_record(self, cfg):
+        fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
+        rogue = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(2.0) or (1, 0.9))
+        agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), rogue]
+        run_instances([record(f"r{i}") for i in range(70)], agents, fast_cfg, max_workers=70)
+        _, trace = run_instance(record("next"), unanimous_agents(fast_cfg, 0.7), fast_cfg)
+        assert [o.agent for o in trace.agent_outputs if o.failed] == []
+
     def test_coordinator_backend_ignoring_its_timeout_falls_back(self, cfg):
         llm_cfg = dataclasses.replace(
             cfg, agent_timeout_ms=100, coordination_mode=CoordinationMode.LLM_BASED

@@ -108,6 +108,7 @@ class TestLoadRegistry:
             ({"spatial": [1, 2]}, r"registry.SPATIAL\[0\] must be a string"),
             ([1], "registry must be a JSON object"),
             ({"weather": ["Rain"]}, "unknown agent id: weather"),
+            ({"ml": ["Humidity"]}, "registry.ML: only SLM domains take feature assignments"),
         ],
     )
     def test_malformed_registry_rejected(self, tmp_path, data, message):

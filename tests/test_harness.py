@@ -336,3 +336,12 @@ class TestImbalanceSuite:
         records, agents, _ = self.setup_suite(cfg)
         with pytest.raises(ValueError, match="backend"):
             run_imbalance_suite(records, agents, cfg, seed=1, size=40)
+
+    def test_a_repeated_scenario_name_is_rejected_before_any_agent_runs(self, cfg):
+        records, agents, backend = self.setup_suite(cfg)
+        agents = [CountingAgent(a) for a in agents]
+        uniform, skewed = default_scenarios()[:2]
+        scenarios = [uniform, dataclasses.replace(skewed, name="uniform")]
+        with pytest.raises(ScenarioError, match="scenario 'uniform' is named more than once"):
+            run_imbalance_suite(records, agents, cfg, scenarios, seed=1, coordination_backend=backend, size=20)
+        assert [a.calls for a in agents] == [0] * 5 and backend.calls == 0

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from marble.core import EngineConfig, validate_config
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "marble"
 
@@ -58,3 +62,19 @@ def test_every_name_the_benchmark_imports_from_marble_resolves(path):
     ]
     missing = [f"{module}.{name}" for module, name in imports if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def json_shape(value):
+    """The keys of nested JSON objects, with every leaf value left out."""
+    return {k: json_shape(v) for k, v in value.items()} if isinstance(value, dict) else None
+
+
+def test_readme_config_example_names_every_field_at_its_default():
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    document = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = validate_config(EngineConfig.from_dict(document))
+    default = EngineConfig()
+    assert json_shape(document) == json_shape(default.to_dict())
+    endpoint = replace(cfg.endpoint, url=default.endpoint.url, model=default.endpoint.model)
+    assert replace(cfg, endpoint=endpoint) == default
