@@ -7,17 +7,16 @@ are stateless; no information flows between them. Every instance leaves a
 full trace record.
 
 Agents, and the coordinator call, run on one thread pool shared by every
-record, so no record pays for starting threads. Each record has one deadline
-for its agents, the barrier; backends bound their own calls (``SlmBackend``).
+record, which starts no thread once warm. Each record has one deadline for
+its agents, the barrier; backends bound their own calls (``SlmBackend``).
 """
 
 from __future__ import annotations
 
 import json
-import sys
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -31,13 +30,51 @@ from .decision import FinalDecision, abstain, final_decide
 from .features import AccidentRecord, FeatureRegistry, FeatureValue, project
 
 # Extra slack granted past the agent timeout before the engine abandons a
-# future; covers agents that fail to enforce their own deadline.
+# call; covers agents that fail to enforce their own deadline.
 _BARRIER_GRACE_MS = 500
 
-# The agent pool shared by every record. It starts a thread only when none is
-# idle, so its threads follow the records in flight. Its bound is out of reach:
-# at a reachable one, agents would queue and spend the wait against the barrier.
-_AGENT_POOL = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="marble-agent")
+_ABANDONED = object()  # what ``_gather`` returns for a call past its deadline
+_TASKS = queue.SimpleQueue()  # calls for the agent threads
+_IDLE = queue.SimpleQueue()  # one token per idle agent thread
+
+
+def _gather(calls: Sequence[Callable[[], object]], deadline: float) -> list:
+    """Run ``calls`` at once on the agent threads; return their results in call
+    order, ``_ABANDONED`` for any still running at ``deadline``
+    (``perf_counter``), or re-raise the first exception in call order. A thread
+    starts only if none is idle, so no call waits in line, and counts itself
+    idle before it hands back its result, so a warm pool starts none."""
+    replies = queue.SimpleQueue()
+    for index, call in enumerate(calls):
+        try:
+            _IDLE.get_nowait()
+        except queue.Empty:
+            threading.Thread(target=_work, name="marble-agent", daemon=True).start()
+        _TASKS.put((index, call, replies))
+    results, errors = [_ABANDONED] * len(calls), [None] * len(calls)
+    for _ in calls:
+        try:
+            index, result, error = replies.get(timeout=max(0.0, deadline - time.perf_counter()))
+        except queue.Empty:
+            break
+        results[index], errors[index] = result, error
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+def _work() -> None:
+    while True:
+        index, call, replies = _TASKS.get()
+        try:
+            reply = (index, call(), None)
+        except BaseException as error:
+            reply = (index, None, error)
+        _IDLE.put(None)
+        replies.put(reply)
+        del call, replies, reply  # an idle thread keeps no record alive
+
 
 # A coordinator answers with its verdict or with the kind of its failure
 # (``ask``'s kinds); ``fuse`` owns the fallback to the rule-based result.
@@ -124,20 +161,12 @@ def run_instance(
         completed_at[identity] = _ms(start)
         return output
 
-    outputs: list[AgentOutput] = []
-    futures = [
-        (identity, _AGENT_POOL.submit(run_agent, agent, identity))
-        for agent, identity in zip(agents, identities)
-    ]
     deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
-    for identity, future in futures:
-        remaining = max(0.0, deadline - time.perf_counter())
-        try:
-            outputs.append(future.result(timeout=remaining))
-        except FutureTimeoutError:
-            future.cancel()
+    outputs = _gather([partial(run_agent, a, i) for a, i in zip(agents, identities)], deadline)
+    for n, identity in enumerate(identities):
+        if outputs[n] is _ABANDONED:
             completed_at[identity] = _ms(start)
-            outputs.append(AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS))
+            outputs[n] = AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS)
             notes.append(f"agent {identity.value} abandoned past the barrier deadline")
     outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
     stage2_done = _ms(start)
@@ -197,11 +226,9 @@ def fuse(
     if coordinator is None and cfg.coordination_mode is CoordinationMode.LLM_BASED:
         coordinator = lambda live, cfg: coordinate_llm(live, coordination_backend, cfg)  # noqa: E731
     if coordinator is not None and not rule_based.override_applied:
-        future = _AGENT_POOL.submit(coordinator, live, cfg)
-        try:
-            answer = future.result(timeout=(cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0)
-        except FutureTimeoutError:
-            future.cancel()
+        deadline = time.perf_counter() + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
+        [answer] = _gather([partial(coordinator, live, cfg)], deadline)
+        if answer is _ABANDONED:
             answer = "timeout"
             if notes is not None:
                 notes.append("coordinator abandoned past its deadline")
@@ -223,6 +250,9 @@ def _iter_instances(
     if max_workers <= 1:
         yield from map(one, records)
         return
+    # Imported here, off the per-record path; a pool per call, since records run
+    # on the agent pool kept their deep-stack threads alive and raised peak RSS.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         yield from pool.map(one, records)
 

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -172,10 +176,15 @@ class TestRunInstance:
         assert int(decision.prediction) == 3
         assert "coordinator abandoned past its deadline" in trace.notes
 
-    def test_no_thread_starts_after_warm_up(self, cfg, monkeypatch):
+    @pytest.mark.parametrize("mode", list(CoordinationMode))
+    def test_no_thread_starts_after_warm_up(self, cfg, monkeypatch, mode):
+        # At ML confidence 0.7, below tau_ml_high, LLM mode asks its
+        # coordinator on the agent threads too.
+        cfg = dataclasses.replace(cfg, coordination_mode=mode)
+        backend = ScriptedBackend(payload(3, 0.7))
         records = [record(f"t{i}") for i in range(20)]
         agents = unanimous_agents(cfg, 0.7)
-        run_instances(records, agents, cfg)
+        run_instances(records, agents, cfg, coordination_backend=backend)
         started = []
         original = threading.Thread.start
 
@@ -184,9 +193,58 @@ class TestRunInstance:
             return original(thread, *args, **kwargs)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        results = run_instances(records, agents, cfg)
+        results = run_instances(records, agents, cfg, coordination_backend=backend)
         assert len(results) == 20
+        assert {trace.coordination.method for _, trace in results} == {mode}
         assert started == []
+
+    def test_concurrent_records_start_no_more_agent_threads_than_calls_in_flight(self, cfg, monkeypatch):
+        # 8 records at once with 5 agents each keep at most 40 calls in flight,
+        # so a lost or doubled idle count shows as a 41st start or a lost call.
+        records = [record(f"c{i}") for i in range(200)]
+        agents = unanimous_agents(cfg, 0.7)
+        [(expected, _)] = run_instances(records[:1], agents, cfg)
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread, *args, **kwargs):
+            started.append(thread.name)
+            return original(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = run_instances(records, agents, cfg, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert started.count("marble-agent") <= 40
+        assert [d for d, _ in results] == [expected] * 200
+        assert all([o.agent for o in t.agent_outputs if not o.failed] == list(AgentId) for _, t in results)
+
+    def test_the_first_agent_to_raise_in_agent_order_raises_from_run_instance(self, cfg):
+        first, second = RuntimeError("first"), RuntimeError("second")
+
+        def raising(error: Exception, delay_s: float):
+            def responder(features):
+                time.sleep(delay_s)
+                raise error
+
+            return responder
+
+        ml = ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6)
+        with pytest.raises(RuntimeError) as caught:
+            run_instance(record(), [ml, ScriptedAgent(AgentId.SPATIAL, raising(first, 0.0))], cfg)
+        assert caught.value is first
+        # The later agent raises first; the earlier one's exception still wins.
+        agents = [
+            ml,
+            ScriptedAgent(AgentId.ENVIRONMENTAL, raising(first, 0.05)),
+            ScriptedAgent(AgentId.TEMPORAL, raising(second, 0.0)),
+        ]
+        with pytest.raises(RuntimeError) as caught:
+            run_instance(record(), agents, cfg)
+        assert caught.value is first
 
     def test_stage3_starts_after_every_surviving_agent(self, cfg):
         _, trace = run_instance(record(), unanimous_agents(cfg, 0.7), cfg)
@@ -347,6 +405,41 @@ def mixed_agents(cfg: EngineConfig) -> list:
             script[f": {token}\n"] = "cannot comply" if answer is None else payload(*answer)
         agents.append(SlmAgent(kind, ScriptedBackend(script), cfg))
     return agents
+
+
+class TestAgentThreads:
+    """The agent threads in a fresh interpreter, seen from outside it."""
+
+    @staticmethod
+    def run_python(code: str) -> subprocess.CompletedProcess:
+        src = str(Path(marble.engine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+    def test_importing_marble_loads_no_executor_and_no_logging(self):
+        probe = "import sys, marble; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        assert self.run_python(probe).stdout.strip() == "[]"
+
+    def test_an_abandoned_agent_does_not_hold_the_process_open(self):
+        script = textwrap.dedent(
+            """
+            import time
+            from marble.agents import ScriptedAgent
+            from marble.core import AgentId, EngineConfig, validate_config
+            from marble.engine import run_instance
+            from marble.features import AccidentRecord
+
+            cfg = validate_config(EngineConfig(agent_timeout_ms=100))
+            sleeper = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(3.0) or (1, 0.9))
+            agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), sleeper]
+            _, trace = run_instance(AccidentRecord(id="r", features={}), agents, cfg)
+            print(trace.notes)
+            """
+        )
+        start = time.perf_counter()
+        result = self.run_python(script)
+        assert time.perf_counter() - start < 2.0
+        assert "agent spatial abandoned past the barrier deadline" in result.stdout
 
 
 class TestFuse:
