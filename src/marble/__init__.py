@@ -24,7 +24,7 @@ from .coordination import (
     coordinate_rb,
 )
 from .decision import DecisionSource, FinalDecision, abstain, final_decide
-from .engine import TraceRecord, fuse, run_batch, run_instance, run_instances
+from .engine import AgentContractError, TraceRecord, fuse, run_batch, run_instance, run_instances
 from .features import (
     AccidentRecord,
     FeatureRegistry,
@@ -48,6 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccidentRecord",
+    "AgentContractError",
     "AgentId",
     "AgentOutput",
     "ConfigError",

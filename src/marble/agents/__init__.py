@@ -1,4 +1,4 @@
-"""Agent implementations: the statistical model, SLM pipelines, backends, and mocks."""
+"""Agent implementations: the statistical model, SLM pipelines and their backends."""
 
 from .backends import (
     BackendTimeoutError,
@@ -7,7 +7,7 @@ from .backends import (
     SlmBackend,
     TransportError,
 )
-from .base import Agent, ScriptedAgent
+from .base import Agent
 from .ml import MlAgent, MlModel, TrainError, ml_evaluate, ml_train
 from .slm import (
     DEFAULT_TEMPLATES,
@@ -29,7 +29,6 @@ __all__ = [
     "ParseError",
     "PromptTemplate",
     "RemoteHttpBackend",
-    "ScriptedAgent",
     "ScriptedBackend",
     "SlmAgent",
     "SlmBackend",

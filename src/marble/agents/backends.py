@@ -6,7 +6,7 @@ import io
 import json
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from ..core import DecodingParams, EndpointParams
@@ -27,7 +27,6 @@ class BackendTimeoutError(TimeoutError):
     """The backend did not produce a completion within the deadline."""
 
 
-@runtime_checkable
 class SlmBackend(Protocol):
     """A text-completion backend.
 

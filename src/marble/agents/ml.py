@@ -81,21 +81,6 @@ class MlModel:
         norm = sum(raw.values())
         return {k: v / norm for k, v in raw.items()}
 
-    def feature_importance(self) -> dict[str, float]:
-        """Spread of smoothed class-conditional token probabilities, marginal-weighted."""
-        counts = self.class_counts
-        total = sum(counts.values())
-        out: dict[str, float] = {}
-        for name in self.feature_names:
-            table, vocab = self.tables[name], self.vocab_sizes[name]
-            score = 0.0
-            for token in sorted({t for k in counts for t in table[k]}):  # one sum order in every process
-                marginal = sum(table[k].get(token, 0) for k in counts) / total
-                cond = [(table[k].get(token, 0) + 1) / (counts[k] + vocab) for k in counts]
-                score += marginal * (max(cond) - min(cond))
-            out[name] = score
-        return out
-
 
 def _token(value: FeatureValue | None, cuts: tuple[float, ...] | None, mean: float | None) -> str:
     """The model token of one cell; ``cuts`` is None for a categorical feature."""

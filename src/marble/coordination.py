@@ -134,7 +134,7 @@ def agreement_boost(prediction: Severity, breakdown: VoteBreakdown, cfg: EngineC
     SLM agents.
     """
     agreeing = len(breakdown.slm_supporters[prediction])
-    total = cfg.slm_agent_count()
+    total = sum(1 for a in cfg.agent_weights if a.is_slm)
     if total == 0:
         return 0.0
     ratio = agreeing / total

@@ -208,10 +208,6 @@ class EngineConfig:
     coordination_mode: CoordinationMode = CoordinationMode.RULE_BASED
     tie_epsilon: NonNegative = 1e-9
 
-    def slm_agent_count(self) -> int:
-        """Number of configured SLM agents (the agreement-ratio denominator)."""
-        return sum(1 for a in self.agent_weights if a is not AgentId.ML)
-
     def to_dict(self) -> dict[str, Any]:
         return to_json_value(self)
 

@@ -76,6 +76,10 @@ def _work() -> None:
         del call, replies, reply  # an idle thread keeps no record alive
 
 
+class AgentContractError(ValueError):
+    """An agent returned something other than one ``AgentOutput`` of its own."""
+
+
 # A coordinator answers with its verdict or with the kind of its failure
 # (``ask``'s kinds); ``fuse`` owns the fallback to the rule-based result.
 Coordinator = Callable[[Sequence[AgentOutput], EngineConfig], CoordinationResult | str]
@@ -168,6 +172,8 @@ def run_instance(
             completed_at[identity] = _ms(start)
             outputs[n] = AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS)
             notes.append(f"agent {identity.value} abandoned past the barrier deadline")
+        elif not isinstance(outputs[n], AgentOutput) or outputs[n].agent is not identity:
+            raise AgentContractError(f"agent {identity.value} returned {outputs[n]!r}, not an AgentOutput of its own")
     outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
     stage2_done = _ms(start)
 
@@ -217,11 +223,15 @@ def fuse(
     deadline. Its failure kind, or ``"timeout"`` past the deadline (with a
     note in ``notes``), leaves the rule-based result with that ``fallback``.
     Re-fusing a trace's ``agent_outputs`` under the same config and
-    coordinator reproduces its coordination and decision."""
+    coordinator reproduces its coordination and decision. Two live outputs of
+    one agent raise ``AgentContractError``."""
     _require_a_coordinator(cfg, coordination_backend, coordinator)
     live = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     if not live:
         return None, abstain()
+    for a, b in zip(live, live[1:]):
+        if a.agent is b.agent:
+            raise AgentContractError(f"agent {a.agent.value} has more than one live output: {a!r} and {b!r}")
     coordination = rule_based = coordinate_rb(live, cfg)
     if coordinator is None and cfg.coordination_mode is CoordinationMode.LLM_BASED:
         coordinator = lambda live, cfg: coordinate_llm(live, coordination_backend, cfg)  # noqa: E731

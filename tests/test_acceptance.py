@@ -20,7 +20,7 @@ import time
 import pytest
 
 import synth
-from marble.agents import ScriptedAgent, ScriptedBackend, SlmAgent
+from marble.agents import ScriptedBackend, SlmAgent
 from marble.agents.slm import calibrate
 from marble.coordination import CoordinationResult, coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity
@@ -28,6 +28,7 @@ from marble.decision import DecisionSource, final_decide
 from marble.engine import run_instance, run_instances, strip_timings
 from marble.features import AccidentRecord, FeatureValue
 from marble.harness import compute_metrics, default_scenarios, relative_accuracy_drops, run_ablation, run_imbalance_suite
+from synth import ScriptedAgent
 
 RARE = {1, 4}
 AGENT_NAMES = ("ml", "environmental", "infrastructural", "spatial", "temporal")

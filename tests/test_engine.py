@@ -16,11 +16,12 @@ import pytest
 import marble.coordination
 import marble.engine
 import synth
-from marble.agents import BackendTimeoutError, ScriptedAgent, ScriptedBackend, SlmAgent, TransportError
+from marble.agents import BackendTimeoutError, ScriptedBackend, SlmAgent, TransportError
 from marble.coordination import CoordinationResult, coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, from_json_value, validate_config
 from marble.decision import DecisionSource, FinalDecision, final_decide
 from marble.engine import (
+    AgentContractError,
     TraceRecord,
     fuse,
     run_batch,
@@ -29,6 +30,7 @@ from marble.engine import (
     strip_timings,
 )
 from marble.features import AccidentRecord, FeatureValue
+from synth import ScriptedAgent
 
 SLM_KINDS = (AgentId.ENVIRONMENTAL, AgentId.INFRASTRUCTURAL, AgentId.SPATIAL, AgentId.TEMPORAL)
 
@@ -260,6 +262,28 @@ class TestRunInstance:
         with pytest.raises(ValueError, match="distinct"):
             run_instance(record(), agents, cfg)
 
+    def test_an_agent_that_answers_for_another_agent_breaks_its_contract(self, cfg):
+        impostor = ScriptedAgent(AgentId.SPATIAL, lambda features: AgentOutput(AgentId.TEMPORAL, Severity(2), 0.6))
+        agents = [
+            ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6),
+            impostor,
+            ScriptedAgent(AgentId.TEMPORAL, prediction=2, confidence=0.6),
+        ]
+        with pytest.raises(AgentContractError, match=r"agent spatial returned AgentOutput\(agent=<AgentId.TEMPORAL"):
+            run_instance(record(), agents, cfg)
+
+    def test_an_agent_that_returns_no_output_breaks_its_contract(self, cfg):
+        class Silent:
+            def identity(self):
+                return AgentId.SPATIAL
+
+            def evaluate(self, features):
+                return None
+
+        agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), Silent()]
+        with pytest.raises(AgentContractError, match="agent spatial returned None"):
+            run_instance(record(), agents, cfg)
+
     def test_llm_mode_requires_backend(self, cfg):
         llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
         with pytest.raises(ValueError, match="coordination backend"):
@@ -413,7 +437,8 @@ class TestAgentThreads:
     @staticmethod
     def run_python(code: str) -> subprocess.CompletedProcess:
         src = str(Path(marble.engine.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        tests = str(Path(__file__).resolve().parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])}
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
 
     def test_importing_marble_loads_no_executor_and_no_logging(self):
@@ -424,10 +449,10 @@ class TestAgentThreads:
         script = textwrap.dedent(
             """
             import time
-            from marble.agents import ScriptedAgent
             from marble.core import AgentId, EngineConfig, validate_config
             from marble.engine import run_instance
             from marble.features import AccidentRecord
+            from synth import ScriptedAgent
 
             cfg = validate_config(EngineConfig(agent_timeout_ms=100))
             sleeper = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(3.0) or (1, 0.9))
@@ -513,6 +538,11 @@ class TestFuse:
         coordinated = [trace.coordination for _, trace in results if trace.coordination is not None]
         assert "parse" in {c.fallback for c in coordinated}
         assert len(calls) == len(coordinated)
+
+    def test_two_live_outputs_of_one_agent_break_the_contract(self, cfg):
+        spatial = AgentOutput(AgentId.SPATIAL, Severity(2), 0.6)
+        with pytest.raises(AgentContractError, match="agent spatial has more than one live output"):
+            fuse([spatial, AgentOutput(AgentId.ML, Severity(3), 0.5), spatial], cfg)
 
     @pytest.mark.parametrize("ml_confidence", [None, 0.5, 0.9])
     def test_llm_mode_without_a_backend_is_named_whatever_the_outputs(self, cfg, ml_confidence):

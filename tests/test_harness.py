@@ -7,7 +7,7 @@ import random
 import pytest
 
 import synth
-from marble.agents import ScriptedAgent, ScriptedBackend
+from marble.agents import ScriptedBackend
 from marble.coordination import EmptyInputError, weighted_scores
 from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import abstain
@@ -25,6 +25,7 @@ from marble.harness import (
     run_imbalance_suite,
     sample_imbalance,
 )
+from synth import ScriptedAgent
 
 
 def sev(values):

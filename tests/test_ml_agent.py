@@ -1,19 +1,14 @@
 from __future__ import annotations
 
 import math
-import os
 import random
 import statistics
-import subprocess
-import sys
 from bisect import bisect_right
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import marble
 from marble.agents.ml import TrainError, ml_evaluate, ml_train
 from marble.core import ALL_SEVERITIES, AgentId, Severity
 from marble.features import AccidentRecord, FeatureValue, ingest_csv
@@ -167,44 +162,6 @@ class TestSyntheticAccuracy:
         assert accuracy > 0.25
         assert accuracy == pytest.approx(bayes_accuracy, abs=0.08)
 
-    def test_feature_importance_singles_out_the_signal(self):
-        rng = random.Random(5)
-        records = []
-        for k in (1, 2, 3, 4):
-            for i in range(100):
-                records.append(
-                    cat_record(
-                        f"f{k}-{i}",
-                        k,
-                        signal=f"c{k}",
-                        noise=rng.choice(["a", "b"]),
-                    )
-                )
-        importance = ml_train(records).feature_importance()
-        assert importance["signal"] > importance["noise"]
-
-    def test_feature_importance_is_the_same_under_every_hash_seed(self):
-        # String hashing, and so set order, differs between processes.
-        script = (
-            "import random\n"
-            "from marble.agents.ml import ml_train\n"
-            "from marble.core import Severity\n"
-            "from marble.features import AccidentRecord, FeatureValue\n"
-            "rng = random.Random(3)\n"
-            "records = [AccidentRecord(f'r{i}', {f'f{j}': FeatureValue.categorical(f'v{rng.randrange(40)}')"
-            " for j in range(5)}, Severity(rng.randint(1, 4)) if i > 3 else Severity(i + 1)) for i in range(1000)]\n"
-            "print(repr(ml_train(records).feature_importance()))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(marble.__file__).parents[1]))
-        reprs = {
-            subprocess.run(
-                [sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed},
-                capture_output=True, text=True, check=True, timeout=60,
-            ).stdout
-            for seed in ("1", "2")
-        }
-        assert len(reprs) == 1
-
 
 class ReferenceModel:
     """The record-wise trainer and predictor that ``ml_train`` and
@@ -247,7 +204,6 @@ class ReferenceModel:
                 table[token] = table.get(token, 0) + 1
                 vocab[name].add(token)
         self.vocab_sizes = {name: max(1, len(tokens)) for name, tokens in vocab.items()}
-        self.importance = self._importance()
 
     def token(self, name, value):
         if name in self.numeric_features:
@@ -275,22 +231,6 @@ class ReferenceModel:
         raw = {k: math.exp(v - peak) for k, v in log_scores.items()}
         norm = sum(raw.values())
         return {k: v / norm for k, v in raw.items()}
-
-    def _importance(self):
-        counts, total = self.class_counts, sum(self.class_counts.values())
-        out = {}
-        for name in self.feature_names:
-            tokens = {t for k in counts for t in self.tables[name][k]}
-            score = 0.0
-            for token in sorted(tokens):
-                marginal = sum(self.tables[name][k].get(token, 0) for k in counts) / total
-                cond = [
-                    (self.tables[name][k].get(token, 0) + 1) / (counts[k] + self.vocab_sizes[name])
-                    for k in counts
-                ]
-                score += marginal * (max(cond) - min(cond))
-            out[name] = score
-        return out
 
 
 _MODEL_FIELDS = ("class_counts", "feature_names", "numeric_features", "bins", "means", "tables", "vocab_sizes")
@@ -343,7 +283,6 @@ class TestAgainstReference:
         model, reference = ml_train(records), ReferenceModel(records)
         for name in _MODEL_FIELDS:
             assert getattr(model, name) == getattr(reference, name), name
-        assert model.feature_importance() == reference.importance
         for features in probes + [r.features for r in records]:
             assert model.predict_proba(features) == reference.predict_proba(features)
 
@@ -365,5 +304,4 @@ class TestAgainstReference:
         model, reference = ml_train(records), ReferenceModel(records)
         for name in _MODEL_FIELDS:
             assert getattr(model, name) == getattr(reference, name), name
-        assert model.feature_importance() == reference.importance
         assert all(model.predict_proba(r.features) == reference.predict_proba(r.features) for r in records)

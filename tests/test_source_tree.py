@@ -1,10 +1,13 @@
-"""Checks over the package source itself, not its behaviour."""
+"""Checks over the package source and the test configuration, not behaviour."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import json
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +67,30 @@ def test_every_name_the_benchmark_imports_from_marble_resolves(path):
     assert missing == []
 
 
+# Public names that nothing in the package or the benchmark reads, and why they stay.
+ONLY_CALLED_FROM_OUTSIDE = {
+    "readable",  # _DeadlineSocket: io.BufferedReader checks it when it wraps the socket
+    "readinto",  # _DeadlineSocket: io.BufferedReader reads the reply through it
+    "makefile",  # _DeadlineSocket: http.client.HTTPResponse calls it to read the reply
+    "abstained",  # FinalDecision: README's documented way for callers to detect an abstention
+}
+
+
+def test_every_public_function_and_class_in_the_package_is_used_outside_the_tests():
+    """A name counts as used where it is loaded or read as an attribute in
+    the package or the benchmark; imports and ``__all__`` strings do not."""
+    used, defined = set(), set()
+    for path in [*PACKAGE.rglob("*.py"), *BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and PACKAGE in path.parents:
+                defined.add(node.name)
+    assert sorted({n for n in defined - used if not n.startswith("_")}) == sorted(ONLY_CALLED_FROM_OUTSIDE)
+
+
 def json_shape(value):
     """The keys of nested JSON objects, with every leaf value left out."""
     return {k: json_shape(v) for k, v in value.items()} if isinstance(value, dict) else None
@@ -78,3 +105,29 @@ def test_readme_config_example_names_every_field_at_its_default():
     assert json_shape(document) == json_shape(default.to_dict())
     endpoint = replace(cfg.endpoint, url=default.endpoint.url, model=default.endpoint.model)
     assert replace(cfg, endpoint=endpoint) == default
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    """Hypothesis reports a failure through libcst, whose imports warn; under
+    the repo's ``filterwarnings`` that must not abort the later tests."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, strategies as st
+
+            @given(st.integers())
+            def test_fails(x):
+                assert x < 0
+
+            def test_passes():
+                pass
+            """
+        ),
+        encoding="utf-8",
+    )
+    config = PACKAGE.parent.parent / "pyproject.toml"
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path)]
+    result = subprocess.run([*command, str(probe)], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
