@@ -8,16 +8,14 @@ from .backends import (
     TransportError,
 )
 from .base import Agent
-from .ml import MlAgent, MlModel, TrainError, ml_evaluate, ml_train
+from .ml import MlAgent, MlModel, TrainError, ml_train
 from .slm import (
     DEFAULT_TEMPLATES,
     ParseError,
-    PromptTemplate,
     SlmAgent,
     build_prompt,
     calibrate,
     parse_response_detailed,
-    slm_evaluate,
 )
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "MlAgent",
     "MlModel",
     "ParseError",
-    "PromptTemplate",
     "RemoteHttpBackend",
     "ScriptedBackend",
     "SlmAgent",
@@ -36,8 +33,6 @@ __all__ = [
     "TransportError",
     "build_prompt",
     "calibrate",
-    "ml_evaluate",
     "ml_train",
     "parse_response_detailed",
-    "slm_evaluate",
 ]

@@ -152,22 +152,6 @@ def _quintile_cuts(sorted_values: list[float]) -> tuple[float, ...]:
     return tuple(statistics.quantiles(sorted_values, n=5, method="inclusive"))
 
 
-def ml_evaluate(model: MlModel, features: Mapping[str, FeatureValue]) -> AgentOutput:
-    """Maximum-posterior prediction; confidence is that maximum, uncalibrated.
-    ``max`` keeps the first maximum, so an exact tie goes to the lower class."""
-    start = time.perf_counter()
-    probs = model.predict_proba(features)
-    prediction = max(ALL_SEVERITIES, key=probs.__getitem__)
-    confidence = probs[prediction]
-    return AgentOutput(
-        agent=AgentId.ML,
-        prediction=prediction,
-        confidence=confidence,
-        raw_confidence=confidence,
-        latency_ms=int((time.perf_counter() - start) * 1000),
-    )
-
-
 class MlAgent:
     """Agent wrapper around a trained MlModel."""
 
@@ -178,4 +162,16 @@ class MlAgent:
         return AgentId.ML
 
     def evaluate(self, features: Mapping[str, FeatureValue]) -> AgentOutput:
-        return ml_evaluate(self._model, features)
+        """Maximum-posterior prediction; confidence is that maximum, uncalibrated.
+        ``max`` keeps the first maximum, so an exact tie goes to the lower class."""
+        start = time.perf_counter()
+        probs = self._model.predict_proba(features)
+        prediction = max(ALL_SEVERITIES, key=probs.__getitem__)
+        confidence = probs[prediction]
+        return AgentOutput(
+            agent=AgentId.ML,
+            prediction=prediction,
+            confidence=confidence,
+            raw_confidence=confidence,
+            latency_ms=int((time.perf_counter() - start) * 1000),
+        )

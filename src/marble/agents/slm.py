@@ -18,78 +18,44 @@ class ParseError(ValueError):
     """No severity class in {1..4} is recoverable from the model output."""
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Per-domain prompt parts, concatenated around the formatted features."""
-
-    context: str
-    instructions: str
-    query: str
-
-    def __post_init__(self) -> None:
-        for key in ("severity", "confidence", "reasoning"):
-            if key not in self.query:
-                raise ValueError(f"query must demand a JSON object with a {key!r} key")
-
-
 _JSON_QUERY = (
     'Reply with a JSON object of the form '
     '{"severity": <integer 1-4>, "confidence": <number between 0 and 1>, '
     '"reasoning": "<one or two sentences>"}.'
 )
 
-DEFAULT_TEMPLATES: dict[AgentId, PromptTemplate] = {
-    AgentId.ENVIRONMENTAL: PromptTemplate(
-        context=(
-            "You are a road safety analyst specializing in environmental conditions: "
-            "weather, lighting, visibility, and atmospheric factors at accident scenes."
-        ),
-        instructions=(
-            "Using only the conditions listed below, reason step by step about how they "
-            "affect the likely severity of this accident on a 1-4 scale, then decide."
-        ),
-        query=_JSON_QUERY,
+# Each SLM domain's prompt head: its context, a blank line, its instructions.
+DEFAULT_TEMPLATES: dict[AgentId, str] = {
+    AgentId.ENVIRONMENTAL: (
+        "You are a road safety analyst specializing in environmental conditions: "
+        "weather, lighting, visibility, and atmospheric factors at accident scenes.\n\n"
+        "Using only the conditions listed below, reason step by step about how they "
+        "affect the likely severity of this accident on a 1-4 scale, then decide."
     ),
-    AgentId.INFRASTRUCTURAL: PromptTemplate(
-        context=(
-            "You are a road safety analyst specializing in infrastructure: road type, "
-            "junction layout, surface state, speed limits, and carriageway hazards."
-        ),
-        instructions=(
-            "Using only the road characteristics listed below, reason step by step about "
-            "the likely severity of this accident on a 1-4 scale, then decide."
-        ),
-        query=_JSON_QUERY,
+    AgentId.INFRASTRUCTURAL: (
+        "You are a road safety analyst specializing in infrastructure: road type, "
+        "junction layout, surface state, speed limits, and carriageway hazards.\n\n"
+        "Using only the road characteristics listed below, reason step by step about "
+        "the likely severity of this accident on a 1-4 scale, then decide."
     ),
-    AgentId.SPATIAL: PromptTemplate(
-        context=(
-            "You are a road safety analyst specializing in spatial dynamics: impact "
-            "points, vehicle manoeuvres, and the geographic context of accidents."
-        ),
-        instructions=(
-            "Using only the spatial factors listed below, reason step by step about the "
-            "likely severity of this accident on a 1-4 scale, then decide."
-        ),
-        query=_JSON_QUERY,
+    AgentId.SPATIAL: (
+        "You are a road safety analyst specializing in spatial dynamics: impact "
+        "points, vehicle manoeuvres, and the geographic context of accidents.\n\n"
+        "Using only the spatial factors listed below, reason step by step about the "
+        "likely severity of this accident on a 1-4 scale, then decide."
     ),
-    AgentId.TEMPORAL: PromptTemplate(
-        context=(
-            "You are a road safety analyst specializing in temporal patterns: time of "
-            "day, day of week, seasonality, and holiday effects on accidents."
-        ),
-        instructions=(
-            "Using only the timing information listed below, reason step by step about "
-            "the likely severity of this accident on a 1-4 scale, then decide."
-        ),
-        query=_JSON_QUERY,
+    AgentId.TEMPORAL: (
+        "You are a road safety analyst specializing in temporal patterns: time of "
+        "day, day of week, seasonality, and holiday effects on accidents.\n\n"
+        "Using only the timing information listed below, reason step by step about "
+        "the likely severity of this accident on a 1-4 scale, then decide."
     ),
 }
 
 
-def build_prompt(template: PromptTemplate, formatted: str) -> str:
-    """Exact concatenation context / instructions / features / query,
-    separated by single blank lines."""
-    return "\n\n".join((template.context, template.instructions, formatted, template.query))
+def build_prompt(head: str, formatted: str) -> str:
+    """Exact concatenation head / features / JSON query, one blank line apart."""
+    return "\n\n".join((head, formatted, _JSON_QUERY))
 
 
 @dataclass(frozen=True)
@@ -210,6 +176,13 @@ _CONF_PATTERN = re.compile(r'confidence"?\s*[:=]\s*"?([0-9]*\.?[0-9]+)', re.IGNO
 _DEFAULT_FALLBACK_CONFIDENCE = 0.5  # neutral prior when the model states none
 
 
+def _parsed(severity: Severity, confidence: float | None, reasoning: str, via: str) -> ParsedPrediction:
+    """The prior when no confidence is stated, else the stated one clamped to [0, 1]."""
+    if confidence is None:
+        return ParsedPrediction(severity, _DEFAULT_FALLBACK_CONFIDENCE, reasoning, False, via)
+    return ParsedPrediction(severity, clamp01(confidence), reasoning, not 0.0 <= confidence <= 1.0, via)
+
+
 def parse_response_detailed(raw: str) -> ParsedPrediction:
     """Extract (severity, confidence, reasoning) from free-form model output.
 
@@ -218,38 +191,17 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
     case-insensitive) serve as the fallback. Confidence is clamped to [0, 1].
     """
     for obj in _iter_json_candidates(raw):
-        if "severity" not in obj:
-            continue
-        severity = _coerce_severity(obj["severity"])
-        if severity is None:
-            continue
-        confidence = _coerce_confidence(obj.get("confidence"))
-        if confidence is None:
-            confidence, clamped = _DEFAULT_FALLBACK_CONFIDENCE, False
-        else:
-            clamped = not 0.0 <= confidence <= 1.0
-            confidence = clamp01(confidence)
-        reasoning = obj.get("reasoning")
-        return ParsedPrediction(
-            severity=severity,
-            confidence=confidence,
-            reasoning=str(reasoning) if reasoning is not None else "",
-            clamped=clamped,
-            via="json",
-        )
+        severity = _coerce_severity(obj.get("severity"))
+        if severity is not None:
+            reasoning = obj.get("reasoning")
+            confidence = _coerce_confidence(obj.get("confidence"))
+            return _parsed(severity, confidence, "" if reasoning is None else str(reasoning), "json")
 
     sev_match = _SEV_PATTERN.search(raw)
-    if sev_match:
-        severity = _coerce_severity(int(sev_match.group(1)))
-        if severity is not None:
-            conf_match = _CONF_PATTERN.search(raw)
-            if conf_match:
-                confidence = float(conf_match.group(1))
-                clamped = not 0.0 <= confidence <= 1.0
-                confidence = clamp01(confidence)
-            else:
-                confidence, clamped = _DEFAULT_FALLBACK_CONFIDENCE, False
-            return ParsedPrediction(severity, confidence, "", clamped, via="fallback")
+    severity = _coerce_severity(int(sev_match.group(1))) if sev_match else None
+    if severity is not None:
+        conf_match = _CONF_PATTERN.search(raw)
+        return _parsed(severity, float(conf_match.group(1)) if conf_match else None, "", "fallback")
     raise ParseError("no severity class in 1-4 recoverable from output")
 
 
@@ -280,38 +232,8 @@ def ask(backend: SlmBackend, prompt: str, cfg: EngineConfig) -> ParsedPrediction
         return "parse"
 
 
-def slm_evaluate(
-    agent: AgentId,
-    features: Mapping[str, FeatureValue],
-    template: PromptTemplate,
-    backend: SlmBackend,
-    cfg: EngineConfig,
-) -> AgentOutput:
-    """Full SLM pipeline: format -> prompt -> complete -> parse -> calibrate.
-
-    Total by construction: any stage failure yields a failed output with
-    the failure class (parse / timeout / transport) recorded.
-    """
-    if not agent.is_slm:
-        raise ValueError("slm_evaluate only serves SLM domains")
-    start = time.perf_counter()
-    parsed = ask(backend, build_prompt(template, format_features(features)), cfg)
-    latency_ms = int((time.perf_counter() - start) * 1000)
-    if isinstance(parsed, str):
-        return AgentOutput.failure(agent, parsed, latency_ms)
-    return AgentOutput(
-        agent=agent,
-        prediction=parsed.severity,
-        confidence=calibrate(parsed.confidence, parsed.severity, cfg),
-        reasoning=parsed.reasoning,
-        raw_confidence=parsed.confidence,
-        latency_ms=latency_ms,
-        notes=("confidence clamped to [0,1]",) if parsed.clamped else (),
-    )
-
-
 class SlmAgent:
-    """Agent wrapper binding a domain, with its default template, to a backend and the config."""
+    """One SLM domain, with its prompt head, bound to a backend and the config."""
 
     def __init__(self, kind: AgentId, backend: SlmBackend, cfg: EngineConfig):
         if not kind.is_slm:
@@ -324,4 +246,22 @@ class SlmAgent:
         return self._kind
 
     def evaluate(self, features: Mapping[str, FeatureValue]) -> AgentOutput:
-        return slm_evaluate(self._kind, features, DEFAULT_TEMPLATES[self._kind], self._backend, self._cfg)
+        """Full SLM pipeline: format -> prompt -> complete -> parse -> calibrate.
+
+        Total by construction: any stage failure yields a failed output with
+        the failure class (parse / timeout / transport) recorded.
+        """
+        start = time.perf_counter()
+        parsed = ask(self._backend, build_prompt(DEFAULT_TEMPLATES[self._kind], format_features(features)), self._cfg)
+        latency_ms = int((time.perf_counter() - start) * 1000)
+        if isinstance(parsed, str):
+            return AgentOutput.failure(self._kind, parsed, latency_ms)
+        return AgentOutput(
+            agent=self._kind,
+            prediction=parsed.severity,
+            confidence=calibrate(parsed.confidence, parsed.severity, self._cfg),
+            reasoning=parsed.reasoning,
+            raw_confidence=parsed.confidence,
+            latency_ms=latency_ms,
+            notes=("confidence clamped to [0,1]",) if parsed.clamped else (),
+        )

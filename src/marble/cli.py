@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, ml_train
-from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, load_config, validate_config
+from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, from_json_value, load_config, validate_config
 from .engine import run_batch
 from .features import RowError, default_registry, ingest_csv, load_registry
 from .harness import (
@@ -178,7 +178,7 @@ def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
         if not isinstance(name, str):
             raise ScenarioError(f"scenario {name!r}: each scenario must be an object with a string \"name\"")
         try:
-            distribution = {Severity(int(k)): float(p) for k, p in entry["distribution"].items()}
+            distribution = {Severity(int(k)): from_json_value(float, p, k) for k, p in entry["distribution"].items()}
         except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario {name!r}: \"distribution\" must map classes 1-4 to proportions") from exc
         scenarios.append(ImbalanceScenario(name, distribution))

@@ -77,7 +77,8 @@ def _work() -> None:
 
 
 class AgentContractError(ValueError):
-    """An agent returned something other than one ``AgentOutput`` of its own."""
+    """An agent returned something other than one ``AgentOutput`` of its own,
+    or a coordinator something other than a verdict or a failure kind."""
 
 
 # A coordinator answers with its verdict or with the kind of its failure
@@ -224,7 +225,8 @@ def fuse(
     note in ``notes``), leaves the rule-based result with that ``fallback``.
     Re-fusing a trace's ``agent_outputs`` under the same config and
     coordinator reproduces its coordination and decision. Two live outputs of
-    one agent raise ``AgentContractError``."""
+    one agent, or a coordinator answer that is neither, raise
+    ``AgentContractError``."""
     _require_a_coordinator(cfg, coordination_backend, coordinator)
     live = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     if not live:
@@ -242,6 +244,8 @@ def fuse(
             answer = "timeout"
             if notes is not None:
                 notes.append("coordinator abandoned past its deadline")
+        if not isinstance(answer, CoordinationResult) and answer not in ("timeout", "parse", "transport"):
+            raise AgentContractError(f"coordinator returned {answer!r}, not a CoordinationResult or a failure kind")
         coordination = answer if isinstance(answer, CoordinationResult) else replace(rule_based, fallback=answer)
     ml_output = next((o for o in live if o.agent is AgentId.ML), None)
     return coordination, final_decide(ml_output, coordination, rule_based.override_applied, cfg)

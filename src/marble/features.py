@@ -33,6 +33,7 @@ class RowError(ValueError):
 
 
 _MISSING_TOKENS = {"", "n/a", "na", "none", "null", "unknown", "nan", "-"}
+_BAD_ROW_BUDGET = 100  # bad rows that ingest_csv collects per file before it gives up
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +249,6 @@ def ingest_csv(
     path: str | Path,
     registry: FeatureRegistry | None = None,
     *,
-    bad_row_budget: int = 100,
     errors_out: list[RowError] | None = None,
 ) -> list[AccidentRecord]:
     """Read a UTF-8 comma-delimited CSV, BOM or not, into accident records.
@@ -258,7 +258,7 @@ def ingest_csv(
     Unparseable numerics become missing values. Two headers with the same
     ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
     collected (into ``errors_out`` when given) rather than fatal, until
-    ``bad_row_budget`` is exhausted. Each distinct cell text is parsed once
+    more than 100 rows are bad. Each distinct cell text is parsed once
     and its FeatureValue shared by every record that holds it.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -304,6 +304,6 @@ def ingest_csv(
                 bad += 1
                 if errors_out is not None:
                     errors_out.append(err)
-                if bad > bad_row_budget:
-                    raise RowError(row_num, f"bad-row budget ({bad_row_budget}) exceeded: {err.message}") from err
+                if bad > _BAD_ROW_BUDGET:
+                    raise RowError(row_num, f"bad-row budget ({_BAD_ROW_BUDGET}) exceeded: {err.message}") from err
         return records

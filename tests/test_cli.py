@@ -216,6 +216,10 @@ def test_predict_without_agents_exits(tmp_path, input_file):
         ("broken", "None"),
         ({"distribution": {"1": 1.0}}, "None"),
         ({"name": 3, "distribution": {"2": 1.0}}, "3"),
+        # Loaded as proportions, these would fail later, in the sampler; the
+        # loader's own message pins them to the reading of the proportions.
+        ({"name": "broken", "distribution": {"1": True, "2": 0, "3": 0, "4": 0}}, "'broken': \"distribution\""),
+        ({"name": "broken", "distribution": {k: "0.25" for k in "1234"}}, "'broken': \"distribution\""),
     ],
 )
 def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, named):

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from marble.agents import ScriptedBackend
-from marble.agents.slm import DEFAULT_TEMPLATES, slm_evaluate
+from marble.agents import ScriptedBackend, SlmAgent
 from marble.core import (
     AGENT_ORDER,
     SLM_AGENT_IDS,
@@ -408,7 +407,7 @@ class TestEveryValidConfigRuns:
         for mode in CoordinationMode:
             fuse(outputs, dataclasses.replace(cfg, coordination_mode=mode), coordination_backend=ScriptedBackend(reply))
         for agent in SLM_AGENT_IDS:
-            slm_evaluate(agent, project(_RECORD, agent), DEFAULT_TEMPLATES[agent], ScriptedBackend(reply), cfg)
+            SlmAgent(agent, ScriptedBackend(reply), cfg).evaluate(project(_RECORD, agent))
 
 
 @st.composite

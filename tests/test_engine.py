@@ -522,6 +522,12 @@ class TestFuse:
         assert coordination == dataclasses.replace(coordinate_rb(live, cfg), fallback=kind)
         assert decision == final_decide(live[0], coordination, False, cfg)
 
+    @pytest.mark.parametrize("answer", [None, "banana", 3])
+    def test_a_coordinator_that_returns_anything_else_breaks_its_contract(self, cfg, answer):
+        live = [AgentOutput(AgentId.ML, Severity(2), 0.6), AgentOutput(AgentId.SPATIAL, Severity(4), 0.7)]
+        with pytest.raises(AgentContractError, match=f"coordinator returned {answer!r}, not a CoordinationResult"):
+            fuse(live, cfg, coordinator=lambda outputs, cfg: answer)
+
     def test_llm_mode_computes_the_rule_based_result_once_per_live_record(self, cfg, monkeypatch):
         llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
         calls = []

@@ -7,11 +7,13 @@ import math
 import pickle
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marble import features as features_module
 from marble.core import SLM_AGENT_IDS, AgentId, ConfigError, Severity
 from marble.features import (
     AccidentRecord,
@@ -243,8 +245,9 @@ class TestIngestCsv:
         records = ingest_csv(path, errors_out=errors)
         assert [int(r.label) for r in records] == [2, 3]
         assert [e.row for e in errors] == [2]
-        with pytest.raises(RowError, match="budget"):
-            ingest_csv(path, bad_row_budget=0)
+        path = self.write(tmp_path, "Weather Conditions,severity\n" + f"Clear,{label}\n" * 101)
+        with pytest.raises(RowError, match=r"row 101: bad-row budget \(100\) exceeded"):
+            ingest_csv(path)
 
     def test_unparseable_numeric_becomes_missing(self, tmp_path):
         path = self.write(tmp_path, "Speed Limit,severity\nN/A,2\n")
@@ -282,11 +285,13 @@ class TestIngestCsv:
             ingest_csv(path)
 
     def test_bad_row_budget_exceeded(self, tmp_path):
-        path = self.write(
-            tmp_path, "Weather Conditions,severity\nRain,9\nClear,9\nFog,9\n"
-        )
-        with pytest.raises(RowError, match="budget"):
-            ingest_csv(path, bad_row_budget=1)
+        path = self.write(tmp_path, "Weather Conditions,severity\nRain,2\n" + "Clear,9\n" * 100)
+        errors: list[RowError] = []
+        assert len(ingest_csv(path, errors_out=errors)) == 1
+        assert len(errors) == 100
+        path = self.write(tmp_path, "Weather Conditions,severity\nRain,2\n" + "Clear,9\n" * 101)
+        with pytest.raises(RowError, match=r"row 102: bad-row budget \(100\) exceeded"):
+            ingest_csv(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = self.write(tmp_path, "id,Weather Conditions\nx,Rain\nx,Fog\n")
@@ -396,10 +401,10 @@ def csv_tables(draw):
     return header, rows
 
 
-def _ingest_outcome(ingest, path, budget):
+def _ingest_outcome(ingest, path, **options):
     errors: list[RowError] = []
     try:
-        records = ingest(path, bad_row_budget=budget, errors_out=errors)
+        records = ingest(path, errors_out=errors, **options)
     except (RowError, SchemaError) as exc:
         return type(exc).__name__, str(exc), [str(e) for e in errors]
     return [(r.id, r.label, r.features) for r in records], [str(e) for e in errors]
@@ -409,12 +414,14 @@ class TestIngestAgainstReference:
     @given(csv_tables(), st.integers(0, 4))
     @settings(max_examples=200, deadline=None)
     def test_records_and_errors_equal_the_per_cell_reference(self, table, budget):
+        # A small budget makes the generated tables exhaust it.
         header, rows = table
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features_module, "_BAD_ROW_BUDGET", budget):
             path = Path(tmp) / "data.csv"
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 csv.writer(handle).writerows([header, *rows])
-            assert _ingest_outcome(ingest_csv, path, budget) == _ingest_outcome(reference_ingest_csv, path, budget)
+            expected = _ingest_outcome(reference_ingest_csv, path, bad_row_budget=budget)
+            assert _ingest_outcome(ingest_csv, path) == expected
 
     def test_equal_cells_share_one_value(self, tmp_path):
         path = tmp_path / "data.csv"

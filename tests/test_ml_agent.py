@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marble.agents.ml import TrainError, ml_evaluate, ml_train
+from marble.agents.ml import MlAgent, TrainError, ml_train
 from marble.core import ALL_SEVERITIES, AgentId, Severity
 from marble.features import AccidentRecord, FeatureValue, ingest_csv
 
@@ -30,7 +30,7 @@ class TestTrain:
     def test_separable_set_recovers_each_class(self):
         model = ml_train(separable_training_set())
         for k in (1, 2, 3, 4):
-            output = ml_evaluate(model, {"color": FeatureValue.categorical(f"c{k}")})
+            output = MlAgent(model).evaluate({"color": FeatureValue.categorical(f"c{k}")})
             assert int(output.prediction) == k
             probs = model.predict_proba({"color": FeatureValue.categorical(f"c{k}")})
             assert probs[Severity(k)] == max(probs.values())
@@ -73,7 +73,7 @@ class TestPosterior:
         assert probs[Severity(2)] == pytest.approx(2 / 17, abs=1e-9)
         assert probs[Severity(3)] == pytest.approx(4 / 17, abs=1e-9)
         assert probs[Severity(4)] == pytest.approx(2 / 17, abs=1e-9)
-        output = ml_evaluate(model, {"X": FeatureValue.categorical("a")})
+        output = MlAgent(model).evaluate({"X": FeatureValue.categorical("a")})
         assert int(output.prediction) == 1
         assert output.confidence == pytest.approx(9 / 17, abs=1e-9)
 
@@ -91,13 +91,13 @@ class TestPosterior:
         # exactly uniform, so the argmax must settle on class 1.
         records = [cat_record(f"t{k}", k, color="same") for k in (1, 2, 3, 4)]
         model = ml_train(records)
-        output = ml_evaluate(model, {"color": FeatureValue.categorical("same")})
+        output = MlAgent(model).evaluate({"color": FeatureValue.categorical("same")})
         assert int(output.prediction) == 1
         assert output.confidence == pytest.approx(0.25, abs=1e-12)
 
     def test_output_shape(self):
         model = ml_train(separable_training_set())
-        output = ml_evaluate(model, {"color": FeatureValue.categorical("c3")})
+        output = MlAgent(model).evaluate({"color": FeatureValue.categorical("c3")})
         assert output.agent is AgentId.ML
         assert output.reasoning == ""
         assert output.raw_confidence == output.confidence
@@ -125,13 +125,13 @@ class TestNumericFeatures:
         model = ml_train(self.make_numeric_set())
         for k in (1, 2, 3, 4):
             probe = {"Speed Limit": FeatureValue.numeric(20.0 * k)}
-            assert int(ml_evaluate(model, probe).prediction) == k
+            assert int(MlAgent(model).evaluate(probe).prediction) == k
 
     def test_missing_numeric_uses_training_mean(self):
         model = ml_train(self.make_numeric_set())
         # The training mean sits near 50, inside the class-2/3 range, so a
         # missing speed must not predict an extreme class.
-        output = ml_evaluate(model, {"Speed Limit": FeatureValue.missing()})
+        output = MlAgent(model).evaluate({"Speed Limit": FeatureValue.missing()})
         assert int(output.prediction) in (2, 3)
 
 
@@ -156,7 +156,7 @@ class TestSyntheticAccuracy:
         test = self.generate(125, seed=2)
         model = ml_train(train)
         hits = sum(
-            1 for r in test if ml_evaluate(model, r.features).prediction == r.label
+            1 for r in test if MlAgent(model).evaluate(r.features).prediction == r.label
         )
         accuracy = hits / len(test)
         assert accuracy > 0.25

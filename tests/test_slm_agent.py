@@ -13,30 +13,27 @@ from marble.agents.backends import ScriptedBackend, TransportError
 from marble.agents.slm import (
     DEFAULT_TEMPLATES,
     ParseError,
-    PromptTemplate,
     SlmAgent,
     build_prompt,
     calibrate,
     parse_response_detailed,
-    slm_evaluate,
 )
-from marble.core import AgentId, EngineConfig, Severity
+from marble.core import SLM_AGENT_IDS, AgentId, EngineConfig, Severity
 from marble.features import FeatureValue, format_features, project
 from marble.features import AccidentRecord
 
 
 class TestBuildPrompt:
     def test_concatenation_order(self):
-        template = PromptTemplate(context="C", instructions="I", query="severity confidence reasoning Q")
-        assert build_prompt(template, "F") == "C\n\nI\n\nF\n\nseverity confidence reasoning Q"
+        assert build_prompt("C\n\nI", "F") == f"C\n\nI\n\nF\n\n{slm._JSON_QUERY}"
 
     def test_empty_feature_block_keeps_its_slot(self):
-        template = PromptTemplate(context="C", instructions="I", query="severity confidence reasoning Q")
-        assert build_prompt(template, "") == "C\n\nI\n\n\n\nseverity confidence reasoning Q"
+        assert build_prompt("C\n\nI", "") == f"C\n\nI\n\n\n\n{slm._JSON_QUERY}"
 
-    def test_query_must_demand_the_three_keys(self):
-        with pytest.raises(ValueError, match="severity"):
-            PromptTemplate(context="C", instructions="I", query="just answer")
+    @pytest.mark.parametrize("agent", SLM_AGENT_IDS, ids=lambda a: a.value)
+    def test_every_default_prompt_demands_the_three_keys(self, agent):
+        prompt = build_prompt(DEFAULT_TEMPLATES[agent], "")
+        assert all(f'"{key}"' in prompt for key in ("severity", "confidence", "reasoning"))
 
     def test_environmental_golden_prompt(self):
         # Golden fixture, recorded once and reviewed by hand.
@@ -52,6 +49,59 @@ class TestBuildPrompt:
         assert prompt == build_prompt(
             DEFAULT_TEMPLATES[AgentId.ENVIRONMENTAL], format_features(subset)
         )
+
+    @pytest.mark.parametrize(
+        "agent, expected",
+        [
+            (
+                AgentId.ENVIRONMENTAL,
+                "You are a road safety analyst specializing in environmental conditions: weather, lighting, "
+                "visibility, and atmospheric factors at accident scenes.\n\n"
+                "Using only the conditions listed below, reason step by step about how they affect the likely "
+                "severity of this accident on a 1-4 scale, then decide.\n\n"
+                "Weather: Rainy\nVisibility: 0.5 miles\n\n"
+                'Reply with a JSON object of the form {"severity": <integer 1-4>, "confidence": <number between '
+                '0 and 1>, "reasoning": "<one or two sentences>"}.',
+            ),
+            (
+                AgentId.INFRASTRUCTURAL,
+                "You are a road safety analyst specializing in infrastructure: road type, junction layout, "
+                "surface state, speed limits, and carriageway hazards.\n\n"
+                "Using only the road characteristics listed below, reason step by step about the likely "
+                "severity of this accident on a 1-4 scale, then decide.\n\n"
+                "Weather: Rainy\nVisibility: 0.5 miles\n\n"
+                'Reply with a JSON object of the form {"severity": <integer 1-4>, "confidence": <number between '
+                '0 and 1>, "reasoning": "<one or two sentences>"}.',
+            ),
+            (
+                AgentId.SPATIAL,
+                "You are a road safety analyst specializing in spatial dynamics: impact points, vehicle "
+                "manoeuvres, and the geographic context of accidents.\n\n"
+                "Using only the spatial factors listed below, reason step by step about the likely severity of "
+                "this accident on a 1-4 scale, then decide.\n\n"
+                "Weather: Rainy\nVisibility: 0.5 miles\n\n"
+                'Reply with a JSON object of the form {"severity": <integer 1-4>, "confidence": <number between '
+                '0 and 1>, "reasoning": "<one or two sentences>"}.',
+            ),
+            (
+                AgentId.TEMPORAL,
+                "You are a road safety analyst specializing in temporal patterns: time of day, day of week, "
+                "seasonality, and holiday effects on accidents.\n\n"
+                "Using only the timing information listed below, reason step by step about the likely severity "
+                "of this accident on a 1-4 scale, then decide.\n\n"
+                "Weather: Rainy\nVisibility: 0.5 miles\n\n"
+                'Reply with a JSON object of the form {"severity": <integer 1-4>, "confidence": <number between '
+                '0 and 1>, "reasoning": "<one or two sentences>"}.',
+            ),
+        ],
+        ids=lambda v: v.value if isinstance(v, AgentId) else "",
+    )
+    def test_every_default_prompt_byte_for_byte(self, agent, expected):
+        # Recorded by hand: the simulated benchmark backend deals replies by
+        # prompt digest, so one changed byte changes every decision digest.
+        block = "Weather: Rainy\nVisibility: 0.5 miles"
+        assert build_prompt(DEFAULT_TEMPLATES[agent], block) == expected
+        assert build_prompt(DEFAULT_TEMPLATES[agent], "") == expected.replace(block, "")
 
 
 def parse_response(raw: str) -> tuple[Severity, float, str]:
@@ -237,9 +287,7 @@ def env_features() -> dict[str, FeatureValue]:
 class TestSlmEvaluate:
     def test_valid_rare_payload_gets_calibrated(self, cfg):
         backend = ScriptedBackend('{"severity": 4, "confidence": 0.82, "reasoning": "bad"}')
-        output = slm_evaluate(
-            AgentId.ENVIRONMENTAL, env_features(), DEFAULT_TEMPLATES[AgentId.ENVIRONMENTAL], backend, cfg
-        )
+        output = SlmAgent(AgentId.ENVIRONMENTAL, backend, cfg).evaluate(env_features())
         assert not output.failed
         assert int(output.prediction) == 4
         assert output.raw_confidence == 0.82
@@ -248,24 +296,18 @@ class TestSlmEvaluate:
     def test_backend_timeout_marks_failed(self, cfg):
         fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
         backend = ScriptedBackend('{"severity": 2, "confidence": 0.7, "reasoning": "x"}', delay_ms=400)
-        output = slm_evaluate(
-            AgentId.SPATIAL, {}, DEFAULT_TEMPLATES[AgentId.SPATIAL], backend, fast_cfg
-        )
+        output = SlmAgent(AgentId.SPATIAL, backend, fast_cfg).evaluate({})
         assert output.failed and output.failure_kind == "timeout"
         assert output.confidence == 0.0
 
     def test_unparseable_prose_marks_failed(self, cfg):
         backend = ScriptedBackend("no structure here")
-        output = slm_evaluate(
-            AgentId.TEMPORAL, {}, DEFAULT_TEMPLATES[AgentId.TEMPORAL], backend, cfg
-        )
+        output = SlmAgent(AgentId.TEMPORAL, backend, cfg).evaluate({})
         assert output.failed and output.failure_kind == "parse"
 
     def test_transport_error_marks_failed(self, cfg):
         backend = ScriptedBackend("", error=TransportError("boom", status=500))
-        output = slm_evaluate(
-            AgentId.TEMPORAL, {}, DEFAULT_TEMPLATES[AgentId.TEMPORAL], backend, cfg
-        )
+        output = SlmAgent(AgentId.TEMPORAL, backend, cfg).evaluate({})
         assert output.failed and output.failure_kind == "transport"
 
     def test_scripted_pipeline_is_deterministic(self, cfg):
@@ -284,4 +326,4 @@ class TestSlmEvaluate:
 
     def test_rejects_ml_domain(self, cfg):
         with pytest.raises(ValueError):
-            slm_evaluate(AgentId.ML, {}, DEFAULT_TEMPLATES[AgentId.TEMPORAL], ScriptedBackend("x"), cfg)
+            SlmAgent(AgentId.ML, ScriptedBackend("x"), cfg)
