@@ -4,6 +4,7 @@ extraction, rare-class confidence calibration, and the composed evaluation."""
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -75,7 +76,10 @@ def _coerce_severity(value: object) -> Severity | None:
     elif isinstance(value, float) and value.is_integer():
         number = int(value)
     elif isinstance(value, str) and re.fullmatch(r"[+-]?\d+", value.strip()):
-        number = int(value.strip())
+        try:
+            number = int(value.strip())
+        except ValueError:  # past Python's limit on digits converted: no class fits
+            return None
     else:
         return None
     return Severity(number) if 1 <= number <= 4 else None
@@ -85,7 +89,10 @@ def _coerce_confidence(value: object) -> float | None:
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range reads as +-inf, so it is clamped and flagged
+            return math.inf if value > 0 else -math.inf
     if isinstance(value, str):
         try:
             return float(value.strip())
@@ -198,7 +205,7 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
             return _parsed(severity, confidence, "" if reasoning is None else str(reasoning), "json")
 
     sev_match = _SEV_PATTERN.search(raw)
-    severity = _coerce_severity(int(sev_match.group(1))) if sev_match else None
+    severity = _coerce_severity(sev_match.group(1)) if sev_match else None
     if severity is not None:
         conf_match = _CONF_PATTERN.search(raw)
         return _parsed(severity, float(conf_match.group(1)) if conf_match else None, "", "fallback")

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 from pathlib import Path
 from typing import Mapping
@@ -103,11 +103,6 @@ class AccidentRecord:
         if not self.id:
             raise ValueError("record id must be non-empty")
 
-    @cached_property
-    def canonical_features(self) -> dict[str, FeatureValue]:
-        """The features keyed by ``canonical_name``, built once per record."""
-        return {canonical_name(n): v for n, v in self.features.items()}
-
 
 def canonical_name(name: str) -> str:
     """Case/punctuation-insensitive feature-name key."""
@@ -164,8 +159,20 @@ class FeatureRegistry:
         for agent in self.domains:
             if not agent.is_slm:
                 raise ConfigError(f"registry.{agent.name}: only SLM domains take feature assignments")
-        canonical = {a: tuple((n, canonical_name(n)) for n in names) for a, names in self.domains.items()}
-        object.__setattr__(self, "_canonical", canonical)
+        object.__setattr__(self, "_names", {a: tuple(names) for a, names in self.domains.items()})
+        # header (a record's feature names, in order) -> agent -> _resolve's tuple
+        object.__setattr__(self, "_by_header", {})
+
+    def _resolve(self, header: tuple[str, ...]) -> dict[AgentId, tuple[str | None, ...]]:
+        """Per agent, the header's name for each of its registry names: the one
+        of the same ``canonical_name`` (the last, if several), or None. Built
+        once per distinct header; a race only stores an equal entry again."""
+        resolved = self._by_header.get(header)
+        if resolved is None:
+            by_canonical = {canonical_name(n): n for n in header}
+            resolved = {a: tuple(by_canonical.get(canonical_name(n)) for n in ns) for a, ns in self._names.items()}
+            self._by_header[header] = resolved
+        return resolved
 
     def domain_features(self, agent: AgentId) -> tuple[str, ...]:
         return tuple(self.domains.get(agent, ()))
@@ -204,15 +211,18 @@ def project(
 
     The ML agent gets the full map unchanged. An SLM agent gets exactly its
     registry features, in declaration order; features the record lacks are
-    filled with missing markers so the prompt shape stays stable.
+    filled with missing markers so the prompt shape stays stable. Registry
+    names are matched to the record's by ``canonical_name`` once per distinct
+    header, and nothing is kept on the record.
     """
     if agent is AgentId.ML:
         return dict(record.features)
     registry = registry or _DEFAULT_REGISTRY
-    by_canonical = record.canonical_features
+    features = record.features
+    keys = registry._resolve(tuple(features)).get(agent, ())
     return {
-        name: by_canonical.get(key, _MISSING)
-        for name, key in getattr(registry, "_canonical").get(agent, ())
+        name: _MISSING if key is None else features[key]
+        for name, key in zip(registry._names.get(agent, ()), keys)
     }
 
 

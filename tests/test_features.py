@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import json
 import math
 import pickle
+import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -182,6 +186,111 @@ class TestProject:
         first = format_features(project(record, AgentId.TEMPORAL))
         second = format_features(project(record, AgentId.TEMPORAL))
         assert first == second
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_call_reference(self, data):
+        registry = data.draw(st.none() | registries)
+        record = AccidentRecord("h", data.draw(headers(registry or default_registry())))
+        for agent in AgentId:
+            expected = reference_project(record, agent, registry or default_registry())
+            for _ in range(2):  # the second call reads the header's stored entry
+                projected = project(record, agent, registry)
+                assert list(projected) == list(expected)
+                assert all(projected[name] is value for name, value in expected.items())
+
+    def test_projection_keeps_nothing_per_record(self, tmp_path):
+        names = default_registry().all_assigned() + ("Extra",)
+        rows = [",".join(names)] + [",".join(f"{i}.{j}" for j in range(len(names))) for i in range(400)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        records = ingest_csv(path)
+        registry = default_registry()  # fresh, so its one entry for the header counts
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                for agent in AgentId:
+                    project(record, agent, registry)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * len(records)
+
+    def test_threads_projecting_at_once_agree_with_the_reference(self):
+        # Records of 40 headers, projected on 8 threads at once through one
+        # registry: a torn or lost entry shows as a wrong projection or a
+        # header missing from the map.
+        registry = default_registry()
+        base = registry.all_assigned()
+        records = []
+        for i in range(40):
+            names = base[i % len(base):] + base[: i % len(base)] + (f"extra {i}",)
+            records.append(AccidentRecord(f"s{i}", {n: FeatureValue.numeric(j) for j, n in enumerate(names)}))
+        expected = {r.id: [reference_project(r, a, registry) for a in AgentId] for r in records}
+        results: list[dict] = [{} for _ in range(8)]
+
+        def work(k: int) -> None:
+            for r in records[5 * k:] + records[: 5 * k]:
+                results[k][r.id] = [project(r, a, registry) for a in AgentId]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+        assert set(registry._by_header) == {tuple(r.features) for r in records}
+
+
+def reference_project(record: AccidentRecord, agent: AgentId, registry: FeatureRegistry) -> dict[str, FeatureValue]:
+    """Projection that canonicalizes the record's names on every call; of two
+    names with one canonical form, the later one's value wins."""
+    if agent is AgentId.ML:
+        return dict(record.features)
+    by_canonical = {canonical_name(n): v for n, v in record.features.items()}
+    missing = features_module._MISSING
+    return {name: by_canonical.get(canonical_name(name), missing) for name in registry.domains.get(agent, ())}
+
+
+_SEPARATORS = st.sampled_from([" ", "  ", "_", "-", " - ", "__"])
+
+
+@st.composite
+def spellings(draw, name: str) -> str:
+    """Another spelling of ``name`` with the same words: case, separators and padding vary."""
+    words = [draw(st.sampled_from([w, w.lower(), w.upper(), w.title()])) for w in name.split()]
+    spelled = words[0] if words else ""
+    for word in words[1:]:
+        spelled += draw(_SEPARATORS) + word
+    return draw(st.sampled_from(["", " ", "_"])) + spelled + draw(st.sampled_from(["", " ", "-"]))
+
+
+_NAME_POOL = default_registry().all_assigned()
+_other_names = st.text(alphabet="aBc _-", max_size=6)
+registries = st.dictionaries(
+    st.sampled_from(SLM_AGENT_IDS), st.lists(st.sampled_from(_NAME_POOL) | _other_names, max_size=5).map(tuple)
+).map(FeatureRegistry)
+
+
+@st.composite
+def headers(draw, registry: FeatureRegistry) -> dict[str, FeatureValue]:
+    """Record features in any order: some registry names, each spelled once or
+    twice, and extra names, each holding a value object of its own."""
+    names: list[str] = []
+    for name in draw(st.lists(st.sampled_from(registry.all_assigned() or ("none",)), unique=True)):
+        names.extend(draw(st.lists(spellings(name), min_size=1, max_size=2)))
+    names.extend(draw(st.lists(st.sampled_from(_NAME_POOL) | _other_names, max_size=4)))
+    names = draw(st.permutations(names))
+    return {name: FeatureValue.numeric(i) for i, name in enumerate(names)}
 
 
 class TestFormatFeatures:

@@ -18,7 +18,9 @@ from marble.agents.slm import (
     calibrate,
     parse_response_detailed,
 )
-from marble.core import SLM_AGENT_IDS, AgentId, EngineConfig, Severity
+from marble.coordination import CoordinationResult, coordinate_rb
+from marble.core import SLM_AGENT_IDS, AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity
+from marble.engine import fuse
 from marble.features import FeatureValue, format_features, project
 from marble.features import AccidentRecord
 
@@ -327,3 +329,49 @@ class TestSlmEvaluate:
     def test_rejects_ml_domain(self, cfg):
         with pytest.raises(ValueError):
             SlmAgent(AgentId.ML, ScriptedBackend("x"), cfg)
+
+
+# Severities past Python's 4,300-digit limit on int(str), and confidences past
+# the float range: a reply must fail as "parse", or be clamped and flagged,
+# never raise.
+_DIGITS = "1" * 5000
+_HUGE_SEVERITIES = pytest.mark.parametrize(
+    "reply",
+    [f"severity: {_DIGITS}", f'{{"severity": "{_DIGITS}"}}', f'{{"severity": {_DIGITS}}}'],
+    ids=["labelled", "json-string", "json-number"],
+)
+_HUGE_CONFIDENCES = pytest.mark.parametrize(
+    "sign, clamped", [("", 1.0), ("-", 0.0)], ids=["positive", "negative"]
+)
+_LIVE = [AgentOutput(AgentId.ML, Severity(2), 0.6), AgentOutput(AgentId.SPATIAL, Severity(4), 0.7)]
+
+
+def _huge_confidence(sign: str) -> str:
+    return '{"severity": 2, "confidence": %s%s}' % (sign, "9" * 400)
+
+
+class TestHugeNumbers:
+    @_HUGE_SEVERITIES
+    def test_a_severity_that_does_not_fit_is_a_parse_failure(self, cfg, reply):
+        output = SlmAgent(AgentId.SPATIAL, ScriptedBackend(reply), cfg).evaluate({})
+        assert output.failed and output.failure_kind == "parse"
+
+    @_HUGE_CONFIDENCES
+    def test_a_confidence_past_the_float_range_is_clamped_and_flagged(self, cfg, sign, clamped):
+        output = SlmAgent(AgentId.SPATIAL, ScriptedBackend(_huge_confidence(sign)), cfg).evaluate({})
+        assert (output.prediction, output.raw_confidence) == (Severity(2), clamped)
+        assert output.notes == ("confidence clamped to [0,1]",)
+
+    @_HUGE_SEVERITIES
+    def test_the_llm_coordinator_falls_back_on_a_severity_that_does_not_fit(self, cfg, reply):
+        llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+        coordination, _ = fuse(_LIVE, llm_cfg, coordination_backend=ScriptedBackend(reply))
+        assert coordination == dataclasses.replace(coordinate_rb(_LIVE, llm_cfg), fallback="parse")
+
+    @_HUGE_CONFIDENCES
+    def test_the_llm_coordinator_clamps_a_confidence_past_the_float_range(self, cfg, sign, clamped):
+        llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+        coordination, _ = fuse(_LIVE, llm_cfg, coordination_backend=ScriptedBackend(_huge_confidence(sign)))
+        assert coordination == CoordinationResult(
+            prediction=Severity(2), confidence=clamped, method=CoordinationMode.LLM_BASED, reasoning=""
+        )
