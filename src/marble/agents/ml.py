@@ -13,7 +13,7 @@ import math
 import statistics
 import time
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -96,8 +96,8 @@ def _token(value: FeatureValue | None, cuts: tuple[float, ...] | None, mean: flo
 def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
     """Fit the frequency model; every class must appear at least once.
 
-    One pass per feature column: each distinct value is tokenized once and
-    (label, token) pairs are counted in one go.
+    One pass over the records gathers the columns; per column, each distinct
+    value is tokenized once and (label, token) pairs are counted in one go.
     """
     if any(r.label is None for r in records):
         raise TrainError("training records must all carry a severity label")
@@ -108,15 +108,18 @@ def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
         if n == 0:
             raise TrainError(f"class {k} unrepresented")
 
-    feature_maps = [r.features for r in records]
-    feature_names = tuple(sorted({name for f in feature_maps for name in f}))
+    columns = defaultdict(lambda: [None] * len(records))  # None where a record lacks the feature
+    for row, record in enumerate(records):
+        for name, value in record.features.items():
+            columns[name][row] = value
+    feature_names = tuple(sorted(columns))
     numeric: set[str] = set()
     bins: dict[str, tuple[float, ...]] = {}
     means: dict[str, float] = {}
     tables: dict[str, dict[int, dict[str, int]]] = {}
     vocab_sizes: dict[str, int] = {}
     for name in feature_names:
-        column = [f.get(name) for f in feature_maps]
+        column = columns.pop(name)
         # Ingest shares one FeatureValue per distinct cell text, so keying on
         # identity finds the distinct cells without hashing every value.
         keys = list(map(id, column))

@@ -259,16 +259,40 @@ def _iter_instances(
     **options,
 ) -> Iterator[tuple[FinalDecision, TraceRecord]]:
     """Yield each record's result in input order as soon as it and every
-    earlier record are done; ``options`` go to ``run_instance``."""
+    earlier record are done, or raise the first error in input order;
+    ``options`` go to ``run_instance``. Once the caller stops, by an error or
+    ``close()``, no further record starts, and the record threads are joined."""
     one = partial(run_instance, agents=agents, cfg=cfg, **options)
     if max_workers <= 1:
         yield from map(one, records)
         return
-    # Imported here, off the per-record path; a pool per call, since records run
-    # on the agent pool kept their deep-stack threads alive and raised peak RSS.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        yield from pool.map(one, records)
+    indices, replies, done = iter(range(len(records))), queue.SimpleQueue(), {}
+
+    def work() -> None:
+        for index in indices:
+            try:
+                replies.put((index, one(records[index]), None))
+            except BaseException as error:
+                replies.put((index, None, error))
+
+    # Threads of this call, not the agent pool: records kept its deep-stack threads alive, raising peak RSS.
+    threads = [threading.Thread(target=work, name="marble-record") for _ in range(min(max_workers, len(records)))]
+    for thread in threads:
+        thread.start()
+    try:
+        for index in range(len(records)):
+            while index not in done:  # a finished record waits in ``done`` for every earlier one
+                finished, result, error = replies.get()
+                done[finished] = (result, error)
+            result, error = done.pop(index)
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        for _ in indices:  # take every index left, so no thread starts another record
+            pass
+        for thread in threads:
+            thread.join()
 
 
 def run_instances(

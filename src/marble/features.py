@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import AgentId, ConfigError, SLM_AGENT_IDS, Severity, from_json_value
 
@@ -34,6 +34,7 @@ class RowError(ValueError):
 
 _MISSING_TOKENS = {"", "n/a", "na", "none", "null", "unknown", "nan", "-"}
 _BAD_ROW_BUDGET = 100  # bad rows that ingest_csv collects per file before it gives up
+_HEADERS_KEPT = 64  # distinct headers a registry resolves before it forgets them all
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +92,32 @@ def _format_number(x: float) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True)
+class _Row(Mapping[str, FeatureValue]):
+    """An ingested record's features: its tuple of values, and the map from
+    name to position that all records of its file share."""
+
+    __slots__ = ("_columns", "_values")
+
+    def __init__(self, columns: dict[str, int], values: tuple[FeatureValue, ...]):
+        self._columns, self._values = columns, values
+
+    def __getitem__(self, name: str) -> FeatureValue:
+        return self._values[self._columns[name]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def items(self) -> Iterator[tuple[str, FeatureValue]]:
+        return zip(self._columns, self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+@dataclass(frozen=True, slots=True)
 class AccidentRecord:
     """One input instance: named feature values plus optional ground truth."""
 
@@ -166,11 +192,13 @@ class FeatureRegistry:
     def _resolve(self, header: tuple[str, ...]) -> dict[AgentId, tuple[str | None, ...]]:
         """Per agent, the header's name for each of its registry names: the one
         of the same ``canonical_name`` (the last, if several), or None. Built
-        once per distinct header; a race only stores an equal entry again."""
+        once per distinct header while kept (see ``_HEADERS_KEPT``); a race only stores an equal entry again."""
         resolved = self._by_header.get(header)
         if resolved is None:
             by_canonical = {canonical_name(n): n for n in header}
             resolved = {a: tuple(by_canonical.get(canonical_name(n)) for n in ns) for a, ns in self._names.items()}
+            if len(self._by_header) >= _HEADERS_KEPT:
+                self._by_header.clear()
             self._by_header[header] = resolved
         return resolved
 
@@ -216,7 +244,7 @@ def project(
     header, and nothing is kept on the record.
     """
     if agent is AgentId.ML:
-        return dict(record.features)
+        return dict(record.features.items())
     registry = registry or _DEFAULT_REGISTRY
     features = record.features
     keys = registry._resolve(tuple(features)).get(agent, ())
@@ -269,7 +297,7 @@ def ingest_csv(
     ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
     collected (into ``errors_out`` when given) rather than fatal, until
     more than 100 rows are bad. Each distinct cell text is parsed once
-    and its FeatureValue shared by every record that holds it.
+    and its FeatureValue shared by every record that holds it; records hold them in ``_Row``s.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -287,10 +315,10 @@ def ingest_csv(
         id_col = columns.get("id")
         label_col = columns.get("severity")
         is_feature = [i != id_col and i != label_col for i in range(len(header))]
-        names = list(compress(header, is_feature))
-        if registry is not None and names:
+        positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
+        if registry is not None and positions:
             assigned = {canonical_name(n) for n in registry.all_assigned()}
-            if not assigned.intersection(map(canonical_name, names)):
+            if not assigned.intersection(map(canonical_name, positions)):
                 raise SchemaError("no registry feature matches the header")
         parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 
@@ -307,7 +335,7 @@ def ingest_csv(
                 if rec_id in seen_ids:
                     raise RowError(row_num, f"duplicate id {rec_id!r}")
                 label = _parse_label(cells[label_col], row_num) if label_col is not None else None
-                features = dict(zip(names, map(parse, compress(cells, is_feature))))
+                features = _Row(positions, tuple(map(parse, compress(cells, is_feature))))
                 seen_ids.add(rec_id)
                 records.append(AccidentRecord(id=rec_id, features=features, label=label))
             except RowError as err:

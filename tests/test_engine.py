@@ -411,6 +411,108 @@ class TestRunBatch:
             assert a == b
 
 
+def record_threads() -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate() if thread.name == "marble-record"]
+
+
+def indexed_agent(respond) -> ScriptedAgent:
+    """An ML agent that passes ``respond`` the index ``weather_record`` gave its record as token."""
+    return ScriptedAgent(AgentId.ML, lambda features: respond(int(features["Weather Conditions"].text)))
+
+
+class TestRecordThreads:
+    def test_a_call_starts_one_record_thread_per_record_up_to_max_workers(self, cfg, monkeypatch):
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread, *args, **kwargs):
+            started.append(thread.name)
+            return original(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        agents = unanimous_agents(cfg, 0.7)
+        for count, max_workers in ((3, 8), (20, 4)):
+            started.clear()
+            run_instances([record(f"n{i}") for i in range(count)], agents, cfg, max_workers=max_workers)
+            assert started.count("marble-record") == min(count, max_workers)
+        assert not record_threads()
+
+    def test_results_come_back_in_input_order_when_later_records_finish_first(self, cfg):
+        finished = []
+
+        def respond(index: int):
+            time.sleep((8 - index) * 0.03)
+            finished.append(index)
+            return 2, 0.6
+
+        records = [weather_record(f"o{i}", str(i)) for i in range(8)]
+        results = run_instances(records, [indexed_agent(respond)], cfg, max_workers=8)
+        assert [trace.record_id for _, trace in results] == [r.id for r in records]
+        assert finished[0] != 0 and sorted(finished) == list(range(8))
+        assert not record_threads()
+
+    def test_the_earliest_failing_record_in_input_order_raises(self, cfg, tmp_path):
+        # Record 5 fails at once; record 2 fails only after every later record is done.
+        def respond(index: int):
+            if index == 2:
+                time.sleep(0.3)
+            if index in (2, 5):
+                raise RuntimeError(f"record {index}")
+            return 2, 0.6
+
+        records = [weather_record(f"e{i}", str(i)) for i in range(8)]
+        sink = tmp_path / "trace.jsonl"
+        with pytest.raises(RuntimeError, match="^record 2$"):
+            run_batch(records, [indexed_agent(respond)], cfg, sink, max_workers=4)
+        lines = sink.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["record_id"] for line in lines] == ["e0", "e1"]
+        assert not record_threads()
+
+    def test_record_threads_run_every_record_once_under_rapid_switching(self, cfg):
+        # More record threads than cores take indices from one iterator; a
+        # record taken twice or lost shows in the counts or the order.
+        runs = []
+
+        def respond(index: int):
+            runs.append(index)
+            return 1 + index % 4, 0.6
+
+        records = [weather_record(f"x{i}", str(i)) for i in range(300)]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: results.extend(run_instances(records, [indexed_agent(respond)], cfg, max_workers=16))
+            )
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert sorted(runs) == list(range(300))
+        assert [trace.record_id for _, trace in results] == [r.id for r in records]
+        assert [int(d.prediction) for d, _ in results] == [1 + i % 4 for i in range(300)]
+        assert not record_threads()
+
+    def test_closing_the_results_early_starts_no_further_record(self, cfg):
+        started = []
+
+        def respond(index: int):
+            started.append(index)
+            time.sleep(0.005)
+            return 2, 0.6
+
+        records = [weather_record(f"c{i}", str(i)) for i in range(200)]
+        results = marble.engine._iter_instances(records, [indexed_agent(respond)], cfg, 4)
+        next(results)
+        results.close()
+        assert not record_threads()
+        count = len(started)
+        time.sleep(0.05)
+        assert len(started) == count < 100
+
+
 def mixed_agents(cfg: EngineConfig) -> list:
     """Agents whose verdicts and failures vary with the record's token; every
     agent fails on "poison"."""
@@ -444,6 +546,23 @@ class TestAgentThreads:
     def test_importing_marble_loads_no_executor_and_no_logging(self):
         probe = "import sys, marble; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
         assert self.run_python(probe).stdout.strip() == "[]"
+        batch = textwrap.dedent(
+            """
+            import sys, tempfile
+            from pathlib import Path
+            from marble.core import AgentId, EngineConfig, validate_config
+            from marble.engine import run_batch
+            from marble.features import AccidentRecord
+            from synth import ScriptedAgent
+
+            records = [AccidentRecord(id=f"r{i}", features={}) for i in range(8)]
+            agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6)]
+            with tempfile.TemporaryDirectory() as tmp:
+                run_batch(records, agents, validate_config(EngineConfig()), Path(tmp) / "t.jsonl", max_workers=4)
+            print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))
+            """
+        )
+        assert self.run_python(batch).stdout.strip() == "[]"
 
     def test_an_abandoned_agent_does_not_hold_the_process_open(self):
         script = textwrap.dedent(

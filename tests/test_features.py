@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import pickle
+import random
 import sys
 import tempfile
 import threading
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marble import features as features_module
-from marble.core import SLM_AGENT_IDS, AgentId, ConfigError, Severity
+from marble.agents import MlAgent, ScriptedBackend, SlmAgent, ml_train
+from marble.core import SLM_AGENT_IDS, AgentId, ConfigError, EngineConfig, Severity, validate_config
+from marble.engine import run_instance, strip_timings
 from marble.features import (
     AccidentRecord,
     FeatureRegistry,
@@ -249,6 +252,25 @@ class TestProject:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 8
         assert set(registry._by_header) == {tuple(r.features) for r in records}
+
+    def test_records_with_ever_new_headers_keep_little_on_the_default_registry(self):
+        # Client-built feature maps with one varying field: each record brings
+        # a header of its own, and each is dropped once projected.
+        base = {name: FeatureValue.categorical("v") for name in default_registry().all_assigned()}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                record = AccidentRecord(f"h{i}", {**base, f"extra {i}": FeatureValue.numeric(i)})
+                for agent in AgentId:
+                    project(record, agent)
+            del record
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 2000
 
 
 def reference_project(record: AccidentRecord, agent: AgentId, registry: FeatureRegistry) -> dict[str, FeatureValue]:
@@ -538,3 +560,99 @@ class TestIngestAgainstReference:
         first, second = ingest_csv(path)
         assert first.features["Weather Conditions"] is first.features["Road Type"]
         assert first.features["Weather Conditions"] is second.features["Weather Conditions"]
+
+
+def bench_like_csv(path: Path, n: int, seed: int) -> Path:
+    """``n`` labelled rows shaped like the benchmark's: five hint columns,
+    coordinates and times that are nearly unique per row, numbers of a few
+    hundred values, low-cardinality categories and some missing cells."""
+    rng = random.Random(seed)
+    hints = ("Weather Conditions", "Day of Week", "Road Type", "Point of Impact", "ml signal")
+    header = ["id", *default_registry().all_assigned(), "ml signal", "severity"]
+    rows = [header]
+    for i in range(n):
+        cells = {
+            "Visibility": f"{rng.uniform(0.1, 10.0):.1f}",
+            "Temperature": f"{rng.uniform(-10.0, 35.0):.1f}",
+            "Wind Speed": str(rng.randrange(0, 61)),
+            "Humidity": str(rng.randrange(20, 101)),
+            "Time of Day": f"{rng.randrange(24):02d}:{rng.randrange(60):02d}",
+            "Month": rng.choice(["January", "April", "July", "October"]),
+            "Day of Year": str(rng.randrange(1, 366)),
+            "Speed Limit": str(rng.choice((20, 30, 40, 50, 60, 70))),
+            "Travel Distance": f"{rng.uniform(0.1, 50.0):.1f}",
+            "Longitude": f"{rng.uniform(-5.0, 1.8):.4f}",
+            "Latitude": f"{rng.uniform(50.0, 55.0):.4f}",
+            **{name: f"sig{rng.randint(1, 4)}" for name in hints},
+        }
+        row = [f"t{i}"]
+        for name in header[1:-1]:
+            cell = cells.get(name, rng.choice(["a", "b", "c", ""]))
+            row.append("" if rng.random() < 0.05 else cell)
+        rows.append(row + [str(1 + i % 4)])
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    return path
+
+
+@st.composite
+def labelled_tables(draw):
+    """A header of registry and other names, and rows whose first four labels
+    cover every class, so ``ml_train`` accepts them."""
+    names = draw(st.lists(st.sampled_from(_HEADER_POOL + ["Day of Week", "Point of Impact"]), min_size=1,
+                          max_size=6, unique=True))
+    labels = [1, 2, 3, 4] + draw(st.lists(st.integers(1, 4), max_size=6))
+    rows = [[draw(_cells) for _ in names] + [str(label)] for label in labels]
+    return [names + ["severity"], *rows]
+
+
+class TestRecordStorage:
+    def test_an_ingested_record_keeps_under_900_bytes(self, tmp_path):
+        path = bench_like_csv(tmp_path / "train.csv", 1000, seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = ingest_csv(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 1000
+        assert retained < 900 * len(records)
+
+    def test_a_record_reads_like_its_dict(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,Weather Conditions,severity,Speed Limit\na,Rain,2,30\n", encoding="utf-8")
+        (record,) = ingest_csv(path)
+        expected = {"Weather Conditions": FeatureValue.categorical("Rain"), "Speed Limit": FeatureValue.numeric(30)}
+        assert record.features == expected and len(record.features) == 2
+        assert list(record.features.items()) == list(expected.items())
+        assert record.features.get("Humidity") is None and "Speed Limit" in record.features
+        assert repr(record.features) == repr(expected)
+        assert not hasattr(record, "__dict__") and not hasattr(record.features, "__dict__")
+
+    @given(labelled_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_an_ingested_record_behaves_as_its_dict_copy(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows(table)
+            records = ingest_csv(path)
+        copies = [AccidentRecord(r.id, dict(r.features), r.label) for r in records]
+        assert records == copies and copies == records
+        for record, copied in zip(records, copies):
+            for agent in AgentId:
+                ours, theirs = project(record, agent), project(copied, agent)
+                assert list(ours) == list(theirs)
+                assert all(ours[name] is theirs[name] for name in theirs)
+        model = ml_train(records)
+        assert model == ml_train(copies)
+        cfg = validate_config(EngineConfig())
+        backend = ScriptedBackend(lambda prompt: json.dumps(
+            {"severity": 1 + len(prompt) % 4, "confidence": 0.7, "reasoning": "by prompt length"}))
+        agents = [MlAgent(model), *(SlmAgent(agent, backend, cfg) for agent in SLM_AGENT_IDS)]
+        for record, copied in zip(records, copies):
+            traces = [strip_timings(run_instance(r, agents, cfg)[1].to_dict()) for r in (record, copied)]
+            assert traces[0] == traces[1]
