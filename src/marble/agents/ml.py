@@ -14,7 +14,7 @@ import statistics
 import time
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..core import ALL_SEVERITIES, AgentId, AgentOutput, Severity
@@ -29,47 +29,22 @@ class TrainError(ValueError):
 
 @dataclass(frozen=True)
 class MlModel:
-    """Per-class token statistics sufficient for posterior estimation.
+    """The log prior of each class and one prediction column per feature.
 
-    The log prior of each class and, per feature, the four log-likelihoods
-    of each training token (and of an unseen one) are derived from the
-    counts when the model is built, so a prediction is one table lookup and
-    four additions per feature.
+    A column is ``(name, cuts, mean, log_table, unseen)``: the quintile cuts
+    and training mean of a numeric feature (both None for a categorical
+    one), the four class log-likelihoods of each training token, and those
+    of an unseen token. A prediction is one table lookup and four additions
+    per feature.
     """
 
-    class_counts: Mapping[int, int]
-    feature_names: tuple[str, ...]
-    numeric_features: frozenset[str]
-    bins: Mapping[str, tuple[float, ...]]
-    means: Mapping[str, float]
-    tables: Mapping[str, Mapping[int, Mapping[str, int]]]
-    vocab_sizes: Mapping[str, int]
-    _log_prior: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _columns: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        classes = [int(k) for k in ALL_SEVERITIES]
-        total = sum(self.class_counts.values())
-        prior = tuple(math.log(self.class_counts[k] / total) for k in classes)
-        columns = []
-        for name in self.feature_names:
-            per_class, vocab = self.tables[name], self.vocab_sizes[name]
-            denominators = [self.class_counts[k] + vocab for k in classes]
-            tokens = {t for k in classes for t in per_class[k]}
-            log_table = {
-                t: tuple(math.log((per_class[k].get(t, 0) + 1) / d) for k, d in zip(classes, denominators))
-                for t in tokens
-            }
-            unseen = tuple(math.log(1 / d) for d in denominators)
-            cuts = self.bins[name] if name in self.numeric_features else None
-            columns.append((name, cuts, self.means.get(name), log_table, unseen))
-        object.__setattr__(self, "_log_prior", prior)
-        object.__setattr__(self, "_columns", tuple(columns))
+    log_prior: tuple[float, ...]
+    columns: tuple[tuple, ...]
 
     def predict_proba(self, features: Mapping[str, FeatureValue]) -> dict[Severity, float]:
         """Posterior over the four classes; always sums to 1."""
-        s1, s2, s3, s4 = self._log_prior
-        for name, cuts, mean, log_table, unseen in self._columns:
+        s1, s2, s3, s4 = self.log_prior
+        for name, cuts, mean, log_table, unseen in self.columns:
             l1, l2, l3, l4 = log_table.get(_token(features.get(name), cuts, mean), unseen)
             s1 += l1
             s2 += l2
@@ -97,28 +72,25 @@ def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
     """Fit the frequency model; every class must appear at least once.
 
     One pass over the records gathers the columns; per column, each distinct
-    value is tokenized once and (label, token) pairs are counted in one go.
+    value is tokenized once, (label, token) pairs are counted in one go, and
+    the counts become add-one smoothed log-likelihoods.
     """
     if any(r.label is None for r in records):
         raise TrainError("training records must all carry a severity label")
     labels = [int(r.label) for r in records]
     label_counts = Counter(labels)
-    counts = {int(k): label_counts[int(k)] for k in ALL_SEVERITIES}
-    for k, n in counts.items():
-        if n == 0:
+    classes = [int(k) for k in ALL_SEVERITIES]
+    for k in classes:
+        if label_counts[k] == 0:
             raise TrainError(f"class {k} unrepresented")
+    log_prior = tuple(math.log(label_counts[k] / len(labels)) for k in classes)
 
     columns = defaultdict(lambda: [None] * len(records))  # None where a record lacks the feature
     for row, record in enumerate(records):
         for name, value in record.features.items():
             columns[name][row] = value
-    feature_names = tuple(sorted(columns))
-    numeric: set[str] = set()
-    bins: dict[str, tuple[float, ...]] = {}
-    means: dict[str, float] = {}
-    tables: dict[str, dict[int, dict[str, int]]] = {}
-    vocab_sizes: dict[str, int] = {}
-    for name in feature_names:
+    model_columns = []
+    for name in sorted(columns):
         column = columns.pop(name)
         # Ingest shares one FeatureValue per distinct cell text, so keying on
         # identity finds the distinct cells without hashing every value.
@@ -128,31 +100,21 @@ def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
         cuts = mean = None
         if "numeric" in kinds and "categorical" not in kinds:
             values = sorted(v.number for v in column if v is not None and v.kind == "numeric")
-            mean = means[name] = sum(values) / len(values)
-            cuts = bins[name] = _quintile_cuts(values)
-            numeric.add(name)
+            mean = sum(values) / len(values)
+            cuts = tuple(statistics.quantiles(values, n=5, method="inclusive")) if len(set(values)) > 1 else ()
         token_of = {key: _token(v, cuts, mean) for key, v in distinct.items()}
-        table: dict[int, dict[str, int]] = {int(k): {} for k in ALL_SEVERITIES}
+        counts: dict[int, dict[str, int]] = {k: {} for k in classes}
         for (label, key), n in Counter(zip(labels, keys)).items():
-            per_class, token = table[label], token_of[key]
+            per_class, token = counts[label], token_of[key]
             per_class[token] = per_class.get(token, 0) + n
-        tables[name] = table
-        vocab_sizes[name] = max(1, len(set(token_of.values())))
-    return MlModel(
-        class_counts=counts,
-        feature_names=feature_names,
-        numeric_features=frozenset(numeric),
-        bins=bins,
-        means=means,
-        tables=tables,
-        vocab_sizes=vocab_sizes,
-    )
-
-
-def _quintile_cuts(sorted_values: list[float]) -> tuple[float, ...]:
-    if len(set(sorted_values)) < 2:
-        return ()
-    return tuple(statistics.quantiles(sorted_values, n=5, method="inclusive"))
+        tokens = set(token_of.values())
+        denominators = [label_counts[k] + len(tokens) for k in classes]
+        log_table = {
+            t: tuple(math.log((counts[k].get(t, 0) + 1) / d) for k, d in zip(classes, denominators)) for t in tokens
+        }
+        unseen = tuple(math.log(1 / d) for d in denominators)
+        model_columns.append((name, cuts, mean, log_table, unseen))
+    return MlModel(log_prior, tuple(model_columns))
 
 
 class MlAgent:

@@ -177,7 +177,7 @@ def _iter_json_candidates(text: str):
             yield obj
 
 
-_SEV_PATTERN = re.compile(r'severity"?\s*[:=]\s*"?(\d+)', re.IGNORECASE)
+_SEV_PATTERN = re.compile(r'severity"?\s*[:=]\s*"?(\d+(?:\.\d+)?)', re.IGNORECASE)
 _CONF_PATTERN = re.compile(r'confidence"?\s*[:=]\s*"?([0-9]*\.?[0-9]+)', re.IGNORECASE)
 
 _DEFAULT_FALLBACK_CONFIDENCE = 0.5  # neutral prior when the model states none
@@ -194,8 +194,9 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
     """Extract (severity, confidence, reasoning) from free-form model output.
 
     Strict path first: the first embedded JSON object carrying a valid
-    severity wins. Labeled-number patterns ("severity: N", "confidence: 0.x",
-    case-insensitive) serve as the fallback. Confidence is clamped to [0, 1].
+    severity wins. Labeled-number patterns ("severity: N" with N a whole
+    number, "confidence: 0.x", case-insensitive) serve as the fallback.
+    Confidence is clamped to [0, 1].
     """
     for obj in _iter_json_candidates(raw):
         severity = _coerce_severity(obj.get("severity"))
@@ -205,7 +206,7 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
             return _parsed(severity, confidence, "" if reasoning is None else str(reasoning), "json")
 
     sev_match = _SEV_PATTERN.search(raw)
-    severity = _coerce_severity(sev_match.group(1)) if sev_match else None
+    severity = _coerce_severity(float(sev_match.group(1))) if sev_match else None
     if severity is not None:
         conf_match = _CONF_PATTERN.search(raw)
         return _parsed(severity, float(conf_match.group(1)) if conf_match else None, "", "fallback")

@@ -331,7 +331,8 @@ def run_batch(
     """
     options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
     decisions: list[FinalDecision] = []
-    with open(trace_sink, "w", encoding="utf-8") as sink:
+    # A lone surrogate (half an emoji pair) in a reply is written as its JSON escape.
+    with open(trace_sink, "w", encoding="utf-8", errors="backslashreplace") as sink:
         for decision, trace in _iter_instances(records, agents, cfg, max_workers, **options):
             sink.write(json.dumps(trace.to_dict(), ensure_ascii=False) + "\n")
             sink.flush()

@@ -401,6 +401,20 @@ class TestRunBatch:
             assert [o["failure_kind"] for o in line["agent_outputs"]] == [None, "parse"]
             assert line["coordination"]["fallback"] == "parse"
 
+    def test_a_lone_surrogate_in_a_reply_is_written_and_reads_back(self, tmp_path):
+        # Half of an emoji's surrogate pair, as a model that splits the pair sends it.
+        reply = '{"severity": 2, "confidence": 0.7, "reasoning": "bad \\ud800 text"}'
+        cfg = validate_config(EngineConfig(coordination_mode=CoordinationMode.LLM_BASED))
+        backend = ScriptedBackend(reply)
+        agents = [ScriptedAgent(AgentId.ML, prediction=3, confidence=0.5), SlmAgent(AgentId.SPATIAL, backend, cfg)]
+        sink = tmp_path / "trace.jsonl"
+        decisions = run_batch([record(f"u{i}") for i in range(3)], agents, cfg, sink, coordination_backend=backend)
+        lines = [json.loads(line) for line in sink.read_text(encoding="utf-8").splitlines()]
+        assert len(decisions) == len(lines) == 3
+        for line in lines:
+            assert line["agent_outputs"][1]["reasoning"] == "bad \ud800 text"
+            assert line["coordination"]["reasoning"] == "bad \ud800 text"
+
     def test_traces_are_deterministic_modulo_timings(self, cfg, tmp_path):
         records = [record(f"d{i}") for i in range(5)]
         first = run_instances(records, unanimous_agents(cfg, 0.7), cfg)

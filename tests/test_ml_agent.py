@@ -52,8 +52,7 @@ class TestTrain:
         ]
         shuffled = list(records)
         random.Random(7).shuffle(shuffled)
-        probe = {"color": FeatureValue.categorical("c2"), "road": FeatureValue.categorical("r1")}
-        assert ml_train(records).predict_proba(probe) == ml_train(shuffled).predict_proba(probe)
+        assert ml_train(records) == ml_train(shuffled)
 
 
 class TestPosterior:
@@ -233,7 +232,16 @@ class ReferenceModel:
         return {k: v / norm for k, v in raw.items()}
 
 
-_MODEL_FIELDS = ("class_counts", "feature_names", "numeric_features", "bins", "means", "tables", "vocab_sizes")
+def binning(model):
+    """Each column's name, quintile cuts and mean (None for a categorical
+    feature), as the reference keeps them."""
+    return [column[:3] for column in model.columns]
+
+
+def reference_binning(reference):
+    return [(name, reference.bins.get(name), reference.means.get(name)) for name in reference.feature_names]
+
+
 _NAMES = ["Weather", "Speed", "Road", "Humidity", "Month"]
 # A small pool of prebuilt values, which records share as ingest shares
 # them, beside freshly built values that are equal but distinct objects.
@@ -281,8 +289,7 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     def test_model_importance_and_posteriors_equal_the_record_wise_reference(self, records, probes):
         model, reference = ml_train(records), ReferenceModel(records)
-        for name in _MODEL_FIELDS:
-            assert getattr(model, name) == getattr(reference, name), name
+        assert binning(model) == reference_binning(reference)
         for features in probes + [r.features for r in records]:
             assert model.predict_proba(features) == reference.predict_proba(features)
 
@@ -302,6 +309,5 @@ class TestAgainstReference:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         records = ingest_csv(path)
         model, reference = ml_train(records), ReferenceModel(records)
-        for name in _MODEL_FIELDS:
-            assert getattr(model, name) == getattr(reference, name), name
+        assert binning(model) == reference_binning(reference)
         assert all(model.predict_proba(r.features) == reference.predict_proba(r.features) for r in records)

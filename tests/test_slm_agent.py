@@ -119,6 +119,15 @@ class TestParseResponse:
     def test_labeled_number_fallback(self):
         assert parse_response("Severity: 3\nConfidence: 0.55") == (Severity(3), 0.55, "")
 
+    @pytest.mark.parametrize("raw", ["severity: 3", "severity: 3.0", "Severity = 3.00", "the severity: 3."])
+    def test_labeled_whole_number_is_a_class(self, raw):
+        assert int(parse_response_detailed(raw).severity) == 3
+
+    @pytest.mark.parametrize("raw", ['{"severity": 3.5, "confidence": 0.9}', "severity: 3.5", "severity=4.9"])
+    def test_labeled_fraction_is_no_class(self, raw):
+        with pytest.raises(ParseError):
+            parse_response_detailed(raw)
+
     def test_plain_prose_fails(self):
         with pytest.raises(ParseError):
             parse_response("the accident is bad")

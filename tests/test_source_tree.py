@@ -38,6 +38,22 @@ def test_every_private_module_name_is_read_in_its_module(path):
     assert sorted(private_module_names(tree) - read) == []
 
 
+# The caches a frozen object may write into itself after construction.
+CACHES_SET_ON_FROZEN_OBJECTS = {"_fingerprint", "_names", "_by_header"}
+
+
+def test_frozen_objects_write_only_their_named_caches():
+    """A frozen dataclass holds what it is built from; ``object.__setattr__``
+    may only fill one of the allowlisted caches, never derived state."""
+    written = {
+        ast.unparse(node.args[1])
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+    }
+    assert written and sorted(written - {repr(name) for name in CACHES_SET_ON_FROZEN_OBJECTS}) == []
+
+
 @pytest.mark.parametrize("module_name", ["marble", "marble.agents"])
 def test_every_exported_name_resolves_once(module_name):
     module = importlib.import_module(module_name)
