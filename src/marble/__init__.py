@@ -18,7 +18,6 @@ from .core import (
 )
 from .coordination import (
     CoordinationResult,
-    EmptyInputError,
     VoteBreakdown,
     coordinate_llm,
     coordinate_rb,
@@ -55,7 +54,6 @@ __all__ = [
     "CoordinationMode",
     "CoordinationResult",
     "DecisionSource",
-    "EmptyInputError",
     "EngineConfig",
     "FeatureRegistry",
     "FeatureValue",

@@ -178,7 +178,8 @@ def _iter_json_candidates(text: str):
 
 
 _SEV_PATTERN = re.compile(r'severity"?\s*[:=]\s*"?(\d+(?:\.\d+)?)', re.IGNORECASE)
-_CONF_PATTERN = re.compile(r'confidence"?\s*[:=]\s*"?([0-9]*\.?[0-9]+)', re.IGNORECASE)
+# One number-shaped token (sign, fraction, exponent, inf), read as the JSON path reads it.
+_CONF_PATTERN = re.compile(r'(?i)confidence"?\s*[:=]\s*"?([+-]?(?:inf(?:inity)?\b|(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?))')
 
 _DEFAULT_FALLBACK_CONFIDENCE = 0.5  # neutral prior when the model states none
 
@@ -196,7 +197,7 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
     Strict path first: the first embedded JSON object carrying a valid
     severity wins. Labeled-number patterns ("severity: N" with N a whole
     number, "confidence: 0.x", case-insensitive) serve as the fallback.
-    Confidence is clamped to [0, 1].
+    Confidence is clamped to [0, 1], and flagged when that changed it.
     """
     for obj in _iter_json_candidates(raw):
         severity = _coerce_severity(obj.get("severity"))
@@ -209,7 +210,7 @@ def parse_response_detailed(raw: str) -> ParsedPrediction:
     severity = _coerce_severity(float(sev_match.group(1))) if sev_match else None
     if severity is not None:
         conf_match = _CONF_PATTERN.search(raw)
-        return _parsed(severity, float(conf_match.group(1)) if conf_match else None, "", "fallback")
+        return _parsed(severity, _coerce_confidence(conf_match.group(1)) if conf_match else None, "", "fallback")
     raise ParseError("no severity class in 1-4 recoverable from output")
 
 

@@ -4,6 +4,9 @@ Two mechanisms: deterministic rule-based voting (the default) built on
 weighted scores, an ML override, tie-breaking, and an agreement boost; and
 an LLM-based meta-reasoner that reports its verdict or the kind of its
 failure, on which the engine falls back to the rule-based result.
+
+Every function here takes what ``engine.fuse`` passes it: the live (not
+failed) outputs, at least one, in agent order.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Mapping, Sequence
 from .agents.backends import SlmBackend
 from .agents.slm import ask
 from .core import (
-    AGENT_ORDER,
     ALL_SEVERITIES,
     AgentId,
     AgentOutput,
@@ -24,10 +26,6 @@ from .core import (
     EngineConfig,
     Severity,
 )
-
-
-class EmptyInputError(ValueError):
-    """Every agent failed; there is nothing to coordinate."""
 
 
 @dataclass(frozen=True)
@@ -64,20 +62,12 @@ class CoordinationResult:
         return out
 
 
-def _live(outputs: Sequence[AgentOutput]) -> list[AgentOutput]:
-    """The outputs that did not fail; EmptyInputError when none is left."""
-    live = [o for o in outputs if not o.failed]
-    if not live:
-        raise EmptyInputError("all agents failed")
-    return live
-
-
 def weighted_scores(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> VoteBreakdown:
     """Per-class score: sum over voters of weight * confidence * class factor."""
     scores = {k: 0.0 for k in ALL_SEVERITIES}
     supporters: dict[Severity, list[AgentId]] = {k: [] for k in ALL_SEVERITIES}
     slm_supporters: dict[Severity, list[AgentId]] = {k: [] for k in ALL_SEVERITIES}
-    for output in _live(outputs):
+    for output in outputs:
         k = output.prediction
         weight = cfg.agent_weights.get(output.agent, 1.0)
         scores[k] += weight * output.confidence * cfg.class_factors[k]
@@ -96,18 +86,14 @@ def check_ml_override(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> bool
 
     Fires when the ML confidence reaches the corroboration-free threshold,
     or the lower threshold with at least one SLM agent agreeing. False when
-    the ML agent failed or is absent.
+    the ML agent is absent.
     """
-    return _overriding_ml(outputs, cfg) is not None
-
-
-def _overriding_ml(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> AgentOutput | None:
-    """The live ML output when it overrides the vote (``check_ml_override``), else None."""
-    ml = next((o for o in outputs if o.agent is AgentId.ML and not o.failed), None)
-    if ml is None or ml.confidence >= cfg.tau_ml_corrob:
-        return ml
-    agreed = any(o.agent.is_slm and not o.failed and o.prediction == ml.prediction for o in outputs)
-    return ml if ml.confidence >= cfg.tau_ml_high and agreed else None
+    ml = next((o for o in outputs if o.agent is AgentId.ML), None)
+    return ml is not None and (
+        ml.confidence >= cfg.tau_ml_corrob
+        or ml.confidence >= cfg.tau_ml_high
+        and any(o.agent.is_slm and o.prediction == ml.prediction for o in outputs)
+    )
 
 
 def rb_predict(breakdown: VoteBreakdown, cfg: EngineConfig) -> Severity:
@@ -147,16 +133,10 @@ def agreement_boost(prediction: Severity, breakdown: VoteBreakdown, cfg: EngineC
     return 0.0
 
 
-def weighted_avg_confidence(
-    prediction: Severity, outputs: Sequence[AgentOutput], cfg: EngineConfig
-) -> float:
+def weighted_avg_confidence(prediction: Severity, outputs: Sequence[AgentOutput], cfg: EngineConfig) -> float:
     """Weight-weighted mean confidence over the agents voting for the class;
     the configured fallback when no agent supports it."""
-    votes = [
-        (cfg.agent_weights.get(o.agent, 1.0), o.confidence)
-        for o in outputs
-        if not o.failed and o.prediction == prediction
-    ]
+    votes = [(cfg.agent_weights.get(o.agent, 1.0), o.confidence) for o in outputs if o.prediction == prediction]
     denominator = sum(w for w, _ in votes)
     if denominator == 0.0:
         return cfg.fallback_confidence
@@ -174,12 +154,11 @@ def coordinate_rb(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> Coordina
 
     Confidence is floored at the fallback value and capped at the
     configured maximum, so the result always lies inside
-    [fallback_confidence, confidence_cap]. Failed outputs are skipped;
-    ``weighted_scores`` raises EmptyInputError when none is live.
+    [fallback_confidence, confidence_cap].
     """
     breakdown = weighted_scores(outputs, cfg)
-    ml = _overriding_ml(outputs, cfg)
-    if ml is not None:
+    if check_ml_override(outputs, cfg):
+        ml = next(o for o in outputs if o.agent is AgentId.ML)
         if ml.prediction.is_rare:
             confidence = min(cfg.confidence_cap, ml.confidence + cfg.override_rare_bonus)
         else:
@@ -211,17 +190,16 @@ def _format_float(x: float) -> str:
 def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str:
     """Serialize the agent reports into the coordinator meta-prompt.
 
-    Blocks appear in canonical agent order (ML first), each carrying the
-    agent's prediction, confidence, static weight, and reasoning.
+    Blocks appear in the order given, agent order from ``fuse`` (ML first),
+    each carrying the agent's prediction, confidence, static weight, and reasoning.
     """
-    ordered = sorted((o for o in outputs if not o.failed), key=lambda o: AGENT_ORDER[o.agent])
     lines = [
         "You are the coordinating analyst for a team assessing one road accident.",
         "Each agent examined a different aspect of the accident and reported a "
         "severity class (1-4), a confidence in [0, 1], and its reasoning.",
         "",
     ]
-    for output in ordered:
+    for output in outputs:
         lines.extend(
             [
                 f"Agent: {output.agent.value}",
@@ -243,13 +221,11 @@ def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str
     return "\n".join(lines)
 
 
-def coordinate_llm(
-    outputs: Sequence[AgentOutput], backend: SlmBackend, cfg: EngineConfig
-) -> CoordinationResult | str:
+def coordinate_llm(outputs: Sequence[AgentOutput], backend: SlmBackend, cfg: EngineConfig) -> CoordinationResult | str:
     """LLM-based coordination: the model's verdict, or the kind of its
     failure ("timeout", "parse" or "transport"), on which ``engine.fuse``
     falls back to the rule-based result."""
-    parsed = ask(backend, format_meta_prompt(_live(outputs), cfg), cfg)
+    parsed = ask(backend, format_meta_prompt(outputs, cfg), cfg)
     if isinstance(parsed, str):
         return parsed
     return CoordinationResult(

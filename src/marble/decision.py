@@ -53,11 +53,9 @@ def final_decide(
     3. weighted comparison favors the ML candidate                -> ML output
     4. otherwise                                                  -> coordinator
 
-    A failed or absent ML agent skips rules 1 and 3. The comparison weight
-    in rule 3 is evaluated on the ML candidate's class.
+    ``ml`` is the live ML output; None, for a failed or absent ML agent, skips
+    rules 1 and 3. Rule 3 weighs the comparison by the ML candidate's class.
     """
-    if ml is not None and ml.failed:
-        ml = None
     if override_met and ml is not None:
         return FinalDecision(ml.prediction, ml.confidence, DecisionSource.ML, rule_fired=1)
     tau = cfg.tau_coord_rare if coord.prediction.is_rare else cfg.tau_coord_common

@@ -8,19 +8,20 @@ are pure, so identical inputs always yield byte-identical prompt text.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import AgentId, ConfigError, SLM_AGENT_IDS, Severity, from_json_value
 
 
 class SchemaError(ValueError):
-    """The input file lacks a usable header, or two of its headers collide."""
+    """The input file is not UTF-8, lacks a usable header, or two of its headers collide."""
 
 
 class RowError(ValueError):
@@ -39,24 +40,22 @@ _HEADERS_KEPT = 64  # distinct headers a registry resolves before it forgets the
 
 @dataclass(frozen=True, slots=True)
 class FeatureValue:
-    """One feature cell: a categorical label, a finite number (with an
-    optional unit tag), or an explicit missing marker."""
+    """One feature cell: a categorical label, a finite number, or an explicit missing marker."""
 
     kind: str  # "categorical" | "numeric" | "missing"
     text: str = ""
     number: float = 0.0
-    unit: str = ""
 
     @classmethod
     def categorical(cls, label: str) -> "FeatureValue":
         return cls("categorical", label)
 
     @classmethod
-    def numeric(cls, value: float, unit: str = "") -> "FeatureValue":
+    def numeric(cls, value: float) -> "FeatureValue":
         # Non-finite numerics are never stored; they degrade to missing.
         if not math.isfinite(value):
             return cls.missing()
-        return cls("numeric", "", float(value), unit)
+        return cls("numeric", "", float(value))
 
     @classmethod
     def missing(cls) -> "FeatureValue":
@@ -71,18 +70,14 @@ class FeatureValue:
         if self.kind == "categorical":
             return self.text
         if self.kind == "numeric":
-            body = _format_number(self.number)
-            return f"{body} {self.unit}" if self.unit else body
+            return _format_number(self.number)
         return "unknown"
 
     def to_dict(self) -> dict:
         if self.kind == "categorical":
             return {"type": "categorical", "value": self.text}
         if self.kind == "numeric":
-            out: dict = {"type": "numeric", "value": self.number}
-            if self.unit:
-                out["unit"] = self.unit
-            return out
+            return {"type": "numeric", "value": self.number}
         return {"type": "missing"}
 
 
@@ -283,6 +278,18 @@ def _parse_label(text: str, row: int) -> Severity | None:
     return Severity(int(value))
 
 
+def _utf8_lines(lines: Iterable[str], path: str | Path) -> Iterator[str]:
+    """``lines`` of ``path``, or SchemaError naming the row (0: header) of its first byte that is not UTF-8."""
+    try:
+        yield from lines
+    except UnicodeDecodeError as err:
+        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")  # a bad byte reads as a lone surrogate
+        bad = next((i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"), len(text))
+        row = sum(1 for _ in csv.reader(io.StringIO(text[:bad] + "x", newline=""))) - 1
+        where = f"row {row}" if row else "the header"
+        raise SchemaError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} in {where}") from None
+
+
 def ingest_csv(
     path: str | Path,
     registry: FeatureRegistry | None = None,
@@ -296,11 +303,11 @@ def ingest_csv(
     Unparseable numerics become missing values. Two headers with the same
     ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
     collected (into ``errors_out`` when given) rather than fatal, until
-    more than 100 rows are bad. Each distinct cell text is parsed once
-    and its FeatureValue shared by every record that holds it; records hold them in ``_Row``s.
+    more than 100 rows are bad. A file that is not UTF-8 raises SchemaError.
+    Each distinct cell text is parsed once and its FeatureValue shared by every record that holds it, in ``_Row``s.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_utf8_lines(handle, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -102,20 +102,18 @@ def compute_metrics(decisions: Sequence[object], labels: Sequence[Severity]) -> 
     )
 
 
-def majority_vote_coordinator(
-    outputs: Sequence[AgentOutput], cfg: EngineConfig
-) -> CoordinationResult:
+def majority_vote_coordinator(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> CoordinationResult:
     """Degraded coordinator for the ablation study: unweighted one-agent-one-vote.
 
     The supporters are those of ``weighted_scores``, scored by count. Ties
     prefer rare classes, then the lower class index; confidence is the plain
     mean over the winning class's supporters, capped like the rule-based
-    path. Raises EmptyInputError when no output is live, as ``coordinate_rb``.
+    path. Takes the live outputs ``fuse`` passes, as ``coordinate_rb`` does.
     """
     tally = weighted_scores(outputs, cfg)
     breakdown = replace(tally, scores={k: float(len(v)) for k, v in tally.supporters.items()})
     winner = min(ALL_SEVERITIES, key=lambda k: (-breakdown.scores[k], 0 if k.is_rare else 1, int(k)))
-    confidences = [o.confidence for o in outputs if not o.failed and o.prediction == winner]
+    confidences = [o.confidence for o in outputs if o.prediction == winner]
     return CoordinationResult(
         prediction=winner,
         confidence=min(cfg.confidence_cap, sum(confidences) / len(confidences)),

@@ -6,7 +6,6 @@ import pytest
 
 from marble.agents.backends import ScriptedBackend, TransportError
 from marble.coordination import (
-    EmptyInputError,
     agreement_boost,
     check_ml_override,
     coordinate_llm,
@@ -56,10 +55,6 @@ class TestWeightedScores:
         bd = weighted_scores(outputs, cfg)
         assert all(v == 0.0 for v in bd.scores.values())
 
-    def test_all_failed_raises(self, cfg, out):
-        with pytest.raises(EmptyInputError):
-            weighted_scores([out(ENV, None, 0.0, failed=True)], cfg)
-
 
 class TestMlOverride:
     def test_high_confidence_needs_no_corroboration(self, cfg, out):
@@ -75,9 +70,8 @@ class TestMlOverride:
         assert check_ml_override(outputs, cfg) is False
 
     def test_failed_or_absent_ml_never_overrides(self, cfg, out):
+        # A failed ML output never gets here: ``fuse`` drops it (test_decision).
         assert check_ml_override([out(ENV, 2, 0.99)], cfg) is False
-        outputs = [out(ML, None, 0.0, failed=True), out(ENV, 2, 0.99)]
-        assert check_ml_override(outputs, cfg) is False
 
     def test_gates_are_inclusive(self, cfg, out):
         assert check_ml_override([out(ML, 3, 0.8)], cfg) is True
@@ -152,14 +146,9 @@ class TestAgreementBoost:
         assert agreement_boost(Severity(4), bd, cfg) == 0.0
 
     def test_denominator_is_configured_count_not_survivors(self, cfg, out):
-        # Two of four configured SLM agents failed; the two surviving agree,
-        # but 2/4 is not a strict majority.
-        outputs = [
-            out(ENV, 4, 0.9),
-            out(INFRA, 4, 0.9),
-            out(TEMP, None, 0.0, failed=True),
-            out(SPA, None, 0.0, failed=True),
-        ]
+        # Two of four configured SLM agents failed, so two live outputs
+        # remain; they agree, but 2/4 is not a strict majority.
+        outputs = [out(ENV, 4, 0.9), out(INFRA, 4, 0.9)]
         bd = weighted_scores(outputs, cfg)
         assert agreement_boost(Severity(4), bd, cfg) == 0.0
 
@@ -231,14 +220,10 @@ class TestCoordinateRb:
         assert result.boost_applied == pytest.approx(0.05)
         assert result.confidence == pytest.approx(0.85)
 
-    def test_empty_input_propagates(self, cfg, out):
-        with pytest.raises(EmptyInputError):
-            coordinate_rb([out(ENV, None, 0.0, failed=True)], cfg)
-
 
 class TestMetaPrompt:
     def test_blocks_weights_and_order(self, cfg, out):
-        outputs = [out(ENV, 4, 0.9, reasoning="wet road"), out(ML, 2, 0.8)]
+        outputs = [out(ML, 2, 0.8), out(ENV, 4, 0.9, reasoning="wet road")]
         prompt = format_meta_prompt(outputs, cfg)
         assert "weight: 3.0" in prompt
         assert "weight: 1.5" in prompt

@@ -5,6 +5,7 @@ import pytest
 from marble.coordination import CoordinationResult
 from marble.core import AgentId, CoordinationMode, Severity
 from marble.decision import DecisionSource, abstain, final_decide
+from marble.engine import fuse
 
 
 def coord(prediction: int, confidence: float) -> CoordinationResult:
@@ -54,9 +55,12 @@ class TestCascade:
         assert decision.rule_fired == 4
 
     def test_failed_ml_treated_as_absent(self, cfg, out):
-        failed_ml = out(AgentId.ML, None, 0.0, failed=True)
-        decision = final_decide(failed_ml, coord(3, 0.9), True, cfg)
-        assert decision.rule_fired == 2
+        # ``fuse`` drops the failed ML output before the cascade runs, though
+        # its confidence would clear the override threshold.
+        failed_ml = out(AgentId.ML, None, 0.9, failed=True)
+        for confidence, rule in ((0.9, 2), (0.1, 4)):
+            _, decision = fuse([failed_ml, out(AgentId.SPATIAL, 2, confidence)], cfg)
+            assert (decision.source, decision.rule_fired) == (DecisionSource.COORDINATOR, rule)
 
     def test_strict_threshold_comparison(self, cfg, out):
         # Confidence exactly at the threshold does not satisfy rule 2.

@@ -17,7 +17,7 @@ import marble.coordination
 import marble.engine
 import synth
 from marble.agents import BackendTimeoutError, ScriptedBackend, SlmAgent, TransportError
-from marble.coordination import CoordinationResult, coordinate_rb
+from marble.coordination import CoordinationResult, coordinate_rb, format_meta_prompt
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, from_json_value, validate_config
 from marble.decision import DecisionSource, FinalDecision, final_decide
 from marble.engine import (
@@ -677,6 +677,19 @@ class TestFuse:
         coordinated = [trace.coordination for _, trace in results if trace.coordination is not None]
         assert "parse" in {c.fallback for c in coordinated}
         assert len(calls) == len(coordinated)
+
+    def test_llm_mode_lists_the_live_outputs_in_agent_order(self, cfg):
+        llm_cfg = dataclasses.replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
+        prompts = []
+
+        def reply(prompt):
+            prompts.append(prompt)
+            return '{"severity": 3, "confidence": 0.7, "reasoning": "meta"}'
+
+        live = [AgentOutput(a, Severity(2), 0.5) for a in AgentId if a is not AgentId.SPATIAL]  # agent order
+        outputs = [*live[:2], AgentOutput.failure(AgentId.SPATIAL, "parse", 1), *live[2:]]
+        fuse(outputs[::-1], llm_cfg, coordination_backend=ScriptedBackend(reply))
+        assert prompts == [format_meta_prompt(live, llm_cfg)]
 
     def test_two_live_outputs_of_one_agent_break_the_contract(self, cfg):
         spatial = AgentOutput(AgentId.SPATIAL, Severity(2), 0.6)

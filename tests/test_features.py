@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import csv
 import gc
+import io
 import json
 import math
 import pickle
@@ -63,12 +64,12 @@ class TestFeatureValue:
 
     def test_render_variants(self):
         assert FeatureValue.categorical("Rainy").render() == "Rainy"
-        assert FeatureValue.numeric(0.5, "miles").render() == "0.5 miles"
+        assert FeatureValue.numeric(0.5).render() == "0.5"
         assert FeatureValue.numeric(30.0).render() == "30"
         assert FeatureValue.missing().render() == "unknown"
 
     @pytest.mark.parametrize(
-        "value", [FeatureValue.categorical("Rainy"), FeatureValue.numeric(0.5, "miles"), FeatureValue.missing()]
+        "value", [FeatureValue.categorical("Rainy"), FeatureValue.numeric(0.5), FeatureValue.missing()]
     )
     def test_copies_are_equal_and_hash_alike(self, value):
         for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
@@ -319,9 +320,9 @@ class TestFormatFeatures:
     def test_name_value_lines(self):
         subset = {
             "Weather": FeatureValue.categorical("Rainy"),
-            "Visibility": FeatureValue.numeric(0.5, "miles"),
+            "Visibility": FeatureValue.numeric(0.5),
         }
-        assert format_features(subset) == "Weather: Rainy\nVisibility: 0.5 miles"
+        assert format_features(subset) == "Weather: Rainy\nVisibility: 0.5"
 
     def test_empty_map_renders_empty_text(self):
         assert format_features({}) == ""
@@ -356,6 +357,21 @@ class TestIngestCsv:
         (record,) = ingest_csv(path)
         assert record.id == "a"
         assert list(record.features) == ["Weather Conditions"]
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"id,Weather Conditions,severity\na,Rain,2\nb,Caf\xe9,3\n", "row 2"),
+            (b'id,Weather Conditions,severity\na,"Rain\nand Caf\xe9",2\n', "row 1"),
+            ("id,Weather Conditions,severity\na,Rain,2\n".encode("utf-16"), "the header"),
+        ],
+        ids=["latin-1", "quoted-newline", "utf-16"],
+    )
+    def test_a_file_that_is_not_utf8_names_the_row(self, tmp_path, data, where):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=rf"data\.csv is not UTF-8: byte 0x[0-9a-f]{{2}} in {where}$"):
+            ingest_csv(path)
 
     def test_label_out_of_range_collected(self, tmp_path):
         path = self.write(
@@ -532,6 +548,12 @@ def csv_tables(draw):
     return header, rows
 
 
+def _csv_text(header, rows) -> str:
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([header, *rows])
+    return out.getvalue()
+
+
 def _ingest_outcome(ingest, path, **options):
     errors: list[RowError] = []
     try:
@@ -553,6 +575,25 @@ class TestIngestAgainstReference:
                 csv.writer(handle).writerows([header, *rows])
             expected = _ingest_outcome(reference_ingest_csv, path, bad_row_budget=budget)
             assert _ingest_outcome(ingest_csv, path) == expected
+
+    @given(
+        st.one_of(
+            st.binary(max_size=300),
+            st.tuples(csv_tables(), st.sampled_from(["latin-1", "utf-16"])).map(
+                lambda t: _csv_text(*t[0]).encode(t[1], errors="replace")
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_give_records_or_a_named_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(data)
+            for registry in (None, default_registry()):
+                try:
+                    ingest_csv(path, registry)
+                except (RowError, SchemaError):
+                    pass
 
     def test_equal_cells_share_one_value(self, tmp_path):
         path = tmp_path / "data.csv"

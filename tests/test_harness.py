@@ -8,7 +8,7 @@ import pytest
 
 import synth
 from marble.agents import ScriptedBackend
-from marble.coordination import EmptyInputError, weighted_scores
+from marble.coordination import weighted_scores
 from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import abstain
 from marble.engine import run_instances
@@ -165,7 +165,6 @@ class TestMajorityVote:
             out(AgentId.ML, 2, 0.9),
             out(AgentId.SPATIAL, 4, 0.4),
             out(AgentId.TEMPORAL, 4, 0.6),
-            AgentOutput.failure(AgentId.ENVIRONMENTAL, "parse", 1),
         ]
         result = majority_vote_coordinator(outputs, cfg)
         tally = weighted_scores(outputs, cfg)
@@ -173,10 +172,6 @@ class TestMajorityVote:
         assert result.breakdown.supporters == tally.supporters
         assert result.breakdown.slm_supporters == tally.slm_supporters
         assert result.breakdown.scores == dict(zip(sev([1, 2, 3, 4]), [0.0, 1.0, 0.0, 2.0]))
-
-    def test_no_live_output_raises(self, cfg):
-        with pytest.raises(EmptyInputError):
-            majority_vote_coordinator([AgentOutput.failure(AgentId.ML, "timeout", 1)], cfg)
 
 
 class TestSampleImbalance:

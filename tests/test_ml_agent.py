@@ -247,7 +247,7 @@ _NAMES = ["Weather", "Speed", "Road", "Humidity", "Month"]
 # them, beside freshly built values that are equal but distinct objects.
 _SHARED = [FeatureValue.categorical(t) for t in ("Rain", "Fog", "rain")] + [
     FeatureValue.numeric(x) for x in (0.0, -0.0, 30.0, 30.5, 60.0)
-] + [FeatureValue.numeric(1.5, "miles"), FeatureValue.missing()]
+] + [FeatureValue.numeric(1.5), FeatureValue.missing()]
 _values = st.one_of(
     st.sampled_from(_SHARED),
     st.sampled_from(["Rain", "Dry", "x"]).map(FeatureValue.categorical),

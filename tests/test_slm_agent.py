@@ -41,10 +41,10 @@ class TestBuildPrompt:
         # Golden fixture, recorded once and reviewed by hand.
         subset = {
             "Weather": FeatureValue.categorical("Rainy"),
-            "Visibility": FeatureValue.numeric(0.5, "miles"),
+            "Visibility": FeatureValue.numeric(0.5),
         }
         prompt = build_prompt(DEFAULT_TEMPLATES[AgentId.ENVIRONMENTAL], format_features(subset))
-        expected_block = "Weather: Rainy\nVisibility: 0.5 miles"
+        expected_block = "Weather: Rainy\nVisibility: 0.5"
         assert f"\n\n{expected_block}\n\n" in prompt
         assert prompt.startswith("You are a road safety analyst specializing in environmental conditions")
         assert prompt.rstrip().endswith('"reasoning": "<one or two sentences>"}.')
@@ -144,6 +144,26 @@ class TestParseResponse:
         parsed = parse_response_detailed('{"severity": 1, "confidence": 1.4, "reasoning": "x"}')
         assert parsed.confidence == 1.0
         assert parsed.clamped
+
+    @given(
+        severity=st.integers(1, 4),
+        confidence=st.floats(allow_nan=False),
+        spelling=st.sampled_from(
+            [
+                "severity: {s}, confidence: {c}",
+                "severity={s}\nconfidence={c}",
+                '"severity": {s}, "confidence": {c}',
+                'severity: "{s}", confidence: "{c}"',
+                "SEVERITY: {s}\nCONFIDENCE: {c}",
+            ]
+        ),
+    )
+    @settings(max_examples=300)
+    def test_labelled_confidence_reads_as_its_json_form(self, severity, confidence, spelling):
+        labelled = parse_response_detailed(spelling.format(s=severity, c=repr(confidence)))
+        strict = parse_response_detailed(json.dumps({"severity": severity, "confidence": confidence}))
+        assert (labelled.via, strict.via) == ("fallback", "json")
+        assert dataclasses.replace(labelled, via="json") == strict
 
     def test_first_valid_object_wins(self):
         raw = '{"severity": 9} then {"severity": 2, "confidence": 0.6} and {"severity": 3, "confidence": 0.9}'

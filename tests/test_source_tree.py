@@ -54,6 +54,19 @@ def test_frozen_objects_write_only_their_named_caches():
     assert written and sorted(written - {repr(name) for name in CACHES_SET_ON_FROZEN_OBJECTS}) == []
 
 
+def test_only_fuse_and_agent_output_read_failed():
+    """``fuse`` drops the failed outputs; what it feeds takes the live ones
+    and never tests ``failed`` again."""
+    readers = {
+        f"{path.relative_to(PACKAGE)}:{getattr(top, 'name', '<module>')}"
+        for path in PACKAGE.rglob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "failed" and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(readers) == ["core.py:AgentOutput", "engine.py:fuse"]
+
+
 @pytest.mark.parametrize("module_name", ["marble", "marble.agents"])
 def test_every_exported_name_resolves_once(module_name):
     module = importlib.import_module(module_name)
