@@ -1,4 +1,4 @@
-"""Text-completion backends: a remote chat-completions client and a scripted stand-in."""
+"""Text-completion backends: a remote chat-completions client and the ``--scripted`` reply table."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import io
 import json
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
 from ..core import DecodingParams, EndpointParams
@@ -41,38 +41,16 @@ class SlmBackend(Protocol):
 
 
 class ScriptedBackend:
-    """Deterministic backend for tests: fixed text, a prompt->text table, or a closure.
-
-    A mapping script matches keys as substrings of the prompt in insertion
-    order, with the empty-string key acting as the default. ``delay_ms``
-    simulates a slow model; ``error`` is raised after the delay. A delay
-    that reaches ``timeout_ms`` sleeps until the deadline and raises
-    ``BackendTimeoutError``, as the backend contract requires.
+    """The ``--scripted`` backend: one reply for every prompt, or a table from
+    prompt substrings to replies. The table is searched in insertion order,
+    with the empty-string key as the default; a prompt that matches no key
+    raises ``TransportError``.
     """
 
-    def __init__(
-        self,
-        script: str | Mapping[str, str] | Callable[[str], str],
-        *,
-        delay_ms: int = 0,
-        error: Exception | None = None,
-    ):
+    def __init__(self, script: str | Mapping[str, str]):
         self._script = script
-        self._delay_ms = delay_ms
-        self._error = error
-        self.calls = 0
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
-        self.calls += 1
-        if self._delay_ms >= timeout_ms:
-            time.sleep(timeout_ms / 1000.0)
-            raise BackendTimeoutError(f"no completion within {timeout_ms} ms")
-        if self._delay_ms:
-            time.sleep(self._delay_ms / 1000.0)
-        if self._error is not None:
-            raise self._error
-        if callable(self._script):
-            return self._script(prompt)
         if isinstance(self._script, str):
             return self._script
         for key, value in self._script.items():

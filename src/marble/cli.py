@@ -61,12 +61,13 @@ def _ingest(path: str, registry=None):
 
 def _build_agents(cfg: EngineConfig, args):
     scripted = _load_scripted(args.scripted) if args.scripted else {}
+    roles = [kind.value for kind in SLM_AGENT_IDS] + ["coordinator"]
+    # One endpoint backend, and so one TLS context, shared by every role that is not scripted.
+    remote = RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url and any(r not in scripted for r in roles) else None
 
     def backend(name: str):
-        """The scripted backend for ``name``, else the endpoint's, else none."""
-        if name in scripted:
-            return ScriptedBackend(scripted[name])
-        return RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url else None
+        """The scripted backend for ``name``, else the shared endpoint's, else none."""
+        return ScriptedBackend(scripted[name]) if name in scripted else remote
 
     agents = [MlAgent(ml_train(_ingest(args.train)))] if args.train else []
     for kind in SLM_AGENT_IDS:

@@ -90,8 +90,10 @@ class AgentOutput:
             raise ValueError(f"raw_confidence {self.raw_confidence} outside [0,1]")
         if self.latency_ms < 0:
             raise ValueError("latency_ms must be non-negative")
-        if not self.failed and self.prediction is None:
-            raise ValueError("non-failed output requires a prediction")
+        if self.failed != (self.prediction is None):
+            raise ValueError("non-failed output requires a prediction, and a failed one carries none")
+        if self.failed != (self.failure_kind is not None):
+            raise ValueError("failed output requires a failure_kind, and a non-failed one carries none")
         if self.agent is AgentId.ML and self.reasoning:
             raise ValueError("the ML agent carries no reasoning text")
 

@@ -180,18 +180,19 @@ class FeatureRegistry:
         for agent in self.domains:
             if not agent.is_slm:
                 raise ConfigError(f"registry.{agent.name}: only SLM domains take feature assignments")
-        object.__setattr__(self, "_names", {a: tuple(names) for a, names in self.domains.items()})
         # header (a record's feature names, in order) -> agent -> _resolve's tuple
         object.__setattr__(self, "_by_header", {})
 
-    def _resolve(self, header: tuple[str, ...]) -> dict[AgentId, tuple[str | None, ...]]:
-        """Per agent, the header's name for each of its registry names: the one
+    def _resolve(self, header: tuple[str, ...]) -> dict[AgentId, tuple[tuple[str, str | None], ...]]:
+        """Per agent, each of its registry names paired with the header's name
         of the same ``canonical_name`` (the last, if several), or None. Built
         once per distinct header while kept (see ``_HEADERS_KEPT``); a race only stores an equal entry again."""
         resolved = self._by_header.get(header)
         if resolved is None:
             by_canonical = {canonical_name(n): n for n in header}
-            resolved = {a: tuple(by_canonical.get(canonical_name(n)) for n in ns) for a, ns in self._names.items()}
+            resolved = {
+                a: tuple((n, by_canonical.get(canonical_name(n))) for n in ns) for a, ns in self.domains.items()
+            }
             if len(self._by_header) >= _HEADERS_KEPT:
                 self._by_header.clear()
             self._by_header[header] = resolved
@@ -242,11 +243,8 @@ def project(
         return dict(record.features.items())
     registry = registry or _DEFAULT_REGISTRY
     features = record.features
-    keys = registry._resolve(tuple(features)).get(agent, ())
-    return {
-        name: _MISSING if key is None else features[key]
-        for name, key in zip(registry._names.get(agent, ()), keys)
-    }
+    pairs = registry._resolve(tuple(features)).get(agent, ())
+    return {name: _MISSING if key is None else features[key] for name, key in pairs}
 
 
 def format_features(subset: Mapping[str, FeatureValue]) -> str:
@@ -290,6 +288,18 @@ def _utf8_lines(lines: Iterable[str], path: str | Path) -> Iterator[str]:
         raise SchemaError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} in {where}") from None
 
 
+def _csv_rows(reader: Iterator[list[str]], path: str | Path) -> Iterator[list[str]]:
+    """``reader``'s rows, or SchemaError naming the row (0: header) where the csv module fails, as on a
+    cell past its field size limit."""
+    row = -1
+    try:
+        for row, cells in enumerate(reader):
+            yield cells
+    except csv.Error as err:
+        where = f"row {row + 1}" if row + 1 else "the header"
+        raise SchemaError(f"{path}: {err} in {where}") from None
+
+
 def ingest_csv(
     path: str | Path,
     registry: FeatureRegistry | None = None,
@@ -303,11 +313,12 @@ def ingest_csv(
     Unparseable numerics become missing values. Two headers with the same
     ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
     collected (into ``errors_out`` when given) rather than fatal, until
-    more than 100 rows are bad. A file that is not UTF-8 raises SchemaError.
+    more than 100 rows are bad. A file that is not UTF-8, or a cell past the
+    csv module's field size limit, raises SchemaError.
     Each distinct cell text is parsed once and its FeatureValue shared by every record that holds it, in ``_Row``s.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(_utf8_lines(handle, path))
+        reader = _csv_rows(csv.reader(_utf8_lines(handle, path)), path)
         try:
             header = next(reader)
         except StopIteration:

@@ -56,25 +56,16 @@ class MetricsReport:
         return {k: v for k, v in self.to_dict().items() if not isinstance(v, (dict, list))}
 
 
-def _extract_prediction(item: object) -> Severity | None:
-    if item is None:
-        return None
-    if isinstance(item, FinalDecision):
-        return item.prediction
-    if isinstance(item, Severity):
-        return item
-    return Severity(int(item))  # plain ints are accepted for oracle-style use
-
-
 def compute_metrics(decisions: Sequence[object], labels: Sequence[Severity]) -> MetricsReport:
-    """Standard 4-class metrics from paired predictions and ground truth."""
+    """Standard 4-class metrics from paired predictions and ground truth. A
+    prediction is a FinalDecision, a class (a Severity or plain int) or None."""
     if len(decisions) != len(labels):
         raise LengthMismatchError(f"{len(decisions)} decisions vs {len(labels)} labels")
     index = {k: i for i, k in enumerate(ALL_SEVERITIES)}
     matrix = [[0] * 4 for _ in range(4)]
     abstentions = 0
     for decision, label in zip(decisions, labels):
-        prediction = _extract_prediction(decision)
+        prediction = decision.prediction if isinstance(decision, FinalDecision) else decision
         if prediction is None:
             abstentions += 1
             continue

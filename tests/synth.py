@@ -1,4 +1,4 @@
-"""Synthetic datasets and scripted agents for end-to-end harness tests.
+"""Synthetic datasets, scripted agents and a fake backend for end-to-end harness tests.
 
 Each record's label is hinted through one feature per agent domain
 ("sig1".."sig4"); a hint is correct with a configurable per-agent
@@ -16,8 +16,8 @@ import re
 import time
 from typing import Callable, Mapping, Sequence
 
-from marble.agents import ScriptedBackend, SlmAgent
-from marble.core import AgentId, AgentOutput, EngineConfig, Severity
+from marble.agents import BackendTimeoutError, ScriptedBackend, SlmAgent
+from marble.core import AgentId, AgentOutput, DecodingParams, EngineConfig, Severity
 from marble.features import AccidentRecord, FeatureValue
 
 Responder = Callable[[Mapping[str, FeatureValue]], "AgentOutput | tuple[int, float] | None"]
@@ -67,6 +67,42 @@ class ScriptedAgent:
             raw_confidence=conf,
             latency_ms=latency,
         )
+
+
+class FakeBackend:
+    """Test double for the ``SlmBackend`` contract: replies as a
+    ``ScriptedBackend`` of the same script does, or through a closure of the
+    prompt, and counts its calls in ``calls``.
+
+    ``delay_ms`` simulates a slow model; ``error`` is raised after the delay.
+    A delay that reaches ``timeout_ms`` sleeps until the deadline and raises
+    ``BackendTimeoutError``, as the backend contract requires.
+    """
+
+    def __init__(
+        self,
+        script: str | Mapping[str, str] | Callable[[str], object],
+        *,
+        delay_ms: int = 0,
+        error: Exception | None = None,
+    ):
+        self._reply = script if callable(script) else ScriptedBackend(script)
+        self._delay_ms = delay_ms
+        self._error = error
+        self.calls = 0
+
+    def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
+        self.calls += 1
+        if self._delay_ms >= timeout_ms:
+            time.sleep(timeout_ms / 1000.0)
+            raise BackendTimeoutError(f"no completion within {timeout_ms} ms")
+        if self._delay_ms:
+            time.sleep(self._delay_ms / 1000.0)
+        if self._error is not None:
+            raise self._error
+        if callable(self._reply):
+            return self._reply(prompt)
+        return self._reply.complete(prompt, decoding, timeout_ms)
 
 
 # One hint column per domain, named after a registry feature so the domain
@@ -123,7 +159,7 @@ def _hint_from_prompt(prompt: str) -> int:
     return int(match.group(1))
 
 
-def hint_backend(confidence: float) -> ScriptedBackend:
+def hint_backend(confidence: float) -> FakeBackend:
     """Backend that echoes the hint embedded in its own prompt."""
 
     def script(prompt: str) -> str:
@@ -135,7 +171,7 @@ def hint_backend(confidence: float) -> ScriptedBackend:
             }
         )
 
-    return ScriptedBackend(script)
+    return FakeBackend(script)
 
 
 def ml_hint_agent(confidence: float) -> ScriptedAgent:
@@ -172,7 +208,7 @@ def agent_hint_accuracy(records: Sequence[AccidentRecord], agent: AgentId) -> fl
     return hits / len(records)
 
 
-def fallible_coordinator() -> ScriptedBackend:
+def fallible_coordinator() -> FakeBackend:
     """Coordination backend that is unparseable on about a third of prompts,
     deterministically per prompt, and otherwise echoes the first reported
     prediction."""
@@ -183,4 +219,4 @@ def fallible_coordinator() -> ScriptedBackend:
         severity = int(prompt.split("prediction: ")[1][0])
         return json.dumps({"severity": severity, "confidence": 0.45, "reasoning": "first report"})
 
-    return ScriptedBackend(script)
+    return FakeBackend(script)

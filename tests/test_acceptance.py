@@ -20,7 +20,7 @@ import time
 import pytest
 
 import synth
-from marble.agents import ScriptedBackend, SlmAgent
+from marble.agents import SlmAgent
 from marble.agents.slm import calibrate
 from marble.coordination import CoordinationResult, coordinate_rb
 from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity
@@ -403,7 +403,7 @@ class TestCriterion6AblationShape:
 # Criterion 7: imbalance robustness shape
 # ---------------------------------------------------------------------------
 
-def fallible_biased_coordinator() -> ScriptedBackend:
+def fallible_biased_coordinator() -> synth.FakeBackend:
     """Scripted coordination backend: unparseable on ~30% of calls
     (deterministic per prompt), otherwise a common-class-biased plurality
     that ignores weights, confidences, and rarity factors."""
@@ -424,7 +424,7 @@ def fallible_biased_coordinator() -> ScriptedBackend:
             choice = min(k for k, n in counts.items() if n == top)
         return json.dumps({"severity": choice, "confidence": 0.8, "reasoning": "plurality"})
 
-    return ScriptedBackend(script)
+    return synth.FakeBackend(script)
 
 
 class TestCriterion7ImbalanceShape:
@@ -475,7 +475,7 @@ class TestCriterion8TimeoutGuardrail:
         agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6)]
         for kind in (AgentId.ENVIRONMENTAL, AgentId.INFRASTRUCTURAL, AgentId.SPATIAL, AgentId.TEMPORAL):
             delay = 9000 if kind is AgentId.ENVIRONMENTAL else 0
-            agents.append(SlmAgent(kind, ScriptedBackend(payload, delay_ms=delay), cfg))
+            agents.append(SlmAgent(kind, synth.FakeBackend(payload, delay_ms=delay), cfg))
         record = AccidentRecord(
             id="slow", features={"Weather Conditions": FeatureValue.categorical("Fog")}
         )

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import marble.cli
 from marble.cli import main
 from marble.features import SchemaError
 from marble.harness import ScenarioError
@@ -295,3 +296,28 @@ def test_malformed_scripted_file_exits_before_any_record(tmp_path, input_file, s
     with pytest.raises(SystemExit, match=named):
         main(["predict", "--input", str(input_file), "--scripted", str(path), "--trace", str(trace)])
     assert not trace.exists()
+
+
+def test_every_role_that_is_not_scripted_shares_one_endpoint_backend(tmp_path, monkeypatch, train_file, input_file):
+    built = []
+
+    class CountingBackend:
+        def __init__(self, endpoint):
+            built.append(endpoint.url)
+
+        def complete(self, prompt, decoding, timeout_ms):
+            return PAYLOAD_2
+
+    monkeypatch.setattr(marble.cli, "RemoteHttpBackend", CountingBackend)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"coordination_mode": "llm", "endpoint": {"url": "https://models.invalid/v1"}}))
+    scripted = tmp_path / "scripted.json"
+    for roles in (["spatial"], ["environmental", "infrastructural", "spatial", "temporal", "coordinator"]):
+        scripted.write_text(json.dumps(dict.fromkeys(roles, PAYLOAD_2)), encoding="utf-8")
+        trace = tmp_path / "trace.jsonl"
+        args = ["predict", "--config", str(config), "--input", str(input_file), "--train", str(train_file)]
+        assert main(args + ["--scripted", str(scripted), "--trace", str(trace)]) == 0
+        # The first run shares one backend; the second, with every role scripted, builds none.
+        assert built == ["https://models.invalid/v1"]
+        lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        assert [o["failure_kind"] for line in lines for o in line["agent_outputs"]] == [None] * 15

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from marble.agents.backends import ScriptedBackend, TransportError
+from synth import FakeBackend
 from marble.coordination import (
     agreement_boost,
     check_ml_override,
@@ -249,14 +250,14 @@ class TestCoordinateLlm:
 
     def test_timeout_returns_its_kind(self, cfg, out):
         fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
-        backend = ScriptedBackend('{"severity": 3, "confidence": 0.7}', delay_ms=400)
+        backend = FakeBackend('{"severity": 3, "confidence": 0.7}', delay_ms=400)
         assert coordinate_llm(five_agents(out), backend, fast_cfg) == "timeout"
 
     @pytest.mark.parametrize(
         "backend, kind",
         [
             (ScriptedBackend('{"severity": 7, "confidence": 0.7, "reasoning": "x"}'), "parse"),
-            (ScriptedBackend("", error=TransportError("boom", status=503)), "transport"),
+            (FakeBackend("", error=TransportError("boom", status=503)), "transport"),
         ],
         ids=["parse", "transport"],
     )

@@ -37,6 +37,7 @@ from marble.core import (
 from marble.coordination import check_ml_override, coordinate_rb, weighted_avg_confidence
 from marble.engine import fuse
 from marble.features import AccidentRecord, FeatureValue, default_registry, project
+from synth import FakeBackend
 
 
 class TestSeverity:
@@ -76,6 +77,21 @@ class TestAgentOutput:
             agent=AgentId.SPATIAL, prediction=None, confidence=0.0, failed=True, failure_kind="parse"
         )
         assert o.failed and o.prediction is None
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(prediction=Severity(2), confidence=0.9, failure_kind="parse"),
+            dict(prediction=Severity(2), confidence=0.9, failed=True, failure_kind="parse"),
+            dict(prediction=None, confidence=0.0, failed=True),
+        ],
+        ids=["kind-but-not-failed", "failed-with-a-prediction", "failed-without-a-kind"],
+    )
+    def test_failed_agrees_with_its_kind_and_prediction(self, fields):
+        # A live-looking output that names a failure would win rule 1 while
+        # its trace says it failed.
+        with pytest.raises(ValueError, match="output requires a (prediction|failure_kind), and"):
+            AgentOutput(AgentId.ML, **fields)
 
     def test_ml_reasoning_must_be_empty(self):
         with pytest.raises(ValueError):
@@ -461,7 +477,7 @@ class TestFusionProperties:
             cfg = validate_config(EngineConfig.from_dict({**doc, "agent_weights": weights}))
         except ConfigError:
             assume(False)
-        backend = ScriptedBackend(reply)
+        backend = FakeBackend(reply)
         coordination, decision = fuse(live, cfg, coordination_backend=backend)
 
         # The coordinator is asked once in LLM mode, unless the ML override

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from marble.coordination import CoordinationResult
-from marble.core import AgentId, CoordinationMode, Severity
+from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import DecisionSource, abstain, final_decide
 from marble.engine import fuse
 
@@ -57,7 +59,7 @@ class TestCascade:
     def test_failed_ml_treated_as_absent(self, cfg, out):
         # ``fuse`` drops the failed ML output before the cascade runs, though
         # its confidence would clear the override threshold.
-        failed_ml = out(AgentId.ML, None, 0.9, failed=True)
+        failed_ml = replace(AgentOutput.failure(AgentId.ML, "parse", 1), confidence=0.9)
         for confidence, rule in ((0.9, 2), (0.1, 4)):
             _, decision = fuse([failed_ml, out(AgentId.SPATIAL, 2, confidence)], cfg)
             assert (decision.source, decision.rule_fired) == (DecisionSource.COORDINATOR, rule)

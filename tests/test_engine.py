@@ -84,7 +84,7 @@ class TestRunInstance:
         for kind in SLM_KINDS:
             delay = 500 if kind is AgentId.ENVIRONMENTAL else 0
             agents.append(
-                SlmAgent(kind, ScriptedBackend(payload(2, 0.6), delay_ms=delay), fast_cfg)
+                SlmAgent(kind, synth.FakeBackend(payload(2, 0.6), delay_ms=delay), fast_cfg)
             )
         decision, trace = run_instance(record(), agents, fast_cfg)
         by_agent = {o.agent: o for o in trace.agent_outputs}
@@ -144,7 +144,7 @@ class TestRunInstance:
         # does not count against the second.
         slow_cfg = dataclasses.replace(cfg, agent_timeout_ms=400)
         agents = [ScriptedAgent(AgentId.ML, prediction=3, confidence=0.7)]
-        agents += [SlmAgent(kind, ScriptedBackend(payload(3, 0.7), delay_ms=300), slow_cfg) for kind in SLM_KINDS]
+        agents += [SlmAgent(kind, synth.FakeBackend(payload(3, 0.7), delay_ms=300), slow_cfg) for kind in SLM_KINDS]
         records = [record(f"q{i}") for i in range(128)]
         run_instances(records, agents, slow_cfg, max_workers=64)
         results = run_instances(records, agents, slow_cfg, max_workers=64)
@@ -292,7 +292,7 @@ class TestRunInstance:
 
 class TestBackendContract:
     def test_scripted_delay_past_the_deadline_times_out_at_the_deadline(self, cfg):
-        backend = ScriptedBackend(payload(2, 0.6), delay_ms=2000)
+        backend = synth.FakeBackend(payload(2, 0.6), delay_ms=2000)
         start = time.perf_counter()
         with pytest.raises(BackendTimeoutError):
             backend.complete("prompt", cfg.decoding, 150)
@@ -391,7 +391,7 @@ class TestRunBatch:
 
     def test_a_backend_reply_that_is_not_text_is_a_parse_failure(self, tmp_path):
         cfg = validate_config(EngineConfig(coordination_mode=CoordinationMode.LLM_BASED))
-        silent = ScriptedBackend(lambda prompt: None)
+        silent = synth.FakeBackend(lambda prompt: None)
         agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), SlmAgent(AgentId.SPATIAL, silent, cfg)]
         sink = tmp_path / "trace.jsonl"
         decisions = run_batch([record(f"n{i}") for i in range(3)], agents, cfg, sink, coordination_backend=silent)
@@ -688,7 +688,7 @@ class TestFuse:
 
         live = [AgentOutput(a, Severity(2), 0.5) for a in AgentId if a is not AgentId.SPATIAL]  # agent order
         outputs = [*live[:2], AgentOutput.failure(AgentId.SPATIAL, "parse", 1), *live[2:]]
-        fuse(outputs[::-1], llm_cfg, coordination_backend=ScriptedBackend(reply))
+        fuse(outputs[::-1], llm_cfg, coordination_backend=synth.FakeBackend(reply))
         assert prompts == [format_meta_prompt(live, llm_cfg)]
 
     def test_two_live_outputs_of_one_agent_break_the_contract(self, cfg):
@@ -741,8 +741,8 @@ class FaultingHintBackend:
         self._hint = synth.hint_backend(confidence)
         self._faults = {
             ": fault-parse": ScriptedBackend("no verdict"),
-            ": fault-transport": ScriptedBackend("", error=TransportError("refused", status=503)),
-            ": fault-timeout": ScriptedBackend("", delay_ms=GOLDEN_TIMEOUT_MS),
+            ": fault-transport": synth.FakeBackend("", error=TransportError("refused", status=503)),
+            ": fault-timeout": synth.FakeBackend("", delay_ms=GOLDEN_TIMEOUT_MS),
         }
 
     def complete(self, prompt, decoding, timeout_ms):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marble import features as features_module
-from marble.agents import MlAgent, ScriptedBackend, SlmAgent, ml_train
+from marble.agents import MlAgent, SlmAgent, ml_train
 from marble.core import SLM_AGENT_IDS, AgentId, ConfigError, EngineConfig, Severity, validate_config
 from marble.engine import run_instance, strip_timings
 from marble.features import (
@@ -38,6 +38,7 @@ from marble.features import (
     load_registry,
     project,
 )
+from synth import FakeBackend
 
 ENV_FEATURES = (
     "Weather Conditions",
@@ -373,6 +374,19 @@ class TestIngestCsv:
         with pytest.raises(SchemaError, match=rf"data\.csv is not UTF-8: byte 0x[0-9a-f]{{2}} in {where}$"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("id," + "W" * 200_000 + "\na,Rain\n", "the header"),
+            ("id,Weather Conditions\na,Rain\nb,\"two\nlines\"\nc," + "x" * 200_000 + "\n", "row 3"),
+        ],
+        ids=["header", "row"],
+    )
+    def test_a_cell_past_the_field_size_limit_names_the_row(self, tmp_path, text, where):
+        # The csv module's default limit is 131,072 characters, and ingest leaves it as it is.
+        with pytest.raises(SchemaError, match=rf"data\.csv: field larger than field limit \(131072\) in {where}$"):
+            ingest_csv(self.write(tmp_path, text))
+
     def test_label_out_of_range_collected(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -691,7 +705,7 @@ class TestRecordStorage:
         model = ml_train(records)
         assert model == ml_train(copies)
         cfg = validate_config(EngineConfig())
-        backend = ScriptedBackend(lambda prompt: json.dumps(
+        backend = FakeBackend(lambda prompt: json.dumps(
             {"severity": 1 + len(prompt) % 4, "confidence": 0.7, "reasoning": "by prompt length"}))
         agents = [MlAgent(model), *(SlmAgent(agent, backend, cfg) for agent in SLM_AGENT_IDS)]
         for record, copied in zip(records, copies):

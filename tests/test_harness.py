@@ -7,7 +7,6 @@ import random
 import pytest
 
 import synth
-from marble.agents import ScriptedBackend
 from marble.coordination import weighted_scores
 from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import abstain
@@ -253,9 +252,9 @@ class TestImbalanceSuite:
         records = synth.generate_records(400, seed=5, accuracies=accuracies)
         agents = synth.build_hint_agents(cfg, confidences)
         if fallback_always:
-            backend = ScriptedBackend("no structured output here")
+            backend = synth.FakeBackend("no structured output here")
         else:
-            backend = ScriptedBackend('{"severity": 2, "confidence": 0.8, "reasoning": "meta"}')
+            backend = synth.FakeBackend('{"severity": 2, "confidence": 0.8, "reasoning": "meta"}')
         return records, agents, backend
 
     def test_twelve_reports_with_stable_keys(self, cfg):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from marble.agents import slm
 from marble.agents.backends import ScriptedBackend, TransportError
+from synth import FakeBackend
 from marble.agents.slm import (
     DEFAULT_TEMPLATES,
     ParseError,
@@ -326,7 +327,7 @@ class TestSlmEvaluate:
 
     def test_backend_timeout_marks_failed(self, cfg):
         fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
-        backend = ScriptedBackend('{"severity": 2, "confidence": 0.7, "reasoning": "x"}', delay_ms=400)
+        backend = FakeBackend('{"severity": 2, "confidence": 0.7, "reasoning": "x"}', delay_ms=400)
         output = SlmAgent(AgentId.SPATIAL, backend, fast_cfg).evaluate({})
         assert output.failed and output.failure_kind == "timeout"
         assert output.confidence == 0.0
@@ -337,7 +338,7 @@ class TestSlmEvaluate:
         assert output.failed and output.failure_kind == "parse"
 
     def test_transport_error_marks_failed(self, cfg):
-        backend = ScriptedBackend("", error=TransportError("boom", status=500))
+        backend = FakeBackend("", error=TransportError("boom", status=500))
         output = SlmAgent(AgentId.TEMPORAL, backend, cfg).evaluate({})
         assert output.failed and output.failure_kind == "transport"
 

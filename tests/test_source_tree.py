@@ -39,7 +39,7 @@ def test_every_private_module_name_is_read_in_its_module(path):
 
 
 # The caches a frozen object may write into itself after construction.
-CACHES_SET_ON_FROZEN_OBJECTS = {"_fingerprint", "_names", "_by_header"}
+CACHES_SET_ON_FROZEN_OBJECTS = {"_fingerprint", "_by_header"}
 
 
 def test_frozen_objects_write_only_their_named_caches():
@@ -52,6 +52,18 @@ def test_frozen_objects_write_only_their_named_caches():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
     }
     assert written and sorted(written - {repr(name) for name in CACHES_SET_ON_FROZEN_OBJECTS}) == []
+
+
+def test_nothing_in_the_package_sleeps():
+    """Waiting belongs to the agent pool's deadline and to the backends' own
+    sockets; a simulated slow model lives in the tests."""
+    sleeps = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "sleep"
+    ]
+    assert sorted(sleeps) == []
 
 
 def test_only_fuse_and_agent_output_read_failed():
