@@ -8,6 +8,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, ml_train
 from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, from_json_value, load_config, validate_config
@@ -62,6 +63,8 @@ def _ingest(path: str, registry=None):
 def _build_agents(cfg: EngineConfig, args):
     scripted = _load_scripted(args.scripted) if args.scripted else {}
     roles = [kind.value for kind in SLM_AGENT_IDS] + ["coordinator"]
+    if unknown := [key for key in scripted if key not in roles]:
+        raise SystemExit(f"--scripted key {unknown[0]!r} names no role; the roles are {', '.join(roles)}")
     # One endpoint backend, and so one TLS context, shared by every role that is not scripted.
     remote = RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url and any(r not in scripted for r in roles) else None
 
@@ -84,9 +87,12 @@ def _build_agents(cfg: EngineConfig, args):
 def _setup(args):
     """Set-up shared by every command: the config, the agents, the options
     every run takes (feature registry and coordination backend) and the
-    --input records."""
+    --input records. LLM coordination, which imbalance always runs, with no backend exits first."""
     cfg = _load_cfg(args)
     agents, coordination_backend = _build_agents(cfg, args)
+    llm = args.command == "imbalance" or cfg.coordination_mode is CoordinationMode.LLM_BASED
+    if llm and coordination_backend is None:
+        raise SystemExit("LLM coordination needs a coordination backend (endpoint or --scripted)")
     registry = load_registry(args.registry) if args.registry else default_registry()
     # With an SLM agent configured, some header must name a registry feature.
     records = _ingest(args.input, registry if any(a.identity().is_slm for a in agents) else None)
@@ -179,17 +185,16 @@ def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
         if not isinstance(name, str):
             raise ScenarioError(f"scenario {name!r}: each scenario must be an object with a string \"name\"")
         try:
-            distribution = {Severity(int(k)): from_json_value(float, p, k) for k, p in entry["distribution"].items()}
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"scenario {name!r}: \"distribution\" must map classes 1-4 to proportions") from exc
+            distribution = from_json_value(Mapping[Severity, float], entry.get("distribution"), "distribution")
+        except ValueError as exc:  # a ConfigError naming the entry
+            message = f'"distribution" must map classes 1-4 to proportions ({exc})'
+            raise ScenarioError(f"scenario {name!r}: {message}") from exc
         scenarios.append(ImbalanceScenario(name, distribution))
     return scenarios
 
 
 def _cmd_imbalance(args) -> int:
     cfg, agents, options, records, out_dir = _evaluation_setup(args)
-    if options["coordination_backend"] is None:
-        raise SystemExit("the imbalance suite needs a coordination backend (endpoint or --scripted)")
     scenarios = _load_scenarios(args.scenarios)
     results = run_imbalance_suite(records, agents, cfg, scenarios, args.seed, size=args.size, **options)
     _write_json(out_dir / "imbalance.json", {k: v.to_dict() for k, v in results.items()})

@@ -258,10 +258,10 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
     """Read JSON data as type ``tp``, the inverse of ``to_json_value``.
 
     A dataclass reads from an object of known fields (defaults fill the
-    rest), a mapping from an object keyed by agent id or severity class, a
-    tuple from an array, and ``X | None`` from null or as ``X``. Numbers
-    must be finite, ints whole, strings and booleans JSON strings and
-    booleans, and ``Annotated`` bounds must hold, as must a dataclass's
+    rest), a mapping from an object naming each agent id or severity class
+    once, a tuple from an array, and ``X | None`` from null or as ``X``.
+    Numbers must be finite, ints whole, strings and booleans JSON strings
+    and booleans, and ``Annotated`` bounds must hold, as must a dataclass's
     constructor; else ConfigError names the field by its dotted path ``name``.
     """
     if tp is float or tp is int:
@@ -314,7 +314,10 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
         out = {}
         for raw_key, item in value.items():
             key = _agent_from_key(raw_key) if agents else _severity_from_key(raw_key)
-            out[key] = from_json_value(value_type, item, f"{name}.{key.name if agents else int(key)}")
+            path = f"{name}.{key.name if agents else int(key)}"
+            if key in out:  # "ml" and "ML", or "1" and "01"
+                raise ConfigError(f"{path} is given twice")
+            out[key] = from_json_value(value_type, item, path)
         return out
     if origin is tuple:
         if not isinstance(value, list):

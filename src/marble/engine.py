@@ -143,12 +143,7 @@ def run_instance(
     When no agent produces a usable output, the decision is ``abstain()`` and
     the trace's ``coordination`` is None, as ``fuse`` returns them.
     """
-    if not agents:
-        raise ValueError("at least one agent must be configured")
-    identities = [a.identity() for a in agents]
-    if len(set(identities)) != len(identities):
-        raise ValueError("agent identities must be distinct")
-    _require_a_coordinator(cfg, coordination_backend, coordinator)
+    identities = _check_run(agents, cfg, coordination_backend, coordinator)
 
     start = time.perf_counter()
     notes: list[str] = []
@@ -201,6 +196,19 @@ def run_instance(
         config_fingerprint=cfg.fingerprint(),
         notes=tuple(notes),
     )
+
+
+def _check_run(
+    agents: Sequence[Agent], cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None
+) -> list[AgentId]:
+    """The agents' identities; ValueError for no agent, two of one identity, or LLM mode with no coordinator."""
+    if not agents:
+        raise ValueError("at least one agent must be configured")
+    identities = [a.identity() for a in agents]
+    if len(set(identities)) != len(identities):
+        raise ValueError("agent identities must be distinct")
+    _require_a_coordinator(cfg, backend, coordinator)
+    return identities
 
 
 def _require_a_coordinator(cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None) -> None:
@@ -306,7 +314,8 @@ def run_instances(
     max_workers: int = 1,
 ) -> list[tuple[FinalDecision, TraceRecord]]:
     """Run every record, preserving input order; each pair is the one
-    ``run_instance`` returns for its record."""
+    ``run_instance`` returns for its record, whose checks run even for no record."""
+    _check_run(agents, cfg, coordination_backend, coordinator)
     options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
     return list(_iter_instances(records, agents, cfg, max_workers, **options))
 
@@ -324,11 +333,13 @@ def run_batch(
 ) -> list[FinalDecision]:
     """Batch inference with JSON Lines trace persistence.
 
-    The sink is opened before any record is processed, so an unwritable
-    path fails fast. One trace object per line, in input order; each line
-    is written and flushed as soon as its record and every earlier one are
-    done, so a run that fails part-way leaves a valid partial file.
+    The sink is opened after ``run_instance``'s checks, so a run that cannot
+    start leaves an existing file as it was, and before any record runs, so
+    an unwritable path fails fast. One trace object per line, in input order;
+    each line is written and flushed as soon as its record and every earlier
+    one are done, so a run that fails part-way leaves a valid partial file.
     """
+    _check_run(agents, cfg, coordination_backend, coordinator)
     options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
     decisions: list[FinalDecision] = []
     # A lone surrogate (half an emoji pair) in a reply is written as its JSON escape.

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from .core import AgentId, ConfigError, SLM_AGENT_IDS, Severity, from_json_value
+from .core import AgentId, ConfigError, Severity, from_json_value
 
 
 class SchemaError(ValueError):
@@ -201,12 +201,6 @@ class FeatureRegistry:
     def domain_features(self, agent: AgentId) -> tuple[str, ...]:
         return tuple(self.domains.get(agent, ()))
 
-    def all_assigned(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for agent in SLM_AGENT_IDS:
-            out.extend(self.domains.get(agent, ()))
-        return tuple(out)
-
 
 def default_registry() -> FeatureRegistry:
     return FeatureRegistry()
@@ -276,30 +270,6 @@ def _parse_label(text: str, row: int) -> Severity | None:
     return Severity(int(value))
 
 
-def _utf8_lines(lines: Iterable[str], path: str | Path) -> Iterator[str]:
-    """``lines`` of ``path``, or SchemaError naming the row (0: header) of its first byte that is not UTF-8."""
-    try:
-        yield from lines
-    except UnicodeDecodeError as err:
-        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")  # a bad byte reads as a lone surrogate
-        bad = next((i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"), len(text))
-        row = sum(1 for _ in csv.reader(io.StringIO(text[:bad] + "x", newline=""))) - 1
-        where = f"row {row}" if row else "the header"
-        raise SchemaError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} in {where}") from None
-
-
-def _csv_rows(reader: Iterator[list[str]], path: str | Path) -> Iterator[list[str]]:
-    """``reader``'s rows, or SchemaError naming the row (0: header) where the csv module fails, as on a
-    cell past its field size limit."""
-    row = -1
-    try:
-        for row, cells in enumerate(reader):
-            yield cells
-    except csv.Error as err:
-        where = f"row {row + 1}" if row + 1 else "the header"
-        raise SchemaError(f"{path}: {err} in {where}") from None
-
-
 def ingest_csv(
     path: str | Path,
     registry: FeatureRegistry | None = None,
@@ -318,48 +288,57 @@ def ingest_csv(
     Each distinct cell text is parsed once and its FeatureValue shared by every record that holds it, in ``_Row``s.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        reader = _csv_rows(csv.reader(_utf8_lines(handle, path)), path)
+        row_num = -1  # the row being read, less one: -1 before the header, 0 after it
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("missing header") from None
-        if not header or all(not h.strip() for h in header):
-            raise SchemaError("missing header")
-        columns: dict[str, int] = {}
-        for i, h in enumerate(header):
-            j = columns.setdefault(canonical_name(h), i)
-            if j != i:
-                raise SchemaError(f"headers {header[j]!r} and {h!r} collide as {canonical_name(h)!r}")
-        id_col = columns.get("id")
-        label_col = columns.get("severity")
-        is_feature = [i != id_col and i != label_col for i in range(len(header))]
-        positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
-        if registry is not None and positions:
-            assigned = {canonical_name(n) for n in registry.all_assigned()}
-            if not assigned.intersection(map(canonical_name, positions)):
-                raise SchemaError("no registry feature matches the header")
-        parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            row_num = 0
+            if not header or all(not h.strip() for h in header):
+                raise SchemaError("missing header")
+            columns: dict[str, int] = {}
+            for i, h in enumerate(header):
+                j = columns.setdefault(canonical_name(h), i)
+                if j != i:
+                    raise SchemaError(f"headers {header[j]!r} and {h!r} collide as {canonical_name(h)!r}")
+            id_col = columns.get("id")
+            label_col = columns.get("severity")
+            is_feature = [i != id_col and i != label_col for i in range(len(header))]
+            positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
+            if registry is not None and positions:
+                if all(key is None for pairs in registry._resolve(tuple(positions)).values() for _, key in pairs):
+                    raise SchemaError("no registry feature matches the header")
+            parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 
-        records: list[AccidentRecord] = []
-        seen_ids: set[str] = set()
-        bad = 0
-        for row_num, cells in enumerate(reader, start=1):
-            try:
-                if len(cells) != len(header):
-                    raise RowError(row_num, f"expected {len(header)} columns, got {len(cells)}")
-                rec_id = cells[id_col].strip() if id_col is not None else f"row-{row_num}"
-                if not rec_id:
-                    rec_id = f"row-{row_num}"
-                if rec_id in seen_ids:
-                    raise RowError(row_num, f"duplicate id {rec_id!r}")
-                label = _parse_label(cells[label_col], row_num) if label_col is not None else None
-                features = _Row(positions, tuple(map(parse, compress(cells, is_feature))))
-                seen_ids.add(rec_id)
-                records.append(AccidentRecord(id=rec_id, features=features, label=label))
-            except RowError as err:
-                bad += 1
-                if errors_out is not None:
-                    errors_out.append(err)
-                if bad > _BAD_ROW_BUDGET:
-                    raise RowError(row_num, f"bad-row budget ({_BAD_ROW_BUDGET}) exceeded: {err.message}") from err
+            records: list[AccidentRecord] = []
+            seen_ids: set[str] = set()
+            bad = 0
+            for row_num, cells in enumerate(reader, start=1):
+                try:
+                    if len(cells) != len(header):
+                        raise RowError(row_num, f"expected {len(header)} columns, got {len(cells)}")
+                    rec_id = cells[id_col].strip() if id_col is not None else f"row-{row_num}"
+                    if not rec_id:
+                        rec_id = f"row-{row_num}"
+                    if rec_id in seen_ids:
+                        raise RowError(row_num, f"duplicate id {rec_id!r}")
+                    label = _parse_label(cells[label_col], row_num) if label_col is not None else None
+                    features = _Row(positions, tuple(map(parse, compress(cells, is_feature))))
+                    seen_ids.add(rec_id)
+                    records.append(AccidentRecord(id=rec_id, features=features, label=label))
+                except RowError as err:
+                    bad += 1
+                    if errors_out is not None:
+                        errors_out.append(err)
+                    if bad > _BAD_ROW_BUDGET:
+                        raise RowError(row_num, f"bad-row budget ({_BAD_ROW_BUDGET}) exceeded: {err.message}") from err
+        except csv.Error as err:  # as on a cell past the csv module's field size limit
+            where = f"row {row_num + 1}" if row_num + 1 else "the header"
+            raise SchemaError(f"{path}: {err} in {where}") from None
+        except UnicodeDecodeError as err:
+            # The decoder reads ahead of the csv reader, so ``row_num`` is not the bad byte's row: find it again.
+            text = Path(path).read_bytes().decode("utf-8", "surrogateescape")  # a bad byte reads as a lone surrogate
+            bad_at = next((i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"), len(text))
+            row = sum(1 for _ in csv.reader(io.StringIO(text[:bad_at] + "x", newline=""))) - 1
+            where = f"row {row}" if row else "the header"
+            raise SchemaError(f"{path} is not UTF-8: byte {err.object[err.start]:#04x} in {where}") from None
         return records

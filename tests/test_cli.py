@@ -221,6 +221,11 @@ def test_predict_without_agents_exits(tmp_path, input_file):
         # loader's own message pins them to the reading of the proportions.
         ({"name": "broken", "distribution": {"1": True, "2": 0, "3": 0, "4": 0}}, "'broken': \"distribution\""),
         ({"name": "broken", "distribution": {k: "0.25" for k in "1234"}}, "'broken': \"distribution\""),
+        # Read as {1: 0.5, 2: 0.5}, this would pass; a class may be named once.
+        (
+            {"name": "broken", "distribution": {"1": 0.5, "01": 0.5, "2": 0.5}},
+            r"'broken': .*\(distribution\.1 is given twice\)$",
+        ),
     ],
 )
 def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, named):
@@ -280,6 +285,23 @@ def test_the_ml_agent_alone_reads_any_header(tmp_path, unmatched_file, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 9
 
 
+@pytest.mark.parametrize("command", ["predict", "eval", "ablate"])
+def test_llm_mode_without_a_coordinator_exits_before_writing(tmp_path, train_file, input_file, command):
+    path = tmp_path / "scripted.json"
+    path.write_text(json.dumps({"spatial": PAYLOAD_2}), encoding="utf-8")
+    trace, out_dir = tmp_path / "t.jsonl", tmp_path / "out"
+    trace.write_text("an earlier run's trace\n", encoding="utf-8")
+    args = [command, "--mode", "llm", "--input", str(input_file), "--train", str(train_file), "--scripted", str(path)]
+    args += ["--trace", str(trace)] if command == "predict" else ["--output-dir", str(out_dir)]
+    with pytest.raises(SystemExit, match="^LLM coordination needs a coordination backend"):
+        main(args)
+    assert trace.read_text(encoding="utf-8") == "an earlier run's trace\n"
+    assert not out_dir.exists()
+
+
+ROLES = "the roles are environmental, infrastructural, spatial, temporal, coordinator"
+
+
 @pytest.mark.parametrize(
     "scripted, named",
     [
@@ -287,6 +309,10 @@ def test_the_ml_agent_alone_reads_any_header(tmp_path, unmatched_file, capsys):
         ({"environmental": {"": 5}}, "'environmental'"),
         ({"coordinator": [PAYLOAD_2]}, "'coordinator'"),
         ([PAYLOAD_2], "--scripted must hold a JSON object"),
+        # Keys that name no role; the scripted spatial agent would otherwise run alone.
+        ({"spatial": PAYLOAD_2, "enviromental": PAYLOAD_2}, f"^--scripted key 'enviromental' names no role; {ROLES}$"),
+        ({"spatial": PAYLOAD_2, "coordinater": PAYLOAD_2}, f"^--scripted key 'coordinater' names no role; {ROLES}$"),
+        ({"spatial": PAYLOAD_2, "ml": PAYLOAD_2}, f"^--scripted key 'ml' names no role; {ROLES}$"),
     ],
 )
 def test_malformed_scripted_file_exits_before_any_record(tmp_path, input_file, scripted, named):

@@ -242,6 +242,18 @@ class TestConfigValidation:
             validate_config(EngineConfig.from_dict(overrides))
 
     @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"agent_weights": {"ml": 3.0, "ML": 1.0}}, "agent_weights.ML"),
+            ({"agent_weights": {"Spatial": 1.0, "spatial": 1.0}}, "agent_weights.SPATIAL"),
+            ({"class_factors": {"1": 1.2, "01": 9}}, "class_factors.1"),
+        ],
+    )
+    def test_two_keys_of_one_agent_or_class_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field} is given twice$"):
+            EngineConfig.from_dict(overrides)
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"fallback_confidence": 0.96}, "fallback_confidence must be <= confidence_cap"),
@@ -408,7 +420,9 @@ def agent_outputs(draw):
 _replies = st.sampled_from(
     ['{"severity": 4, "confidence": 0.97, "reasoning": "r"}', '{"severity": 1, "confidence": 0.7}', "no answer"]
 ) | st.text(max_size=30)
-_RECORD = AccidentRecord("r", {name: FeatureValue.categorical("x") for name in default_registry().all_assigned()})
+_RECORD = AccidentRecord(
+    "r", {name: FeatureValue.categorical("x") for names in default_registry().domains.values() for name in names}
+)
 
 
 class TestEveryValidConfigRuns:

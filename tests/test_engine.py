@@ -54,6 +54,14 @@ def unanimous_agents(cfg: EngineConfig, confidence: float) -> list:
     return agents
 
 
+# Runs that cannot start: the message each raises, its agents, and its coordination mode.
+UNSTARTABLE = {
+    "no agent": ("at least one agent", lambda cfg: [], "rule"),
+    "two of one identity": ("distinct", lambda cfg: [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6)] * 2, "rule"),
+    "llm mode without a coordinator": ("coordination backend", lambda cfg: unanimous_agents(cfg, 0.7), "llm"),
+}
+
+
 class TestRunInstance:
     def test_unanimous_high_confidence_takes_the_override(self, cfg):
         decision, trace = run_instance(record(), unanimous_agents(cfg, 0.9), cfg)
@@ -349,6 +357,16 @@ class TestRunBatch:
             run_batch([record()], agents, cfg, tmp_path / "absent-dir" / "trace.jsonl")
         assert calls["n"] == 0
 
+    @pytest.mark.parametrize("case", UNSTARTABLE)
+    def test_a_run_that_cannot_start_leaves_an_existing_trace_file_as_it_was(self, cfg, tmp_path, case):
+        message, agents, mode = UNSTARTABLE[case]
+        agents, run_cfg = agents(cfg), dataclasses.replace(cfg, coordination_mode=CoordinationMode(mode))
+        sink = tmp_path / "trace.jsonl"
+        sink.write_text("an earlier run's trace\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            run_batch([record()], agents, run_cfg, sink, max_workers=2)
+        assert sink.read_text(encoding="utf-8") == "an earlier run's trace\n"
+
     def test_all_failed_record_becomes_abstention(self, cfg, tmp_path):
         records = [weather_record(f"w{i}", "Rain") for i in range(4)]
         records.insert(2, weather_record("bad", "poison"))
@@ -450,6 +468,15 @@ class TestRecordThreads:
             run_instances([record(f"n{i}") for i in range(count)], agents, cfg, max_workers=max_workers)
             assert started.count("marble-record") == min(count, max_workers)
         assert not record_threads()
+
+    @pytest.mark.parametrize("case", UNSTARTABLE)
+    def test_a_run_that_cannot_start_raises_even_with_no_record(self, cfg, case):
+        message, agents, mode = UNSTARTABLE[case]
+        agents, run_cfg = agents(cfg), dataclasses.replace(cfg, coordination_mode=CoordinationMode(mode))
+        with pytest.raises(ValueError, match=message):
+            run_instances([], agents, run_cfg)
+        with pytest.raises(ValueError, match=message):
+            run_batch([], agents, run_cfg, os.devnull)
 
     def test_results_come_back_in_input_order_when_later_records_finish_first(self, cfg):
         finished = []

@@ -50,9 +50,14 @@ ENV_FEATURES = (
 )
 
 
+def assigned(registry: FeatureRegistry) -> tuple[str, ...]:
+    """Every feature name the registry assigns, in SLM agent order."""
+    return tuple(name for agent in SLM_AGENT_IDS for name in registry.domains.get(agent, ()))
+
+
 def full_record(rec_id: str = "r1", label: int | None = 2) -> AccidentRecord:
     registry = default_registry()
-    features = {name: FeatureValue.categorical(f"v-{name}") for name in registry.all_assigned()}
+    features = {name: FeatureValue.categorical(f"v-{name}") for name in assigned(registry)}
     return AccidentRecord(
         id=rec_id, features=features, label=None if label is None else Severity(label)
     )
@@ -120,6 +125,7 @@ class TestLoadRegistry:
             ([1], "registry must be a JSON object"),
             ({"weather": ["Rain"]}, "unknown agent id: weather"),
             ({"ml": ["Humidity"]}, "registry.ML: only SLM domains take feature assignments"),
+            ({"spatial": ["Latitude"], "Spatial": ["Longitude"]}, "registry.SPATIAL is given twice"),
         ],
     )
     def test_malformed_registry_rejected(self, tmp_path, data, message):
@@ -166,7 +172,7 @@ class TestProject:
         projected = project(record, AgentId.ENVIRONMENTAL)
         assert projected["Weather Conditions"].text == "Fog"
 
-    @given(st.sets(st.sampled_from([n for n in default_registry().all_assigned()]), min_size=0))
+    @given(st.sets(st.sampled_from([n for n in assigned(default_registry())]), min_size=0))
     @settings(max_examples=50)
     def test_partition_consistency(self, missing_names):
         # Records shaped like CSV rows: every registry feature present,
@@ -174,7 +180,7 @@ class TestProject:
         registry = default_registry()
         features = {
             name: (FeatureValue.missing() if name in missing_names else FeatureValue.categorical("v"))
-            for name in registry.all_assigned()
+            for name in assigned(registry)
         }
         features["extra"] = FeatureValue.categorical("ml-only")
         record = AccidentRecord(id="p", features=features)
@@ -183,7 +189,7 @@ class TestProject:
             keys = set(project(record, agent, registry))
             assert not union & keys  # disjoint across domains
             union |= keys
-        assert union == set(registry.all_assigned())
+        assert union == set(assigned(registry))
         assert "extra" not in union
 
     def test_projection_is_deterministic(self):
@@ -205,7 +211,7 @@ class TestProject:
                 assert all(projected[name] is value for name, value in expected.items())
 
     def test_projection_keeps_nothing_per_record(self, tmp_path):
-        names = default_registry().all_assigned() + ("Extra",)
+        names = assigned(default_registry()) + ("Extra",)
         rows = [",".join(names)] + [",".join(f"{i}.{j}" for j in range(len(names))) for i in range(400)]
         path = tmp_path / "data.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -229,7 +235,7 @@ class TestProject:
         # registry: a torn or lost entry shows as a wrong projection or a
         # header missing from the map.
         registry = default_registry()
-        base = registry.all_assigned()
+        base = assigned(registry)
         records = []
         for i in range(40):
             names = base[i % len(base):] + base[: i % len(base)] + (f"extra {i}",)
@@ -258,7 +264,7 @@ class TestProject:
     def test_records_with_ever_new_headers_keep_little_on_the_default_registry(self):
         # Client-built feature maps with one varying field: each record brings
         # a header of its own, and each is dropped once projected.
-        base = {name: FeatureValue.categorical("v") for name in default_registry().all_assigned()}
+        base = {name: FeatureValue.categorical("v") for name in assigned(default_registry())}
         gc.collect()
         tracemalloc.start()
         try:
@@ -298,7 +304,7 @@ def spellings(draw, name: str) -> str:
     return draw(st.sampled_from(["", " ", "_"])) + spelled + draw(st.sampled_from(["", " ", "-"]))
 
 
-_NAME_POOL = default_registry().all_assigned()
+_NAME_POOL = assigned(default_registry())
 _other_names = st.text(alphabet="aBc _-", max_size=6)
 registries = st.dictionaries(
     st.sampled_from(SLM_AGENT_IDS), st.lists(st.sampled_from(_NAME_POOL) | _other_names, max_size=5).map(tuple)
@@ -310,7 +316,7 @@ def headers(draw, registry: FeatureRegistry) -> dict[str, FeatureValue]:
     """Record features in any order: some registry names, each spelled once or
     twice, and extra names, each holding a value object of its own."""
     names: list[str] = []
-    for name in draw(st.lists(st.sampled_from(registry.all_assigned() or ("none",)), unique=True)):
+    for name in draw(st.lists(st.sampled_from(assigned(registry) or ("none",)), unique=True)):
         names.extend(draw(st.lists(spellings(name), min_size=1, max_size=2)))
     names.extend(draw(st.lists(st.sampled_from(_NAME_POOL) | _other_names, max_size=4)))
     names = draw(st.permutations(names))
@@ -386,6 +392,13 @@ class TestIngestCsv:
         # The csv module's default limit is 131,072 characters, and ingest leaves it as it is.
         with pytest.raises(SchemaError, match=rf"data\.csv: field larger than field limit \(131072\) in {where}$"):
             ingest_csv(self.write(tmp_path, text))
+
+    def test_one_row_count_names_both_a_bad_row_and_a_csv_error(self, tmp_path):
+        path = self.write(tmp_path, "id,Weather Conditions\na,Rain\nb,Fog,extra\nc," + "x" * 200_000 + "\n")
+        errors: list[RowError] = []
+        with pytest.raises(SchemaError, match=r"data\.csv: field larger than field limit \(131072\) in row 3$"):
+            ingest_csv(path, errors_out=errors)
+        assert [(e.row, e.message) for e in errors] == [(2, "expected 2 columns, got 3")]
 
     def test_label_out_of_range_collected(self, tmp_path):
         path = self.write(
@@ -493,7 +506,7 @@ def reference_ingest_csv(path, registry=None, *, bad_row_budget=100, errors_out=
             raise SchemaError("missing header")
         canon = [canonical_name(h) for h in header]
         if registry is not None:
-            assigned = {canonical_name(n) for n in registry.all_assigned()}
+            assigned = {canonical_name(n) for names in registry.domains.values() for n in names}
             feature_cols = [c for c in canon if c not in ("id", "severity")]
             if feature_cols and not assigned.intersection(feature_cols):
                 raise SchemaError("no registry feature matches the header")
@@ -623,7 +636,7 @@ def bench_like_csv(path: Path, n: int, seed: int) -> Path:
     hundred values, low-cardinality categories and some missing cells."""
     rng = random.Random(seed)
     hints = ("Weather Conditions", "Day of Week", "Road Type", "Point of Impact", "ml signal")
-    header = ["id", *default_registry().all_assigned(), "ml signal", "severity"]
+    header = ["id", *assigned(default_registry()), "ml signal", "severity"]
     rows = [header]
     for i in range(n):
         cells = {
