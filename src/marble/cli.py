@@ -11,13 +11,13 @@ from pathlib import Path
 from typing import Mapping
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, ml_train
-from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, from_json_value, load_config, validate_config
+from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, from_json_value, load_config, read_json
+from .core import validate_config
 from .engine import run_batch
 from .features import RowError, default_registry, ingest_csv, load_registry
 from .harness import (
     comparison_table,
     compute_metrics,
-    default_scenarios,
     ImbalanceScenario,
     ScenarioError,
     relative_accuracy_drops,
@@ -36,7 +36,7 @@ def _load_cfg(args) -> EngineConfig:
 def _load_scripted(path: str) -> dict:
     """The --scripted responses: an object whose entries are a reply or an
     object of prompt substrings to replies, all strings."""
-    scripted = json.loads(Path(path).read_text(encoding="utf-8"))
+    scripted = read_json(path)
     if not isinstance(scripted, dict):
         raise SystemExit("--scripted must hold a JSON object")
     for key, script in scripted.items():
@@ -173,10 +173,8 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
-    if not path:
-        return default_scenarios()
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_scenarios(path: str) -> list[ImbalanceScenario]:
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise ScenarioError("--scenarios must be a JSON array of scenario objects")
     scenarios = []
@@ -195,7 +193,7 @@ def _load_scenarios(path: str | None) -> list[ImbalanceScenario]:
 
 def _cmd_imbalance(args) -> int:
     cfg, agents, options, records, out_dir = _evaluation_setup(args)
-    scenarios = _load_scenarios(args.scenarios)
+    scenarios = _load_scenarios(args.scenarios) if args.scenarios else None  # None: the stock scenarios
     results = run_imbalance_suite(records, agents, cfg, scenarios, args.seed, size=args.size, **options)
     _write_json(out_dir / "imbalance.json", {k: v.to_dict() for k, v in results.items()})
     _write_csv(out_dir / "imbalance.csv", comparison_table(results))

@@ -107,8 +107,6 @@ def rb_predict(breakdown: VoteBreakdown, cfg: EngineConfig) -> Severity:
     best = max(scores[k] for k in voted)
     # ``== best`` keeps a best that overflowed to inf in the tie: inf - inf is NaN.
     tied = [k for k in voted if best - scores[k] <= cfg.tie_epsilon or scores[k] == best]
-    if len(tied) == 1:
-        return tied[0]
     return min(tied, key=lambda k: (len(breakdown.supporters[k]), 0 if k.is_rare else 1, int(k)))
 
 
@@ -121,16 +119,9 @@ def agreement_boost(prediction: Severity, breakdown: VoteBreakdown, cfg: EngineC
     """
     agreeing = len(breakdown.slm_supporters[prediction])
     total = sum(1 for a in cfg.agent_weights if a.is_slm)
-    if total == 0:
+    if total == 0 or agreeing / total <= 0.5 or prediction.is_rare and agreeing < 2:
         return 0.0
-    ratio = agreeing / total
-    if prediction.is_rare:
-        if agreeing >= 2 and ratio > 0.5:
-            return cfg.boost_rare
-        return 0.0
-    if ratio > 0.5:
-        return cfg.boost_common
-    return 0.0
+    return cfg.boost_rare if prediction.is_rare else cfg.boost_common
 
 
 def weighted_avg_confidence(prediction: Severity, outputs: Sequence[AgentOutput], cfg: EngineConfig) -> float:

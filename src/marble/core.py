@@ -361,7 +361,7 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ConfigError("agent_weights must not be empty")
     for k in ALL_SEVERITIES:
         if k not in checked.class_factors:
-            raise ConfigError(f"class_factors.{int(k)} must be > 0")
+            raise ConfigError(f"class_factors.{int(k)} is missing")
     cal = checked.calibration
     for holds, message in (
         (checked.fallback_confidence <= checked.confidence_cap, "fallback_confidence must be <= confidence_cap"),
@@ -374,7 +374,24 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
     return cfg
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key!r} is given twice in one object")
+        out[key] = value
+    return out
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document in the UTF-8 file ``path``; ConfigError naming the file
+    if it is not UTF-8, not JSON, or gives a key twice in one object."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or _unique_keys' ConfigError
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | Path) -> EngineConfig:
     """Load, merge over defaults, and validate a JSON config file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return validate_config(EngineConfig.from_dict(json.loads(text)))
+    return validate_config(EngineConfig.from_dict(read_json(path)))

@@ -14,6 +14,7 @@ its agents, the barrier; backends bound their own calls (``SlmBackend``).
 from __future__ import annotations
 
 import json
+import os
 import queue
 import threading
 import time
@@ -38,12 +39,22 @@ _TASKS = queue.SimpleQueue()  # calls for the agent threads
 _IDLE = queue.SimpleQueue()  # one token per idle agent thread
 
 
-def _gather(calls: Sequence[Callable[[], object]], deadline: float) -> list:
+def _empty_pool() -> None:  # a forked child has none of its parent's agent threads, nor their tokens
+    global _TASKS, _IDLE
+    _TASKS, _IDLE = queue.SimpleQueue(), queue.SimpleQueue()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_empty_pool)
+
+
+def _gather(calls: Sequence[Callable[[], object]], deadline: float) -> tuple[list, list[float]]:
     """Run ``calls`` at once on the agent threads; return their results in call
     order, ``_ABANDONED`` for any still running at ``deadline``
-    (``perf_counter``), or re-raise the first exception in call order. A thread
-    starts only if none is idle, so no call waits in line, and counts itself
-    idle before it hands back its result, so a warm pool starts none."""
+    (``perf_counter``), and when each landed here (``deadline`` if abandoned);
+    or re-raise the first exception in call order. A thread starts only if none
+    is idle, so no call waits in line, and counts itself idle before it hands
+    back its result, so a warm pool starts none."""
     replies = queue.SimpleQueue()
     for index, call in enumerate(calls):
         try:
@@ -51,17 +62,17 @@ def _gather(calls: Sequence[Callable[[], object]], deadline: float) -> list:
         except queue.Empty:
             threading.Thread(target=_work, name="marble-agent", daemon=True).start()
         _TASKS.put((index, call, replies))
-    results, errors = [_ABANDONED] * len(calls), [None] * len(calls)
+    results, errors, landed = [_ABANDONED] * len(calls), [None] * len(calls), [deadline] * len(calls)
     for _ in calls:
         try:
             index, result, error = replies.get(timeout=max(0.0, deadline - time.perf_counter()))
         except queue.Empty:
             break
-        results[index], errors[index] = result, error
+        results[index], errors[index], landed[index] = result, error, time.perf_counter()
     for error in errors:
         if error is not None:
             raise error
-    return results
+    return results, landed
 
 
 def _work() -> None:
@@ -125,8 +136,8 @@ def strip_timings(trace_dict: dict) -> dict:
     return out
 
 
-def _ms(start: float) -> float:
-    return round((time.perf_counter() - start) * 1000.0, 3)
+def _ms(start: float, end: float | None = None) -> float:
+    return round(((time.perf_counter() if end is None else end) - start) * 1000.0, 3)
 
 
 def run_instance(
@@ -154,23 +165,16 @@ def run_instance(
 
     # Stage 2: dispatch all agents, then block until each resolves or its
     # deadline passes. Late results are discarded irrevocably.
-    completed_at: dict[AgentId, float] = {}
-
-    def run_agent(agent: Agent, identity: AgentId) -> AgentOutput:
-        output = agent.evaluate(projections[identity])
-        completed_at[identity] = _ms(start)
-        return output
-
     deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
-    outputs = _gather([partial(run_agent, a, i) for a, i in zip(agents, identities)], deadline)
+    outputs, landed = _gather([partial(a.evaluate, projections[i]) for a, i in zip(agents, identities)], deadline)
     for n, identity in enumerate(identities):
         if outputs[n] is _ABANDONED:
-            completed_at[identity] = _ms(start)
             outputs[n] = AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS)
             notes.append(f"agent {identity.value} abandoned past the barrier deadline")
         elif not isinstance(outputs[n], AgentOutput) or outputs[n].agent is not identity:
             raise AgentContractError(f"agent {identity.value} returned {outputs[n]!r}, not an AgentOutput of its own")
     outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
+    completed = sorted(zip(identities, landed), key=lambda pair: AGENT_ORDER[pair[0]])
     stage2_done = _ms(start)
 
     # Stage 3: coordination over the surviving outputs, then the cascade.
@@ -179,7 +183,7 @@ def run_instance(
         "stage1_ms": stage1_done,
         "stage2_ms": stage2_done - stage1_done,
         "stage3_start_ms": stage3_start,
-        "agent_completed_ms": {a.value: t for a, t in sorted(completed_at.items(), key=lambda kv: AGENT_ORDER[kv[0]])},
+        "agent_completed_ms": {a.value: _ms(start, t) for a, t in completed},
     }
     coordination, decision = fuse(
         outputs, cfg, coordination_backend=coordination_backend, coordinator=coordinator, notes=notes
@@ -247,7 +251,7 @@ def fuse(
         coordinator = lambda live, cfg: coordinate_llm(live, coordination_backend, cfg)  # noqa: E731
     if coordinator is not None and not rule_based.override_applied:
         deadline = time.perf_counter() + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
-        [answer] = _gather([partial(coordinator, live, cfg)], deadline)
+        [answer], _ = _gather([partial(coordinator, live, cfg)], deadline)
         if answer is _ABANDONED:
             answer = "timeout"
             if notes is not None:

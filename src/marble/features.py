@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .core import AgentId, ConfigError, Severity, from_json_value
+from .core import AgentId, ConfigError, Severity, from_json_value, read_json
 
 
 class SchemaError(ValueError):
@@ -35,7 +34,7 @@ class RowError(ValueError):
 
 _MISSING_TOKENS = {"", "n/a", "na", "none", "null", "unknown", "nan", "-"}
 _BAD_ROW_BUDGET = 100  # bad rows that ingest_csv collects per file before it gives up
-_HEADERS_KEPT = 64  # distinct headers a registry resolves before it forgets them all
+_HEADERS_KEPT = 64  # (registry, header) matches kept, least recently used dropped first
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +167,7 @@ _DEFAULT_DOMAINS: dict[AgentId, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself, and so hashable: a key of ``_resolve``'s cache
 class FeatureRegistry:
     """Which SLM domain reads which features; ML implicitly reads them all."""
 
@@ -180,26 +179,18 @@ class FeatureRegistry:
         for agent in self.domains:
             if not agent.is_slm:
                 raise ConfigError(f"registry.{agent.name}: only SLM domains take feature assignments")
-        # header (a record's feature names, in order) -> agent -> _resolve's tuple
-        object.__setattr__(self, "_by_header", {})
-
-    def _resolve(self, header: tuple[str, ...]) -> dict[AgentId, tuple[tuple[str, str | None], ...]]:
-        """Per agent, each of its registry names paired with the header's name
-        of the same ``canonical_name`` (the last, if several), or None. Built
-        once per distinct header while kept (see ``_HEADERS_KEPT``); a race only stores an equal entry again."""
-        resolved = self._by_header.get(header)
-        if resolved is None:
-            by_canonical = {canonical_name(n): n for n in header}
-            resolved = {
-                a: tuple((n, by_canonical.get(canonical_name(n))) for n in ns) for a, ns in self.domains.items()
-            }
-            if len(self._by_header) >= _HEADERS_KEPT:
-                self._by_header.clear()
-            self._by_header[header] = resolved
-        return resolved
 
     def domain_features(self, agent: AgentId) -> tuple[str, ...]:
         return tuple(self.domains.get(agent, ()))
+
+
+@lru_cache(maxsize=_HEADERS_KEPT)
+def _resolve(registry: FeatureRegistry, header: tuple[str, ...]) -> dict[AgentId, tuple[tuple[str, str | None], ...]]:
+    """Per agent, each of its registry names paired with the header's name of
+    the same ``canonical_name`` (the last, if several), or None. Built once
+    per distinct (registry, header) while kept."""
+    by_canonical = {canonical_name(n): n for n in header}
+    return {a: tuple((n, by_canonical.get(canonical_name(n))) for n in ns) for a, ns in registry.domains.items()}
 
 
 def default_registry() -> FeatureRegistry:
@@ -214,7 +205,7 @@ def load_registry(path: str | Path) -> FeatureRegistry:
     """Load a JSON registry override: {"environmental": [...], ...}, read as
     config is (a malformed entry raises ConfigError naming it). An "ml_only"
     list is accepted and ignored: the ML agent reads every feature."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     if isinstance(data, dict):
         data.pop("ml_only", None)
     return FeatureRegistry(from_json_value(Mapping[AgentId, tuple[str, ...]], data, "registry"))
@@ -237,7 +228,7 @@ def project(
         return dict(record.features.items())
     registry = registry or _DEFAULT_REGISTRY
     features = record.features
-    pairs = registry._resolve(tuple(features)).get(agent, ())
+    pairs = _resolve(registry, tuple(features)).get(agent, ())
     return {name: _MISSING if key is None else features[key] for name, key in pairs}
 
 
@@ -305,7 +296,7 @@ def ingest_csv(
             is_feature = [i != id_col and i != label_col for i in range(len(header))]
             positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
             if registry is not None and positions:
-                if all(key is None for pairs in registry._resolve(tuple(positions)).values() for _, key in pairs):
+                if all(key is None for pairs in _resolve(registry, tuple(positions)).values() for _, key in pairs):
                     raise SchemaError("no registry feature matches the header")
             parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 

@@ -218,15 +218,11 @@ def sample_imbalance(
     rng = random.Random(seed)
     sampled: list[AccidentRecord] = []
     for k in ALL_SEVERITIES:
-        pool, count = pools[k], targets[k]
-        if count == 0:
-            continue
+        pool, count = pools[k], targets[k]  # sampling none draws no random number
         if count <= len(pool):
-            chosen = rng.sample(pool, count)
+            sampled.extend(rng.sample(pool, count))
         else:
-            chosen = list(pool)
-            chosen.extend(rng.choices(pool, k=count - len(pool)))
-        sampled.extend(chosen)
+            sampled.extend(pool + rng.choices(pool, k=count - len(pool)))
     rng.shuffle(sampled)
     # Re-id duplicates from replacement sampling so ids stay unique: the nth
     # copy of "a" is "a~n", or the next "a~m" that no record holds yet.

@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
 import marble.cli
 from marble.cli import main
+from marble.core import ConfigError
 from marble.features import SchemaError
 from marble.harness import ScenarioError
 
@@ -183,6 +185,41 @@ def test_imbalance_emits_comparison(tmp_path, scripted_file, train_file):
         "uniform", "mild_skew_common", "heavy_skew_common", "rare_fatal", "minor_fatal", "skew_rare",
     }
     assert (out_dir / "imbalance.csv").exists()
+
+
+@pytest.mark.parametrize("document", [[{"name": "even", "distribution": {k: 0.25 for k in "1234"}}], []])
+def test_imbalance_runs_the_scenarios_of_a_file(tmp_path, scripted_file, train_file, document):
+    input_file = write_csv(tmp_path / "big.csv", [1, 2, 3, 4] * 10)
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps(document), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    args = ["imbalance", "--input", str(input_file), "--train", str(train_file), "--scripted", str(scripted_file)]
+    assert main(args + ["--scenarios", str(scenarios), "--output-dir", str(out_dir), "--size", "20"]) == 0
+    payload = json.loads((out_dir / "imbalance.json").read_text(encoding="utf-8"))
+    assert list(payload) == [entry["name"] for entry in document]
+    rows = list(csv.DictReader(io.StringIO((out_dir / "imbalance.csv").read_text(encoding="utf-8"))))
+    assert len(rows) == 2 * len(document)  # one row per coordination mode; an empty file for no scenario
+
+
+# Read as plain JSON, the first would keep its later value, the others would raise a bare
+# JSONDecodeError or UnicodeDecodeError that names no file.
+JSON_DEFECTS = {
+    "repeated-key": (b'{"a": {"b": 1, "b": 2}}', "key 'b' is given twice in one object"),
+    "trailing-comma": (b'{"a": 1,}', "Expecting property name enclosed in double quotes"),
+    "latin-1": (b'["caf\xe9"]', "can't decode byte 0xe9"),
+}
+
+
+@pytest.mark.parametrize("defect", JSON_DEFECTS)
+@pytest.mark.parametrize("option", ["--config", "--registry", "--scripted", "--scenarios"])
+def test_every_json_input_is_read_strictly(tmp_path, scripted_file, train_file, input_file, option, defect):
+    data, message = JSON_DEFECTS[defect]
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    options = {"--scripted": str(scripted_file), option: str(path)}
+    args = ["imbalance", "--input", str(input_file), "--train", str(train_file), "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        main(args + [item for pair in options.items() for item in pair])
 
 
 def test_config_file_round_trips_through_cli(tmp_path, scripted_file, train_file, input_file):

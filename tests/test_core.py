@@ -253,6 +253,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field} is given twice$"):
             EngineConfig.from_dict(overrides)
 
+    def test_empty_agent_weights_rejected(self):
+        with pytest.raises(ConfigError, match="^agent_weights must not be empty$"):
+            validate_config(EngineConfig.from_dict({"agent_weights": {}}))
+
+    def test_a_missing_class_factor_is_named_as_missing(self):
+        with pytest.raises(ConfigError, match=r"^class_factors\.2 is missing$"):
+            validate_config(EngineConfig.from_dict({"class_factors": {"1": 1.2, "3": 1.0, "4": 1.2}}))
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -297,6 +305,13 @@ class TestConfigSerialization:
         path = tmp_path / "config.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(path)
+
+    def test_a_key_given_twice_in_a_config_file_is_rejected(self, tmp_path):
+        # Read leniently, the later weight would win: ML would weigh 1.0.
+        path = tmp_path / "config.json"
+        path.write_text('{"agent_weights": {"ml": 3.0, "ml": 1.0}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: key 'ml' is given twice in one object$"):
             load_config(path)
 
     def test_unknown_field_rejected(self):

@@ -136,6 +136,14 @@ class TestRunInstance:
         assert by_agent[AgentId.SPATIAL].failure_kind == "timeout"
         assert int(decision.prediction) == 2
 
+    def test_an_abandoned_agent_is_stamped_at_the_barrier_deadline(self, cfg):
+        fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
+        sleeper = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(1.0) or (1, 0.9))
+        _, trace = run_instance(record(), [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), sleeper], fast_cfg)
+        completed = trace.timings["agent_completed_ms"]
+        assert completed["spatial"] == fast_cfg.agent_timeout_ms + 500
+        assert completed["ml"] < completed["spatial"] <= trace.timings["stage3_start_ms"]
+
     def test_one_rogue_agent_does_not_stall_the_next_record(self, cfg):
         fast_cfg = dataclasses.replace(cfg, agent_timeout_ms=100)
         rogue = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(1.5) or (1, 0.9))
@@ -625,6 +633,33 @@ class TestAgentThreads:
         result = self.run_python(script)
         assert time.perf_counter() - start < 2.0
         assert "agent spatial abandoned past the barrier deadline" in result.stdout
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_its_records_on_agent_threads_of_its_own(self):
+        # The parent's idle tokens name threads that the child does not have.
+        script = textwrap.dedent(
+            """
+            import os
+            from marble.core import AgentId, EngineConfig, validate_config
+            from marble.engine import run_instance
+            from marble.features import AccidentRecord
+            from synth import ScriptedAgent
+
+            cfg = validate_config(EngineConfig(agent_timeout_ms=300))
+            agents = [ScriptedAgent(a, prediction=2, confidence=0.6) for a in (AgentId.ML, AgentId.SPATIAL)]
+            run_instance(AccidentRecord(id="parent", features={}), agents, cfg)
+            read, write = os.pipe()
+            if os.fork() == 0:
+                decision, trace = run_instance(AccidentRecord(id="child", features={}), agents, cfg)
+                os.write(write, repr((decision.abstained, trace.notes)).encode())
+                os._exit(0)
+            os.close(write)
+            os.wait()
+            print(os.read(read, 4096).decode())
+            """
+        )
+        assert self.run_python(script).stdout.strip() == "(False, ())"
 
 
 class TestFuse:

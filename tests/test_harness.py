@@ -152,6 +152,12 @@ class TestAblation:
             assert reports[agent.identity().value] == rerun([a for a in agents if a is not agent])
         assert reports["coordinator"] == rerun(agents, majority_vote_coordinator)
 
+    def test_needs_labelled_records(self, cfg):
+        records, agents = self.make(cfg, n=10)
+        records[3] = dataclasses.replace(records[3], label=None)
+        with pytest.raises(ValueError, match="^evaluation records must all carry labels$"):
+            run_ablation(records, agents, cfg)
+
     def test_needs_two_agents(self, cfg):
         records, agents = self.make(cfg, n=10)
         with pytest.raises(ValueError):
@@ -239,6 +245,10 @@ class TestSampleImbalance:
     def test_negative_size_names_the_scenario(self):
         with pytest.raises(ScenarioError, match="scenario 'uniform'.*size"):
             sample_imbalance(self.make_pool(per_class=5), default_scenarios()[0], seed=1, size=-3)
+
+    def test_negative_proportions_rejected(self):
+        with pytest.raises(ScenarioError, match="^scenario 'negative': proportions must be >= 0$"):
+            ImbalanceScenario("negative", {Severity(1): -0.5, Severity(2): 1.5})
 
     def test_bad_distribution_rejected(self):
         with pytest.raises(ScenarioError, match="sum"):

@@ -31,7 +31,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         payload = json.dumps(
             {"choices": [{"message": {"content": self.server.canned}}]}
-        ).encode("utf-8")
+        ).encode("utf-8") if mode != "raw" else self.server.canned
         if mode == "trickle_headers":
             head = f"HTTP/1.0 200 OK\r\nContent-Length: {len(payload)}\r\n\r\n".encode("ascii")
             try:  # one byte every 50 ms, until the client hangs up
@@ -131,6 +131,12 @@ class TestRemoteComplete:
         backend = RemoteHttpBackend(EndpointParams(url=url(stub_server)))
         output = SlmAgent(AgentId.SPATIAL, backend, cfg).evaluate({})
         assert (output.failed, output.failure_kind) == (True, "transport")
+
+    @pytest.mark.parametrize("body", [b"<html>busy</html>", b'{"error": "overloaded"}', b'{"choices": []}'])
+    def test_a_body_that_holds_no_completion_is_a_transport_error(self, stub_server, body):
+        stub_server.mode, stub_server.canned = "raw", body  # sent as it is
+        with pytest.raises(TransportError, match="^malformed completion payload: "):
+            complete(url(stub_server), "p", 2000)
 
     def test_unreachable_host_raises_transport_error(self):
         with pytest.raises(TransportError):

@@ -146,6 +146,18 @@ class TestParseResponse:
         assert parsed.confidence == 1.0
         assert parsed.clamped
 
+    def test_a_boolean_severity_is_no_class(self):
+        with pytest.raises(ParseError):
+            parse_response_detailed('{"severity": true, "confidence": 0.9}')
+
+    def test_a_boolean_confidence_reads_the_prior(self):
+        parsed = parse_response_detailed('{"severity": 2, "confidence": true}')
+        assert (parsed.confidence, parsed.clamped) == (0.5, False)
+
+    def test_a_nan_confidence_reads_zero_and_is_flagged(self):
+        parsed = parse_response_detailed('{"severity": 2, "confidence": NaN}')
+        assert (parsed.confidence, parsed.clamped) == (0.0, True)
+
     @given(
         severity=st.integers(1, 4),
         confidence=st.floats(allow_nan=False),
@@ -339,6 +351,13 @@ class TestSlmEvaluate:
 
     def test_transport_error_marks_failed(self, cfg):
         backend = FakeBackend("", error=TransportError("boom", status=500))
+        output = SlmAgent(AgentId.TEMPORAL, backend, cfg).evaluate({})
+        assert output.failed and output.failure_kind == "transport"
+
+    def test_a_prompt_that_matches_no_scripted_key_is_a_transport_failure(self, cfg):
+        backend = ScriptedBackend({"no such feature": '{"severity": 2, "confidence": 0.7}'})
+        with pytest.raises(TransportError, match="^no scripted response matches the prompt$"):
+            backend.complete("a prompt", cfg.decoding, cfg.agent_timeout_ms)
         output = SlmAgent(AgentId.TEMPORAL, backend, cfg).evaluate({})
         assert output.failed and output.failure_kind == "transport"
 

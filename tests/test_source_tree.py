@@ -39,7 +39,7 @@ def test_every_private_module_name_is_read_in_its_module(path):
 
 
 # The caches a frozen object may write into itself after construction.
-CACHES_SET_ON_FROZEN_OBJECTS = {"_fingerprint", "_by_header"}
+CACHES_SET_ON_FROZEN_OBJECTS = {"_fingerprint"}
 
 
 def test_frozen_objects_write_only_their_named_caches():
@@ -64,6 +64,21 @@ def test_nothing_in_the_package_sleeps():
         if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "sleep"
     ]
     assert sorted(sleeps) == []
+
+
+def test_only_read_json_and_the_model_reply_readers_call_json_loads():
+    """Input files go through ``core.read_json``, which is strict; only a
+    model's reply and an endpoint's body are read as they come."""
+    callers = {
+        f"{path.relative_to(PACKAGE)}:{getattr(top, 'name', '<module>')}"
+        for path in PACKAGE.rglob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.loads"
+    }
+    assert sorted(callers) == [
+        "agents/backends.py:RemoteHttpBackend", "agents/slm.py:_iter_json_candidates", "core.py:read_json"
+    ]
 
 
 def test_only_fuse_and_agent_output_read_failed():
