@@ -10,11 +10,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
-from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, ml_train
-from .core import SLM_AGENT_IDS, CoordinationMode, EngineConfig, Severity, from_json_value, load_config, read_json
-from .core import validate_config
+from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, TrainError, ml_train
+from .core import SLM_AGENT_IDS, ConfigError, CoordinationMode, EngineConfig, Severity, from_json_value, load_config
+from .core import read_json, validate_config
 from .engine import run_batch
-from .features import RowError, default_registry, ingest_csv, load_registry
+from .features import RowError, SchemaError, default_registry, ingest_csv, load_registry
 from .harness import (
     comparison_table,
     compute_metrics,
@@ -38,64 +38,69 @@ def _load_scripted(path: str) -> dict:
     object of prompt substrings to replies, all strings."""
     scripted = read_json(path)
     if not isinstance(scripted, dict):
-        raise SystemExit("--scripted must hold a JSON object")
+        raise ConfigError("--scripted must hold a JSON object")
     for key, script in scripted.items():
         replies = script.values() if isinstance(script, dict) else [script]
         if not all(isinstance(reply, str) for reply in replies):
-            raise SystemExit(f"--scripted entry {key!r} must be a string or an object of strings")
+            raise ConfigError(f"--scripted entry {key!r} must be a string or an object of strings")
     return scripted
 
 
 def _ingest(path: str, registry=None):
     """The records of a CSV; each row it skips is named on stderr, and a CSV
-    past the bad-row budget ends the command with one line."""
+    past the bad-row budget raises SchemaError naming the file."""
     errors: list[RowError] = []
     try:
         return ingest_csv(path, registry, errors_out=errors)
     except RowError as err:
         errors.pop()  # the row that ran the budget out, which ``err`` names
-        raise SystemExit(f"{path}: {err}") from None
+        raise SchemaError(f"{path}: {err}") from None
     finally:
         for skipped in errors:
             print(f"{path}: skipped row {skipped.row}: {skipped.message}", file=sys.stderr)
 
 
 def _build_agents(cfg: EngineConfig, args):
+    """The agents and the coordination backend. Every option is checked
+    before the ML agent trains; LLM coordination, which imbalance always
+    runs, needs a coordination backend."""
     scripted = _load_scripted(args.scripted) if args.scripted else {}
     roles = [kind.value for kind in SLM_AGENT_IDS] + ["coordinator"]
     if unknown := [key for key in scripted if key not in roles]:
-        raise SystemExit(f"--scripted key {unknown[0]!r} names no role; the roles are {', '.join(roles)}")
+        raise ConfigError(f"--scripted key {unknown[0]!r} names no role; the roles are {', '.join(roles)}")
     # One endpoint backend, and so one TLS context, shared by every role that is not scripted.
     remote = RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url and any(r not in scripted for r in roles) else None
-
-    def backend(name: str):
-        """The scripted backend for ``name``, else the shared endpoint's, else none."""
-        return ScriptedBackend(scripted[name]) if name in scripted else remote
-
-    agents = [MlAgent(ml_train(_ingest(args.train)))] if args.train else []
-    for kind in SLM_AGENT_IDS:
-        if (slm_backend := backend(kind.value)) is not None:
-            agents.append(SlmAgent(kind, slm_backend, cfg))
-    if not agents:
-        raise SystemExit(
+    backends = {role: ScriptedBackend(scripted[role]) if role in scripted else remote for role in roles}
+    agents = [SlmAgent(kind, backends[kind.value], cfg) for kind in SLM_AGENT_IDS if backends[kind.value] is not None]
+    if not (agents or args.train):
+        raise ConfigError(
             "no agents configured: provide --train for the ML agent and/or an "
             "endpoint url (or --scripted) for the SLM agents"
         )
-    return agents, backend("coordinator")
+    coordinator = backends["coordinator"]
+    if coordinator is None and (args.command == "imbalance" or cfg.coordination_mode is CoordinationMode.LLM_BASED):
+        raise ConfigError("LLM coordination needs a coordination backend (endpoint or --scripted)")
+    if args.train:
+        try:
+            agents.insert(0, MlAgent(ml_train(_ingest(args.train))))
+        except TrainError as err:
+            raise TrainError(f"{args.train}: {err}") from None
+    return agents, coordinator
 
 
 def _setup(args):
     """Set-up shared by every command: the config, the agents, the options
     every run takes (feature registry and coordination backend) and the
-    --input records. LLM coordination, which imbalance always runs, with no backend exits first."""
+    --input records, which eval, ablate and imbalance need labelled. The
+    JSON inputs are read before the ML agent trains or --input is read; it
+    writes nothing, and each command makes --output-dir just before its first file."""
     cfg = _load_cfg(args)
-    agents, coordination_backend = _build_agents(cfg, args)
-    llm = args.command == "imbalance" or cfg.coordination_mode is CoordinationMode.LLM_BASED
-    if llm and coordination_backend is None:
-        raise SystemExit("LLM coordination needs a coordination backend (endpoint or --scripted)")
     registry = load_registry(args.registry) if args.registry else default_registry()
+    agents, coordination_backend = _build_agents(cfg, args)
     # With an SLM agent configured, some header must name a registry feature.
     records = _ingest(args.input, registry if any(a.identity().is_slm for a in agents) else None)
+    if args.command != "predict" and any(r.label is None for r in records):
+        raise SchemaError(f"{args.input}: every input record needs a severity label for evaluation")
     return cfg, agents, dict(registry=registry, coordination_backend=coordination_backend), records
 
 
@@ -124,19 +129,10 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _evaluation_setup(args):
-    """``_setup`` for eval, ablate and imbalance, whose records must all be
-    labelled, and their output directory."""
+def _cmd_eval(args) -> int:
     cfg, agents, options, records = _setup(args)
-    if any(r.label is None for r in records):
-        raise SystemExit("every input record needs a severity label for evaluation")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, agents, options, records, out_dir
-
-
-def _cmd_eval(args) -> int:
-    cfg, agents, options, records, out_dir = _evaluation_setup(args)
     decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", **options)
     report = compute_metrics(decisions, [r.label for r in records])
     _write_json(out_dir / "metrics.json", report.to_dict())
@@ -146,8 +142,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg, agents, options, records, out_dir = _evaluation_setup(args)
+    cfg, agents, options, records = _setup(args)
     reports = run_ablation(records, agents, cfg, **options)
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     drops = relative_accuracy_drops(reports)
     _write_json(
         out_dir / "ablation.json",
@@ -192,9 +190,11 @@ def _load_scenarios(path: str) -> list[ImbalanceScenario]:
 
 
 def _cmd_imbalance(args) -> int:
-    cfg, agents, options, records, out_dir = _evaluation_setup(args)
     scenarios = _load_scenarios(args.scenarios) if args.scenarios else None  # None: the stock scenarios
+    cfg, agents, options, records = _setup(args)
     results = run_imbalance_suite(records, agents, cfg, scenarios, args.seed, size=args.size, **options)
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "imbalance.json", {k: v.to_dict() for k, v in results.items()})
     _write_csv(out_dir / "imbalance.csv", comparison_table(results))
     for name, comparison in results.items():
@@ -205,45 +205,41 @@ def _cmd_imbalance(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
-    parser.add_argument("--config", help="engine config JSON file")
-    parser.add_argument("--input", required=True, help="input CSV of accident records")
-    parser.add_argument("--train", help="labeled CSV to train the built-in ML agent")
-    parser.add_argument("--scripted", help="JSON of canned backend responses per agent")
-    parser.add_argument("--registry", help="JSON feature registry override")
-    if with_mode:
-        parser.add_argument("--mode", choices=["rule", "llm"], help="coordination mode override")
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. A rejected input (one of the package's named errors,
+    or a file that cannot be opened) ends it with its message as one line on
+    stderr and exit status 1; any other exception is a defect and keeps its traceback."""
     parser = argparse.ArgumentParser(prog="marble", description="Multi-agent accident severity prediction engine")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_predict = sub.add_parser("predict", help="predict severities and write a trace file")
-    _add_common(p_predict)
-    p_predict.add_argument("--trace", required=True, help="JSONL trace output path")
-    p_predict.set_defaults(func=_cmd_predict)
-
-    p_eval = sub.add_parser("eval", help="evaluate predictions against labels")
-    _add_common(p_eval)
-    p_eval.add_argument("--output-dir", required=True)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_ablate = sub.add_parser("ablate", help="leave-one-agent-out ablation study")
-    _add_common(p_ablate)
-    p_ablate.add_argument("--output-dir", required=True)
-    p_ablate.set_defaults(func=_cmd_ablate)
-
-    p_imb = sub.add_parser("imbalance", help="class-imbalance robustness sweep")
-    _add_common(p_imb, with_mode=False)
-    p_imb.add_argument("--scenarios", help="JSON list of scenarios (name + distribution)")
-    p_imb.add_argument("--seed", type=int, default=0)
-    p_imb.add_argument("--size", type=int, default=None, help="resampled set size per scenario")
-    p_imb.add_argument("--output-dir", required=True)
-    p_imb.set_defaults(func=_cmd_imbalance)
+    for name, func, help_text in [
+        ("predict", _cmd_predict, "predict severities and write a trace file"),
+        ("eval", _cmd_eval, "evaluate predictions against labels"),
+        ("ablate", _cmd_ablate, "leave-one-agent-out ablation study"),
+        ("imbalance", _cmd_imbalance, "class-imbalance robustness sweep"),
+    ]:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
+        command.add_argument("--config", help="engine config JSON file")
+        command.add_argument("--input", required=True, help="input CSV of accident records")
+        command.add_argument("--train", help="labeled CSV to train the built-in ML agent")
+        command.add_argument("--scripted", help="JSON of canned backend responses per agent")
+        command.add_argument("--registry", help="JSON feature registry override")
+        if name == "imbalance":
+            command.add_argument("--scenarios", help="JSON list of scenarios (name + distribution)")
+            command.add_argument("--seed", type=int, default=0)
+            command.add_argument("--size", type=int, default=None, help="resampled set size per scenario")
+        else:
+            command.add_argument("--mode", choices=["rule", "llm"], help="coordination mode override")
+        if name == "predict":
+            command.add_argument("--trace", required=True, help="JSONL trace output path")
+        else:
+            command.add_argument("--output-dir", required=True)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, SchemaError, ScenarioError, TrainError, OSError) as err:
+        raise SystemExit(str(err)) from err
 
 
 if __name__ == "__main__":

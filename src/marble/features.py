@@ -20,7 +20,7 @@ from .core import AgentId, ConfigError, Severity, from_json_value, read_json
 
 
 class SchemaError(ValueError):
-    """The input file is not UTF-8, lacks a usable header, or two of its headers collide."""
+    """An input file is rejected as a whole, by name: not UTF-8, no usable header, or two headers collide."""
 
 
 class RowError(ValueError):
@@ -285,19 +285,19 @@ def ingest_csv(
             header = next(reader, None)
             row_num = 0
             if not header or all(not h.strip() for h in header):
-                raise SchemaError("missing header")
+                raise SchemaError(f"{path}: missing header")
             columns: dict[str, int] = {}
             for i, h in enumerate(header):
                 j = columns.setdefault(canonical_name(h), i)
                 if j != i:
-                    raise SchemaError(f"headers {header[j]!r} and {h!r} collide as {canonical_name(h)!r}")
+                    raise SchemaError(f"{path}: headers {header[j]!r} and {h!r} collide as {canonical_name(h)!r}")
             id_col = columns.get("id")
             label_col = columns.get("severity")
             is_feature = [i != id_col and i != label_col for i in range(len(header))]
             positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
             if registry is not None and positions:
                 if all(key is None for pairs in _resolve(registry, tuple(positions)).values() for _, key in pairs):
-                    raise SchemaError("no registry feature matches the header")
+                    raise SchemaError(f"{path}: no registry feature matches the header")
             parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 
             records: list[AccidentRecord] = []

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 from .agents.backends import SlmBackend
 from .agents.base import Agent
 from .coordination import CoordinationMode, CoordinationResult, weighted_scores
-from .core import ALL_SEVERITIES, AgentOutput, EngineConfig, Severity, to_json_value
+from .core import ALL_SEVERITIES, AgentOutput, ConfigError, EngineConfig, Severity, to_json_value
 from .decision import FinalDecision
 from .engine import fuse, run_instances
 from .features import AccidentRecord, FeatureRegistry
@@ -130,7 +130,7 @@ def run_ablation(
     comparison), which agents' statelessness makes equal to a rerun.
     """
     if len(agents) < 2:
-        raise ValueError("ablation needs at least two agents")
+        raise ConfigError("ablation needs at least two agents")
     labels = [r.label for r in records]
     if None in labels:
         raise ValueError("evaluation records must all carry labels")

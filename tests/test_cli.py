@@ -3,15 +3,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import marble.cli
 from marble.cli import main
-from marble.core import ConfigError
-from marble.features import SchemaError
-from marble.harness import ScenarioError
 
 PAYLOAD_2 = '{"severity": 2, "confidence": 0.7, "reasoning": "scripted"}'
 
@@ -218,7 +219,7 @@ def test_every_json_input_is_read_strictly(tmp_path, scripted_file, train_file, 
     path.write_bytes(data)
     options = {"--scripted": str(scripted_file), option: str(path)}
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file), "--output-dir", str(tmp_path / "out")]
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
         main(args + [item for pair in options.items() for item in pair])
 
 
@@ -270,7 +271,7 @@ def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_fi
     scenarios.write_text(json.dumps([entry]), encoding="utf-8")
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
     args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
-    with pytest.raises(ScenarioError, match=f"scenario {named}"):
+    with pytest.raises(SystemExit, match=f"scenario {named}"):
         main(args)
 
 
@@ -280,7 +281,7 @@ def test_scenarios_must_be_a_json_array(tmp_path, scripted_file, train_file, inp
     scenarios.write_text(json.dumps(document), encoding="utf-8")
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
     args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
-    with pytest.raises(ScenarioError, match="^--scenarios must be a JSON array of scenario objects$"):
+    with pytest.raises(SystemExit, match="^--scenarios must be a JSON array of scenario objects$"):
         main(args)
 
 
@@ -310,9 +311,9 @@ def unmatched_file(tmp_path):
 
 def test_slm_agents_need_a_header_that_names_a_registry_feature(tmp_path, scripted_file, unmatched_file):
     args = ["predict", "--input", str(unmatched_file), "--scripted", str(scripted_file)]
-    with pytest.raises(SchemaError, match="no registry feature matches the header"):
+    with pytest.raises(SystemExit, match="no registry feature matches the header"):
         main(args + ["--trace", str(tmp_path / "t.jsonl")])
-    with pytest.raises(SchemaError, match="no registry feature matches the header"):
+    with pytest.raises(SystemExit, match="no registry feature matches the header"):
         main(["eval"] + args[1:] + ["--output-dir", str(tmp_path / "out")])
 
 
@@ -334,6 +335,99 @@ def test_llm_mode_without_a_coordinator_exits_before_writing(tmp_path, train_fil
         main(args)
     assert trace.read_text(encoding="utf-8") == "an earlier run's trace\n"
     assert not out_dir.exists()
+
+
+def test_ablate_with_one_agent_exits_in_one_line(tmp_path, train_file, input_file):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["ablate", "--input", str(input_file), "--train", str(train_file), "--output-dir", str(out_dir)])
+    assert exit_.value.code == "ablation needs at least two agents"
+    assert not out_dir.exists()
+
+
+def scenarios_json(*distributions) -> bytes:
+    """A --scenarios file whose entries are all named "x"."""
+    return json.dumps([{"name": "x", "distribution": d} for d in distributions]).encode()
+
+
+NOT_FOUND = (None, "[Errno 2] No such file or directory: {path!r}")
+MALFORMED_JSON = (b'{"a": 1,}', "{path}: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)")
+LATIN_1_JSON = (b'["caf\xe9"]', "{path}: 'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte")
+CSV_DEFECTS = {
+    "missing-file": NOT_FOUND,
+    "bad-shape": (b"", "{path}: missing header"),
+    "not-utf8": (b"id,Weather Conditions,severity\nx0,Caf\xe9,2\n", "{path} is not UTF-8: byte 0xe9 in row 1"),
+}
+JSON_BAD_SHAPES = {
+    "--config": (b'{"tau_ml_corrob": "high"}', "tau_ml_corrob must be a finite number"),
+    "--registry": (b'{"spatial": "Latitude"}', "registry.SPATIAL must be a JSON array"),
+    "--scripted": (
+        b'{"environmental": 5}', "--scripted entry 'environmental' must be a string or an object of strings"
+    ),
+    "--scenarios": (scenarios_json({"1": 1.0, "2": 1.0}), "scenario 'x': proportions sum to 2.0, not 1"),
+}
+# Per input option and defect: the file's bytes (None: its directory does not exist) and
+# the one line that rejects it, with the file's path for {path}.
+REJECTED = {
+    **{(option, defect): case for option in ("--input", "--train") for defect, case in CSV_DEFECTS.items()},
+    ("--train", "lacking-a-class"): (
+        b"Weather Conditions,severity\nRain,1\nFog,2\nRain,3\n", "{path}: class 4 unrepresented"
+    ),
+    **{
+        (option, defect): case
+        for option, bad_shape in JSON_BAD_SHAPES.items()
+        for defect, case in [
+            ("missing-file", NOT_FOUND),
+            ("malformed-json", MALFORMED_JSON),
+            ("bad-shape", bad_shape),
+            ("not-utf8", LATIN_1_JSON),
+        ]
+    },
+    ("--scenarios", "named-twice"): (
+        scenarios_json({"1": 1.0}, {"2": 1.0}), "scenario 'x' is named more than once; each name keys one report"
+    ),
+    ("--trace", "missing-file"): NOT_FOUND,
+}
+ONLY_FOR = {"--scenarios": "imbalance", "--trace": "predict"}
+COMMANDS = ("predict", "eval", "ablate", "imbalance")
+
+
+@pytest.mark.parametrize(
+    "command, option, defect",
+    [(c, o, d) for o, d in REJECTED for c in COMMANDS if ONLY_FOR.get(o, c) == c],
+)
+def test_a_rejected_input_ends_in_one_line_before_anything_is_written(
+    tmp_path, scripted_file, train_file, input_file, command, option, defect
+):
+    data, message = REJECTED[option, defect]
+    path = tmp_path / ("rejected" if data is not None else "no-such-dir") / "file"
+    if data is not None:
+        path.parent.mkdir()
+        path.write_bytes(data)
+    trace, out_dir = tmp_path / "t.jsonl", tmp_path / "out"
+    trace.write_text("an earlier run's trace\n", encoding="utf-8")
+    options = {"--input": input_file, "--train": train_file, "--scripted": scripted_file}
+    options.update({"--trace": trace} if command == "predict" else {"--output-dir": out_dir})
+    options[option] = path
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *(str(item) for pair in options.items() for item in pair)])
+    assert exit_.value.code == message.format(path=str(path))
+    assert trace.read_text(encoding="utf-8") == "an earlier run's trace\n"
+    assert not out_dir.exists()
+
+
+def test_a_rejected_input_prints_one_line_on_stderr_and_no_traceback(tmp_path, train_file, input_file):
+    config = tmp_path / "config.json"
+    config.write_bytes(MALFORMED_JSON[0])
+    trace = tmp_path / "t.jsonl"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-c", "import sys; from marble.cli import main; sys.exit(main())", "predict"]
+    command += ["--config", str(config), "--input", str(input_file), "--train", str(train_file), "--trace", str(trace)]
+    result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == [MALFORMED_JSON[1].format(path=str(config))]
+    assert not trace.exists()
 
 
 ROLES = "the roles are environmental, infrastructural, spatial, temporal, coordinator"

@@ -458,6 +458,20 @@ class TestIngestCsv:
         with pytest.raises(SchemaError, match=f"headers {first!r} and {second!r} collide"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, with_registry, message",
+        [
+            ("", False, "missing header"),
+            ("Weather,weather,severity\n1,1,1\n", False, "headers 'Weather' and 'weather' collide as 'weather'"),
+            ("foo,bar\n1,2\n", True, "no registry feature matches the header"),
+        ],
+    )
+    def test_header_errors_name_the_file(self, tmp_path, text, with_registry, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(SchemaError) as exc:
+            ingest_csv(path, default_registry() if with_registry else None)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_bad_row_budget_exceeded(self, tmp_path):
         path = self.write(tmp_path, "Weather Conditions,severity\nRain,2\n" + "Clear,9\n" * 100)
         errors: list[RowError] = []
@@ -501,15 +515,15 @@ def reference_ingest_csv(path, registry=None, *, bad_row_budget=100, errors_out=
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError("missing header") from None
+            raise SchemaError(f"{path}: missing header") from None
         if not header or all(not h.strip() for h in header):
-            raise SchemaError("missing header")
+            raise SchemaError(f"{path}: missing header")
         canon = [canonical_name(h) for h in header]
         if registry is not None:
             assigned = {canonical_name(n) for names in registry.domains.values() for n in names}
             feature_cols = [c for c in canon if c not in ("id", "severity")]
             if feature_cols and not assigned.intersection(feature_cols):
-                raise SchemaError("no registry feature matches the header")
+                raise SchemaError(f"{path}: no registry feature matches the header")
         id_col = canon.index("id") if "id" in canon else None
         label_col = canon.index("severity") if "severity" in canon else None
 

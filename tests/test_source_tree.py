@@ -81,6 +81,19 @@ def test_only_read_json_and_the_model_reply_readers_call_json_loads():
     ]
 
 
+def test_only_cli_main_exits():
+    """A rejected input raises a named error; ``cli.main`` alone turns one into
+    a one-line exit, and the module's ``__main__`` line passes on its status."""
+    sites = [
+        f"{path.relative_to(PACKAGE)}:{getattr(top, 'name', '<module>')}"
+        for path in PACKAGE.rglob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "SystemExit"
+    ]
+    assert sorted(sites) == ["cli.py:<module>", "cli.py:main"]
+
+
 def test_only_fuse_and_agent_output_read_failed():
     """``fuse`` drops the failed outputs; what it feeds takes the live ones
     and never tests ``failed`` again."""
