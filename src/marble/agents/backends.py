@@ -9,7 +9,7 @@ import time
 from typing import TYPE_CHECKING, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
-from ..core import DecodingParams, EndpointParams
+from ..core import ConfigError, DecodingParams, EndpointParams
 
 if TYPE_CHECKING:
     import socket
@@ -104,8 +104,9 @@ class RemoteHttpBackend:
     handshake, send, status line, headers and body; name resolution is not
     bounded, and a host name with several addresses gets the time left for
     each. HTTPS verifies the server against the system CA store. Proxy
-    variables and ``~/.netrc`` are not read. The HTTP, socket and TLS
-    modules load when the first instance is built, not on package import.
+    variables and ``~/.netrc`` are not read. A URL that is not http or https
+    with a host and a valid port raises ConfigError when the backend is
+    built. The HTTP, socket and TLS modules load then, not on package import.
     """
 
     def __init__(self, endpoint: EndpointParams):
@@ -115,11 +116,17 @@ class RemoteHttpBackend:
         import socket
         import ssl
 
-        if not endpoint.url:
-            raise ValueError("remote backend requires an endpoint url")
+        try:  # ``url.port`` raises ValueError for a port that does not parse or is out of range
+            url = urlsplit(endpoint.url)
+            if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+                raise ValueError
+            self._port = url.port or (443 if url.scheme == "https" else 80)
+        except ValueError:
+            raise ConfigError(f"endpoint.url {endpoint.url!r} must look like http(s)://host[:port]/path") from None
         self._endpoint = endpoint
-        self._url = urlsplit(endpoint.url)
-        self._tls = ssl.create_default_context() if self._url.scheme == "https" else None
+        self._host = url.hostname
+        self._path = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
         import http.client
@@ -140,26 +147,21 @@ class RemoteHttpBackend:
         api_key = os.environ.get(endpoint.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        try:
-            url = self._url
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ValueError(f"unsupported endpoint url {endpoint.url!r}")
-            host, port = url.hostname, url.port or (443 if self._tls else 80)
-            with socket.create_connection((host, port), timeout=_time_left(deadline)) as sock:
+        try:  # ValueError: a host name that fails IDNA encoding
+            with socket.create_connection((self._host, self._port), timeout=_time_left(deadline)) as sock:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # headers and body go out apart
                 if self._tls:  # the TLS socket takes the descriptor over
                     sock.settimeout(_time_left(deadline))
-                    sock = self._tls.wrap_socket(sock, server_hostname=host)
+                    sock = self._tls.wrap_socket(sock, server_hostname=self._host)
                 wrapped = _DeadlineSocket(sock, deadline)
                 with sock, http.client.HTTPResponse(wrapped, method="POST") as response:
                     conn = (
-                        http.client.HTTPSConnection(host, port, context=self._tls)
+                        http.client.HTTPSConnection(self._host, self._port, context=self._tls)
                         if self._tls
-                        else http.client.HTTPConnection(host, port)
+                        else http.client.HTTPConnection(self._host, self._port)
                     )
                     conn.sock = wrapped
-                    conn.request("POST", urlunsplit(("", "", url.path or "/", url.query, "")),
-                                 json.dumps(body).encode("utf-8"), headers)
+                    conn.request("POST", self._path, json.dumps(body).encode("utf-8"), headers)
                     response.begin()
                     if response.status >= 400:
                         raise TransportError(f"HTTP {response.status}", status=response.status)

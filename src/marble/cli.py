@@ -8,7 +8,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, TrainError, ml_train
 from .core import SLM_AGENT_IDS, ConfigError, CoordinationMode, EngineConfig, Severity, from_json_value, load_config
@@ -16,6 +16,7 @@ from .core import read_json, validate_config
 from .engine import run_batch
 from .features import RowError, SchemaError, default_registry, ingest_csv, load_registry
 from .harness import (
+    check_scenario_names,
     comparison_table,
     compute_metrics,
     ImbalanceScenario,
@@ -47,14 +48,10 @@ def _load_scripted(path: str) -> dict:
 
 
 def _ingest(path: str, registry=None):
-    """The records of a CSV; each row it skips is named on stderr, and a CSV
-    past the bad-row budget raises SchemaError naming the file."""
+    """The records of a CSV; each row it skips is named on stderr, even if the file is then rejected."""
     errors: list[RowError] = []
     try:
         return ingest_csv(path, registry, errors_out=errors)
-    except RowError as err:
-        errors.pop()  # the row that ran the budget out, which ``err`` names
-        raise SchemaError(f"{path}: {err}") from None
     finally:
         for skipped in errors:
             print(f"{path}: skipped row {skipped.row}: {skipped.message}", file=sys.stderr)
@@ -104,18 +101,19 @@ def _setup(args):
     return cfg, agents, dict(registry=registry, coordination_backend=coordination_backend), records
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_study(args, stem: str, payload, rows: list[dict], lines: Iterable[str]) -> None:
+    """A study's outputs: ``<stem>.json`` and ``<stem>.csv`` (empty for no
+    rows) in --output-dir, made if missing, then its summary lines on stdout."""
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{stem}.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    with open(out_dir / f"{stem}.csv", "w", encoding="utf-8", newline="") as handle:
+        if rows:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    for line in lines:
+        print(line)
 
 
 def _cmd_predict(args) -> int:
@@ -135,27 +133,22 @@ def _cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", **options)
     report = compute_metrics(decisions, [r.label for r in records])
-    _write_json(out_dir / "metrics.json", report.to_dict())
-    _write_csv(out_dir / "metrics.csv", [report.summary()])
-    print(f"accuracy={report.accuracy:.4f} macro_f1={report.f1:.4f} abstentions={report.abstentions}")
+    line = f"accuracy={report.accuracy:.4f} macro_f1={report.f1:.4f} abstentions={report.abstentions}"
+    _write_study(args, "metrics", report.to_dict(), [report.summary()], [line])
     return 0
 
 
 def _cmd_ablate(args) -> int:
     cfg, agents, options, records = _setup(args)
     reports = run_ablation(records, agents, cfg, **options)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     drops = relative_accuracy_drops(reports)
-    _write_json(
-        out_dir / "ablation.json",
+    _write_study(
+        args,
+        "ablation",
         {
             "reports": {key: report.to_dict() for key, report in reports.items()},
             "relative_accuracy_drop": drops,
         },
-    )
-    _write_csv(
-        out_dir / "ablation.csv",
         [
             {
                 "excluded": key,
@@ -165,9 +158,8 @@ def _cmd_ablate(args) -> int:
             }
             for key, report in reports.items()
         ],
+        [f"excluded={key} accuracy={report.accuracy:.4f}" for key, report in reports.items()],
     )
-    for key, report in reports.items():
-        print(f"excluded={key} accuracy={report.accuracy:.4f}")
     return 0
 
 
@@ -186,6 +178,7 @@ def _load_scenarios(path: str) -> list[ImbalanceScenario]:
             message = f'"distribution" must map classes 1-4 to proportions ({exc})'
             raise ScenarioError(f"scenario {name!r}: {message}") from exc
         scenarios.append(ImbalanceScenario(name, distribution))
+    check_scenario_names(scenarios)
     return scenarios
 
 
@@ -193,15 +186,12 @@ def _cmd_imbalance(args) -> int:
     scenarios = _load_scenarios(args.scenarios) if args.scenarios else None  # None: the stock scenarios
     cfg, agents, options, records = _setup(args)
     results = run_imbalance_suite(records, agents, cfg, scenarios, args.seed, size=args.size, **options)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "imbalance.json", {k: v.to_dict() for k, v in results.items()})
-    _write_csv(out_dir / "imbalance.csv", comparison_table(results))
-    for name, comparison in results.items():
-        print(
-            f"scenario={name} rule_f1={comparison.rule_based.f1:.4f} "
-            f"llm_f1={comparison.llm_based.f1:.4f} fallback={comparison.llm_fallback_rate:.2f}"
-        )
+    lines = [
+        f"scenario={name} rule_f1={comparison.rule_based.f1:.4f} "
+        f"llm_f1={comparison.llm_based.f1:.4f} fallback={comparison.llm_fallback_rate:.2f}"
+        for name, comparison in results.items()
+    ]
+    _write_study(args, "imbalance", {k: v.to_dict() for k, v in results.items()}, comparison_table(results), lines)
     return 0
 
 

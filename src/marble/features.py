@@ -20,7 +20,7 @@ from .core import AgentId, ConfigError, Severity, from_json_value, read_json
 
 
 class SchemaError(ValueError):
-    """An input file is rejected as a whole, by name: not UTF-8, no usable header, or two headers collide."""
+    """A whole input file is rejected, by name: not UTF-8, a bad header, or past the bad-row budget."""
 
 
 class RowError(ValueError):
@@ -273,9 +273,9 @@ def ingest_csv(
     labels in {1,2,3,4} and an optional "id" column supplies identifiers.
     Unparseable numerics become missing values. Two headers with the same
     ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
-    collected (into ``errors_out`` when given) rather than fatal, until
-    more than 100 rows are bad. A file that is not UTF-8, or a cell past the
-    csv module's field size limit, raises SchemaError.
+    collected (into ``errors_out`` when given) rather than fatal; the 101st
+    bad row, not collected, raises SchemaError, as do a file that is not
+    UTF-8 and a cell past the csv module's field size limit.
     Each distinct cell text is parsed once and its FeatureValue shared by every record that holds it, in ``_Row``s.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -318,10 +318,11 @@ def ingest_csv(
                     records.append(AccidentRecord(id=rec_id, features=features, label=label))
                 except RowError as err:
                     bad += 1
+                    if bad > _BAD_ROW_BUDGET:
+                        budget = f"bad-row budget ({_BAD_ROW_BUDGET}) exceeded"
+                        raise SchemaError(f"{path}: row {row_num}: {budget}: {err.message}") from None
                     if errors_out is not None:
                         errors_out.append(err)
-                    if bad > _BAD_ROW_BUDGET:
-                        raise RowError(row_num, f"bad-row budget ({_BAD_ROW_BUDGET}) exceeded: {err.message}") from err
         except csv.Error as err:  # as on a cell past the csv module's field size limit
             where = f"row {row_num + 1}" if row_num + 1 else "the header"
             raise SchemaError(f"{path}: {err} in {where}") from None

@@ -169,6 +169,13 @@ class ImbalanceScenario:
             raise ScenarioError(f"scenario {self.name!r}: proportions sum to {total}, not 1")
 
 
+def check_scenario_names(scenarios: Sequence[ImbalanceScenario]) -> None:
+    """Reject two scenarios of one name: each name keys one report."""
+    for i, scenario in enumerate(scenarios):
+        if any(s.name == scenario.name for s in scenarios[:i]):
+            raise ScenarioError(f"scenario {scenario.name!r} is named more than once; each name keys one report")
+
+
 def default_scenarios() -> list[ImbalanceScenario]:
     """Six stock distributions, from balanced to heavily skewed.
 
@@ -287,10 +294,7 @@ def run_imbalance_suite(
     if coordination_backend is None:
         raise ValueError("the imbalance suite compares both modes; a coordination backend is required")
     scenarios = list(scenarios) if scenarios is not None else default_scenarios()
-    names = [s.name for s in scenarios]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ScenarioError(f"scenario {name!r} is named more than once; each name keys one report")
+    check_scenario_names(scenarios)
     rb_cfg = replace(cfg, coordination_mode=CoordinationMode.RULE_BASED)
     llm_cfg = replace(cfg, coordination_mode=CoordinationMode.LLM_BASED)
     drawn = [sample_imbalance(records, scenario, seed, size=size) for scenario in scenarios]

@@ -202,6 +202,64 @@ def test_imbalance_runs_the_scenarios_of_a_file(tmp_path, scripted_file, train_f
     assert len(rows) == 2 * len(document)  # one row per coordination mode; an empty file for no scenario
 
 
+ONE_SCENARIO = [{"name": "even", "distribution": {k: 0.25 for k in "1234"}}]
+REPORT_KEYS = ["abstentions", "accuracy", "confusion", "f1", "per_class", "precision", "recall"]
+EXCLUDED = ("none", "ml", "environmental", "infrastructural", "spatial", "temporal", "coordinator")
+# Per study: its arguments (a list is a --scenarios document), the stem of its files, its CSV's
+# lines, its JSON's top-level keys and its stdout lines, from a scripted run.
+STUDIES = {
+    "eval": (
+        ["eval"],
+        "metrics",
+        ["accuracy,precision,recall,f1,abstentions", "0.6666666666666666,0.16666666666666666,0.25,0.2,0"],
+        REPORT_KEYS,
+        ["accuracy=0.6667 macro_f1=0.2000 abstentions=0"],
+    ),
+    "ablate": (
+        ["ablate"],
+        "ablation",
+        ["excluded,accuracy,f1,relative_drop", *(f"{key},0.6666666666666666,0.2,0.0" for key in EXCLUDED)],
+        ["relative_accuracy_drop", "reports"],
+        [f"excluded={key} accuracy=0.6667" for key in EXCLUDED],
+    ),
+    "imbalance": (
+        ["imbalance", "--scenarios", ONE_SCENARIO, "--size", "8"],
+        "imbalance",
+        [
+            "scenario,mode,accuracy,precision,recall,f1,abstentions,llm_fallback_rate",
+            "even,rule,0.25,0.0625,0.25,0.1,0,0.0",
+            "even,llm,0.25,0.0625,0.25,0.1,0,0.0",
+        ],
+        ["even"],
+        ["scenario=even rule_f1=0.1000 llm_f1=0.1000 fallback=0.00"],
+    ),
+    "imbalance-of-no-scenario": (["imbalance", "--scenarios", []], "imbalance", [], [], []),
+}
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_each_study_writes_its_json_its_csv_and_its_stdout_lines(tmp_path, scripted_file, train_file, study, capsys):
+    command, stem, csv_lines, json_keys, stdout = STUDIES[study]
+    args = []
+    for arg in command:
+        if isinstance(arg, list):
+            scenarios = tmp_path / "scenarios.json"
+            scenarios.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(scenarios)
+        args.append(arg)
+    input_file = write_csv(tmp_path / "input.csv", [1, 2, 3, 4] * 10 if command[0] == "imbalance" else [2, 2, 3])
+    out_dir = tmp_path / "out"
+    options = ["--input", str(input_file), "--train", str(train_file), "--scripted", str(scripted_file)]
+    assert main(args + options + ["--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in stdout)
+    assert (out_dir / f"{stem}.csv").read_text(encoding="utf-8") == "".join(line + "\n" for line in csv_lines)
+    text = (out_dir / f"{stem}.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert list(json.loads(text)) == json_keys
+    expected = {f"{stem}.json", f"{stem}.csv"} | ({"traces.jsonl"} if command[0] == "eval" else set())
+    assert {path.name for path in out_dir.iterdir()} == expected
+
+
 # Read as plain JSON, the first would keep its later value, the others would raise a bare
 # JSONDecodeError or UnicodeDecodeError that names no file.
 JSON_DEFECTS = {
@@ -386,6 +444,17 @@ REJECTED = {
     ("--scenarios", "named-twice"): (
         scenarios_json({"1": 1.0}, {"2": 1.0}), "scenario 'x' is named more than once; each name keys one report"
     ),
+    **{
+        ("--config", defect): (
+            json.dumps({"endpoint": {"url": url}}).encode(),
+            f"endpoint.url {url!r} must look like http(s)://host[:port]/path",
+        )
+        for defect, url in [
+            ("ftp-url", "ftp://127.0.0.1/x"),
+            ("url-without-host", "http:///no-host"),
+            ("url-port-out-of-range", "http://127.0.0.1:99999/x"),
+        ]
+    },
     ("--trace", "missing-file"): NOT_FOUND,
 }
 ONLY_FOR = {"--scenarios": "imbalance", "--trace": "predict"}
@@ -397,9 +466,19 @@ COMMANDS = ("predict", "eval", "ablate", "imbalance")
     [(c, o, d) for o, d in REJECTED for c in COMMANDS if ONLY_FOR.get(o, c) == c],
 )
 def test_a_rejected_input_ends_in_one_line_before_anything_is_written(
-    tmp_path, scripted_file, train_file, input_file, command, option, defect
+    tmp_path, monkeypatch, scripted_file, train_file, input_file, command, option, defect
 ):
     data, message = REJECTED[option, defect]
+    called = []
+    for name in ("ml_train", "ingest_csv"):
+        real = getattr(marble.cli, name)
+        monkeypatch.setattr(
+            marble.cli, name, lambda *a, name=name, real=real, **kw: called.append(name) or real(*a, **kw)
+        )
+    # Every role but the temporal agent is scripted, so a configured endpoint.url is used.
+    scripted = json.loads(scripted_file.read_text(encoding="utf-8"))
+    del scripted["temporal"]
+    scripted_file.write_text(json.dumps(scripted), encoding="utf-8")
     path = tmp_path / ("rejected" if data is not None else "no-such-dir") / "file"
     if data is not None:
         path.parent.mkdir()
@@ -414,6 +493,8 @@ def test_a_rejected_input_ends_in_one_line_before_anything_is_written(
     assert exit_.value.code == message.format(path=str(path))
     assert trace.read_text(encoding="utf-8") == "an earlier run's trace\n"
     assert not out_dir.exists()
+    if option in JSON_BAD_SHAPES:  # a JSON input is read before any CSV and before training
+        assert called == []
 
 
 def test_a_rejected_input_prints_one_line_on_stderr_and_no_traceback(tmp_path, train_file, input_file):

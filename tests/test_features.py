@@ -420,7 +420,7 @@ class TestIngestCsv:
         assert [int(r.label) for r in records] == [2, 3]
         assert [e.row for e in errors] == [2]
         path = self.write(tmp_path, "Weather Conditions,severity\n" + f"Clear,{label}\n" * 101)
-        with pytest.raises(RowError, match=r"row 101: bad-row budget \(100\) exceeded"):
+        with pytest.raises(SchemaError, match=r"data\.csv: row 101: bad-row budget \(100\) exceeded"):
             ingest_csv(path)
 
     def test_unparseable_numeric_becomes_missing(self, tmp_path):
@@ -478,8 +478,11 @@ class TestIngestCsv:
         assert len(ingest_csv(path, errors_out=errors)) == 1
         assert len(errors) == 100
         path = self.write(tmp_path, "Weather Conditions,severity\nRain,2\n" + "Clear,9\n" * 101)
-        with pytest.raises(RowError, match=r"row 102: bad-row budget \(100\) exceeded"):
-            ingest_csv(path)
+        errors.clear()
+        with pytest.raises(SchemaError) as exc:
+            ingest_csv(path, errors_out=errors)
+        assert str(exc.value) == f"{path}: row 102: bad-row budget (100) exceeded: label out of range"
+        assert [e.row for e in errors] == list(range(2, 102))  # the row past the budget rejects the file instead
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = self.write(tmp_path, "id,Weather Conditions\nx,Rain\nx,Fog\n")
@@ -549,10 +552,11 @@ def reference_ingest_csv(path, registry=None, *, bad_row_budget=100, errors_out=
                 records.append(AccidentRecord(id=rec_id, features=features, label=label))
             except RowError as err:
                 bad += 1
+                if bad > bad_row_budget:
+                    budget = f"bad-row budget ({bad_row_budget}) exceeded"
+                    raise SchemaError(f"{path}: row {row_num}: {budget}: {err.message}")
                 if errors_out is not None:
                     errors_out.append(err)
-                if bad > bad_row_budget:
-                    raise RowError(row_num, f"bad-row budget ({bad_row_budget}) exceeded: {err.message}") from err
         return records
 
 
@@ -633,7 +637,7 @@ class TestIngestAgainstReference:
             for registry in (None, default_registry()):
                 try:
                     ingest_csv(path, registry)
-                except (RowError, SchemaError):
+                except SchemaError:  # a RowError never leaves ingest_csv
                     pass
 
     def test_equal_cells_share_one_value(self, tmp_path):

@@ -200,3 +200,12 @@ def test_a_failing_property_test_leaves_the_session_running(tmp_path):
     result = subprocess.run([*command, str(probe)], cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+# The round's cap on the package's size (ROADMAP), in lines as ``wc -l src/**/*.py`` counts them.
+SRC_LINE_CAP = 2_821
+
+
+def test_the_package_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.parent.rglob("*.py"))
+    assert lines <= SRC_LINE_CAP, f"src/ holds {lines} lines, over the cap of {SRC_LINE_CAP}"
