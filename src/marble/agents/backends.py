@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import time
 from typing import TYPE_CHECKING, Mapping, Protocol
 from urllib.parse import urlsplit, urlunsplit
@@ -105,8 +106,9 @@ class RemoteHttpBackend:
     bounded, and a host name with several addresses gets the time left for
     each. HTTPS verifies the server against the system CA store. Proxy
     variables and ``~/.netrc`` are not read. A URL that is not http or https
-    with a host and a valid port raises ConfigError when the backend is
-    built. The HTTP, socket and TLS modules load then, not on package import.
+    with a host and a valid port, or that holds credentials, raises
+    ConfigError when the backend is built. The HTTP, socket and TLS modules
+    load then, not on package import.
     """
 
     def __init__(self, endpoint: EndpointParams):
@@ -116,6 +118,9 @@ class RemoteHttpBackend:
         import socket
         import ssl
 
+        # Checked first, and the URL left out of the message, which would print the secret.
+        if re.match(r"([^/?#]*//)?[^/?#]*@", endpoint.url):
+            raise ConfigError("endpoint.url must not hold credentials; endpoint.api_key_env names the key's variable")
         try:  # ``url.port`` raises ValueError for a port that does not parse or is out of range
             url = urlsplit(endpoint.url)
             if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:

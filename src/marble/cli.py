@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, TrainError, ml_train
 from .core import SLM_AGENT_IDS, ConfigError, CoordinationMode, EngineConfig, Severity, from_json_value, load_config
-from .core import read_json, validate_config
+from .core import read_json, to_json_value, validate_config
 from .engine import run_batch
 from .features import RowError, SchemaError, default_registry, ingest_csv, load_registry
 from .harness import (
@@ -102,11 +102,11 @@ def _setup(args):
 
 
 def _write_study(args, stem: str, payload, rows: list[dict], lines: Iterable[str]) -> None:
-    """A study's outputs: ``<stem>.json`` and ``<stem>.csv`` (empty for no
-    rows) in --output-dir, made if missing, then its summary lines on stdout."""
+    """A study's outputs: ``<stem>.json`` (``payload`` as ``to_json_value`` encodes it) and ``<stem>.csv``
+    (empty for no rows) in --output-dir, made if missing, then its summary lines on stdout."""
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    (out_dir / f"{stem}.json").write_text(json.dumps(to_json_value(payload), indent=2, sort_keys=True), "utf-8")
     with open(out_dir / f"{stem}.csv", "w", encoding="utf-8", newline="") as handle:
         if rows:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
@@ -134,7 +134,7 @@ def _cmd_eval(args) -> int:
     decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", **options)
     report = compute_metrics(decisions, [r.label for r in records])
     line = f"accuracy={report.accuracy:.4f} macro_f1={report.f1:.4f} abstentions={report.abstentions}"
-    _write_study(args, "metrics", report.to_dict(), [report.summary()], [line])
+    _write_study(args, "metrics", report, [report.summary()], [line])
     return 0
 
 
@@ -145,10 +145,7 @@ def _cmd_ablate(args) -> int:
     _write_study(
         args,
         "ablation",
-        {
-            "reports": {key: report.to_dict() for key, report in reports.items()},
-            "relative_accuracy_drop": drops,
-        },
+        {"reports": reports, "relative_accuracy_drop": drops},
         [
             {
                 "excluded": key,
@@ -191,7 +188,7 @@ def _cmd_imbalance(args) -> int:
         f"llm_f1={comparison.llm_based.f1:.4f} fallback={comparison.llm_fallback_rate:.2f}"
         for name, comparison in results.items()
     ]
-    _write_study(args, "imbalance", {k: v.to_dict() for k, v in results.items()}, comparison_table(results), lines)
+    _write_study(args, "imbalance", results, comparison_table(results), lines)
     return 0
 
 

@@ -15,7 +15,7 @@ from enum import Enum, IntEnum
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Annotated, Any, Mapping, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Callable, Mapping, Union, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -383,15 +383,16 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def read_json(path: str | Path) -> Any:
-    """The JSON document in the UTF-8 file ``path``; ConfigError naming the file
-    if it is not UTF-8, not JSON, or gives a key twice in one object."""
+def read_json(path: str | Path, decode: Callable[[Any], Any] = lambda document: document) -> Any:
+    """``decode`` of the JSON document in the UTF-8 file ``path``; ConfigError
+    naming the file if it is not UTF-8, not JSON, gives a key twice in one
+    object, or ``decode`` rejects it with a ValueError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or _unique_keys' ConfigError
+        return decode(json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or a ConfigError naming a field
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path: str | Path) -> EngineConfig:
     """Load, merge over defaults, and validate a JSON config file."""
-    return validate_config(EngineConfig.from_dict(read_json(path)))
+    return read_json(path, lambda document: validate_config(EngineConfig.from_dict(document)))

@@ -136,8 +136,9 @@ def strip_timings(trace_dict: dict) -> dict:
     return out
 
 
-def _ms(start: float, end: float | None = None) -> float:
-    return round(((time.perf_counter() if end is None else end) - start) * 1000.0, 3)
+def _ms(start: float, end: float) -> float:
+    """Milliseconds between two ``perf_counter`` stamps, rounded once to the microsecond."""
+    return round((end - start) * 1000.0, 3)
 
 
 def run_instance(
@@ -161,7 +162,7 @@ def run_instance(
 
     # Stage 1: per-agent projections.
     projections = {identity: project(record, identity, registry) for identity in identities}
-    stage1_done = _ms(start)
+    stage1_done = time.perf_counter()
 
     # Stage 2: dispatch all agents, then block until each resolves or its
     # deadline passes. Late results are discarded irrevocably.
@@ -175,21 +176,21 @@ def run_instance(
             raise AgentContractError(f"agent {identity.value} returned {outputs[n]!r}, not an AgentOutput of its own")
     outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
     completed = sorted(zip(identities, landed), key=lambda pair: AGENT_ORDER[pair[0]])
-    stage2_done = _ms(start)
+    stage2_done = time.perf_counter()
 
     # Stage 3: coordination over the surviving outputs, then the cascade.
-    stage3_start = _ms(start)
     timings: dict[str, object] = {
-        "stage1_ms": stage1_done,
-        "stage2_ms": stage2_done - stage1_done,
-        "stage3_start_ms": stage3_start,
+        "stage1_ms": _ms(start, stage1_done),
+        "stage2_ms": _ms(stage1_done, stage2_done),
+        "stage3_start_ms": _ms(start, stage2_done),
         "agent_completed_ms": {a.value: _ms(start, t) for a, t in completed},
     }
     coordination, decision = fuse(
         outputs, cfg, coordination_backend=coordination_backend, coordinator=coordinator, notes=notes
     )
-    timings["stage3_ms"] = _ms(start) - stage3_start
-    timings["total_ms"] = _ms(start)
+    end = time.perf_counter()
+    timings["stage3_ms"] = _ms(stage2_done, end)
+    timings["total_ms"] = _ms(start, end)
     return decision, TraceRecord(
         record_id=record.id,
         projections=projections,

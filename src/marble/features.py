@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import compress
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .core import AgentId, ConfigError, Severity, from_json_value, read_json
 
@@ -203,12 +203,16 @@ _MISSING = FeatureValue.missing()
 
 def load_registry(path: str | Path) -> FeatureRegistry:
     """Load a JSON registry override: {"environmental": [...], ...}, read as
-    config is (a malformed entry raises ConfigError naming it). An "ml_only"
-    list is accepted and ignored: the ML agent reads every feature."""
-    data = read_json(path)
-    if isinstance(data, dict):
-        data.pop("ml_only", None)
-    return FeatureRegistry(from_json_value(Mapping[AgentId, tuple[str, ...]], data, "registry"))
+    config is (a malformed entry raises ConfigError naming the file and the
+    entry). An "ml_only" list is accepted and ignored: the ML agent reads
+    every feature."""
+
+    def decode(data: Any) -> FeatureRegistry:
+        if isinstance(data, dict):
+            data.pop("ml_only", None)
+        return FeatureRegistry(from_json_value(Mapping[AgentId, tuple[str, ...]], data, "registry"))
+
+    return read_json(path, decode)
 
 
 def project(

@@ -262,19 +262,14 @@ def _largest_remainder_counts(
 
 @dataclass(frozen=True)
 class ScenarioComparison:
-    scenario: ImbalanceScenario
+    scenario: str
+    distribution: Mapping[Severity, float]
     rule_based: MetricsReport
     llm_based: MetricsReport
     llm_fallback_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.name,
-            "distribution": {str(int(k)): p for k, p in self.scenario.distribution.items()},
-            "rule_based": self.rule_based.to_dict(),
-            "llm_based": self.llm_based.to_dict(),
-            "llm_fallback_rate": self.llm_fallback_rate,
-        }
+        return to_json_value(self)
 
 
 def run_imbalance_suite(
@@ -310,7 +305,8 @@ def run_imbalance_suite(
         runs = [by_features[id(r.features)] for r in sampled]
         fallbacks = sum(1 for _, (coordination, _) in runs if coordination is not None and coordination.fallback)
         results[scenario.name] = ScenarioComparison(
-            scenario=scenario,
+            scenario=scenario.name,
+            distribution=scenario.distribution,
             rule_based=compute_metrics([d for (d, _), _ in runs], labels),
             llm_based=compute_metrics([d for _, (_, d) in runs], labels),
             llm_fallback_rate=fallbacks / len(sampled) if sampled else 0.0,

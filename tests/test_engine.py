@@ -270,6 +270,20 @@ class TestRunInstance:
         live = [o.agent.value for o in trace.agent_outputs if not o.failed]
         assert trace.timings["stage3_start_ms"] >= max(completed[a] for a in live)
 
+    def test_every_timing_is_rounded_once_to_the_microsecond(self, cfg):
+        """Each timing is one difference of two clock stamps, rounded once; a
+        difference of two rounded values would carry float noise (0.27299999999999996)."""
+        results = run_instances([record(f"r{i}") for i in range(40)], unanimous_agents(cfg, 0.7), cfg)
+        sleeper = ScriptedAgent(AgentId.SPATIAL, lambda features: time.sleep(1.0) or (1, 0.9))
+        agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6), sleeper]
+        _, abandoned = run_instance(record(), agents, dataclasses.replace(cfg, agent_timeout_ms=100))
+        assert "agent spatial abandoned past the barrier deadline" in abandoned.notes
+        for trace in [*(t for _, t in results), abandoned]:
+            timings = dict(trace.timings)
+            numbers = [*timings.pop("agent_completed_ms").values(), *timings.values()]
+            assert len(numbers) == len(trace.agent_outputs) + 5
+            assert [x for x in numbers if x != round(x, 3)] == []
+
     def test_duplicate_agent_identities_rejected(self, cfg):
         agents = [
             ScriptedAgent(AgentId.SPATIAL, prediction=1, confidence=0.5),

@@ -8,6 +8,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -129,7 +130,7 @@ class TestLoadRegistry:
         ],
     )
     def test_malformed_registry_rejected(self, tmp_path, data, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path / 'registry.json'))}: {message}$"):
             self.load(tmp_path, data)
 
 

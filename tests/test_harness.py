@@ -11,6 +11,7 @@ from marble.coordination import weighted_scores
 from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import abstain
 from marble.engine import run_instances
+from marble.features import AccidentRecord, FeatureValue
 from marble.harness import (
     ImbalanceScenario,
     LengthMismatchError,
@@ -336,6 +337,48 @@ class TestImbalanceSuite:
         for scenario, sampled in zip(scenarios, drawn):
             rerun = run_instances(sampled, agents, rb_cfg)
             assert results[scenario.name].rule_based == compute_metrics([d for d, _ in rerun], [r.label for r in sampled])
+
+    def test_a_comparison_serializes_as_its_fields(self, cfg):
+        """The scenario's name and distribution (class keys as strings, in the
+        scenario's order), both reports in full, then the fallback rate."""
+        rain = {"Weather Conditions": FeatureValue.categorical("Rain")}
+        records = [AccidentRecord(f"r{i}", rain, Severity(1 + i % 4)) for i in range(8)]
+        agents = [ScriptedAgent(kind, prediction=2, confidence=0.6) for kind in (AgentId.ML, AgentId.SPATIAL)]
+        distribution = {Severity(4): 0.0, Severity(1): 0.5, Severity(2): 0.25, Severity(3): 0.25}
+        backend = synth.FakeBackend('{"severity": 3, "confidence": 0.8, "reasoning": "meta"}')
+        [comparison] = run_imbalance_suite(
+            records, agents, cfg, [ImbalanceScenario("skewed", distribution)], seed=1, coordination_backend=backend
+        ).values()
+
+        zero = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        hit = {"precision": 0.25, "recall": 1.0, "f1": 0.4}
+        macro = {"accuracy": 0.25, "precision": 0.0625, "recall": 0.25, "f1": 0.1}
+        expected = {
+            "scenario": "skewed",
+            "distribution": {"4": 0.0, "1": 0.5, "2": 0.25, "3": 0.25},
+            "rule_based": {
+                **macro,
+                "per_class": {
+                    "1": {**zero, "support": 4}, "2": {**hit, "support": 2},
+                    "3": {**zero, "support": 2}, "4": {**zero, "support": 0},
+                },
+                "confusion": [[0, 4, 0, 0], [0, 2, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]],
+                "abstentions": 0,
+            },
+            "llm_based": {
+                **macro,
+                "per_class": {
+                    "1": {**zero, "support": 4}, "2": {**zero, "support": 2},
+                    "3": {**hit, "support": 2}, "4": {**zero, "support": 0},
+                },
+                "confusion": [[0, 0, 4, 0], [0, 0, 2, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
+                "abstentions": 0,
+            },
+            "llm_fallback_rate": 0.0,
+        }
+        assert comparison.to_dict() == expected
+        assert list(comparison.to_dict()) == list(expected)
+        assert list(comparison.to_dict()["distribution"]) == ["4", "1", "2", "3"]
 
     def test_requires_backend(self, cfg):
         records, agents, _ = self.setup_suite(cfg)
