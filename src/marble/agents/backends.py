@@ -5,12 +5,11 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 import time
 from typing import TYPE_CHECKING, Mapping, Protocol
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urlunsplit
 
-from ..core import ConfigError, DecodingParams, EndpointParams
+from ..core import DecodingParams, EndpointParams, split_endpoint_url
 
 if TYPE_CHECKING:
     import socket
@@ -118,16 +117,7 @@ class RemoteHttpBackend:
         import socket
         import ssl
 
-        # Checked first, and the URL left out of the message, which would print the secret.
-        if re.match(r"([^/?#]*//)?[^/?#]*@", endpoint.url):
-            raise ConfigError("endpoint.url must not hold credentials; endpoint.api_key_env names the key's variable")
-        try:  # ``url.port`` raises ValueError for a port that does not parse or is out of range
-            url = urlsplit(endpoint.url)
-            if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
-                raise ValueError
-            self._port = url.port or (443 if url.scheme == "https" else 80)
-        except ValueError:
-            raise ConfigError(f"endpoint.url {endpoint.url!r} must look like http(s)://host[:port]/path") from None
+        url, self._port = split_endpoint_url(endpoint.url)
         self._endpoint = endpoint
         self._host = url.hostname
         self._path = urlunsplit(("", "", url.path or "/", url.query, ""))

@@ -86,11 +86,10 @@ def _build_agents(cfg: EngineConfig, args):
 
 
 def _setup(args):
-    """Set-up shared by every command: the config, the agents, the options
-    every run takes (feature registry and coordination backend) and the
-    --input records, which eval, ablate and imbalance need labelled. The
-    JSON inputs are read before the ML agent trains or --input is read; it
-    writes nothing, and each command makes --output-dir just before its first file."""
+    """Set-up shared by every command: the config, the agents, the coordination backend and the
+    --input records (read under the feature registry), which eval, ablate and imbalance need labelled.
+    The JSON inputs are read before the ML agent trains or --input is read; it writes nothing, and
+    each command makes --output-dir just before its first file."""
     cfg = _load_cfg(args)
     registry = load_registry(args.registry) if args.registry else default_registry()
     agents, coordination_backend = _build_agents(cfg, args)
@@ -98,7 +97,7 @@ def _setup(args):
     records = _ingest(args.input, registry if any(a.identity().is_slm for a in agents) else None)
     if args.command != "predict" and any(r.label is None for r in records):
         raise SchemaError(f"{args.input}: every input record needs a severity label for evaluation")
-    return cfg, agents, dict(registry=registry, coordination_backend=coordination_backend), records
+    return cfg, agents, coordination_backend, records
 
 
 def _write_study(args, stem: str, payload, rows: list[dict], lines: Iterable[str]) -> None:
@@ -117,8 +116,8 @@ def _write_study(args, stem: str, payload, rows: list[dict], lines: Iterable[str
 
 
 def _cmd_predict(args) -> int:
-    cfg, agents, options, records = _setup(args)
-    decisions = run_batch(records, agents, cfg, args.trace, **options)
+    cfg, agents, coordinator, records = _setup(args)
+    decisions = run_batch(records, agents, cfg, args.trace, coordination_backend=coordinator)
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["id", "prediction", "confidence", "source", "rule"])
     for record, decision in zip(records, decisions):
@@ -128,10 +127,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg, agents, options, records = _setup(args)
+    cfg, agents, coordinator, records = _setup(args)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", **options)
+    decisions = run_batch(records, agents, cfg, out_dir / "traces.jsonl", coordination_backend=coordinator)
     report = compute_metrics(decisions, [r.label for r in records])
     line = f"accuracy={report.accuracy:.4f} macro_f1={report.f1:.4f} abstentions={report.abstentions}"
     _write_study(args, "metrics", report, [report.summary()], [line])
@@ -139,8 +138,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg, agents, options, records = _setup(args)
-    reports = run_ablation(records, agents, cfg, **options)
+    cfg, agents, coordinator, records = _setup(args)
+    reports = run_ablation(records, agents, cfg, coordination_backend=coordinator)
     drops = relative_accuracy_drops(reports)
     _write_study(
         args,
@@ -181,8 +180,10 @@ def _load_scenarios(path: str) -> list[ImbalanceScenario]:
 
 def _cmd_imbalance(args) -> int:
     scenarios = _load_scenarios(args.scenarios) if args.scenarios else None  # None: the stock scenarios
-    cfg, agents, options, records = _setup(args)
-    results = run_imbalance_suite(records, agents, cfg, scenarios, args.seed, size=args.size, **options)
+    cfg, agents, coordinator, records = _setup(args)
+    results = run_imbalance_suite(
+        records, agents, cfg, scenarios, args.seed, coordination_backend=coordinator, size=args.size
+    )
     lines = [
         f"scenario={name} rule_f1={comparison.rule_based.f1:.4f} "
         f"llm_f1={comparison.llm_based.f1:.4f} fallback={comparison.llm_fallback_rate:.2f}"

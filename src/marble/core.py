@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from collections import abc
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
@@ -16,6 +17,7 @@ from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Annotated, Any, Callable, Mapping, Union, get_args, get_origin, get_type_hints
+from urllib.parse import SplitResult, urlsplit
 
 
 class ConfigError(ValueError):
@@ -347,6 +349,21 @@ def _severity_from_key(key: Any) -> Severity:
         raise ConfigError(f"severity class keys must be 1-4, got {key!r}") from exc
 
 
+def split_endpoint_url(url: str) -> tuple[SplitResult, int]:
+    """The parts and the port of an endpoint URL; ConfigError if it holds
+    credentials, or is not http(s) with a host and a valid port."""
+    # Checked first, and the URL left out of the message, which would print the secret.
+    if re.match(r"([^/?#]*//)?[^/?#]*@", url):
+        raise ConfigError("endpoint.url must not hold credentials; endpoint.api_key_env names the key's variable")
+    try:  # ``parts.port`` raises ValueError for a port that does not parse or is out of range
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+            raise ValueError
+        return parts, parts.port or (443 if parts.scheme == "https" else 80)
+    except ValueError:
+        raise ConfigError(f"endpoint.url {url!r} must look like http(s)://host[:port]/path") from None
+
+
 def validate_config(cfg: EngineConfig) -> EngineConfig:
     """Return ``cfg`` unchanged if every invariant holds; raise ConfigError naming
     the first violated one otherwise. ``cfg.to_dict()`` is read back as
@@ -371,6 +388,8 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
     ):
         if not holds:
             raise ConfigError(message)
+    if checked.endpoint.url:  # an empty one means no endpoint
+        split_endpoint_url(checked.endpoint.url)
     return cfg
 
 

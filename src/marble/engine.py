@@ -28,7 +28,7 @@ from .agents.backends import SlmBackend
 from .coordination import CoordinationResult, coordinate_llm, coordinate_rb
 from .core import AGENT_ORDER, AgentId, AgentOutput, CoordinationMode, EngineConfig
 from .decision import FinalDecision, abstain, final_decide
-from .features import AccidentRecord, FeatureRegistry, FeatureValue, project
+from .features import AccidentRecord, FeatureValue, project
 
 # Extra slack granted past the agent timeout before the engine abandons a
 # call; covers agents that fail to enforce their own deadline.
@@ -146,7 +146,6 @@ def run_instance(
     agents: Sequence[Agent],
     cfg: EngineConfig,
     *,
-    registry: FeatureRegistry | None = None,
     coordination_backend: SlmBackend | None = None,
     coordinator: Coordinator | None = None,
 ) -> tuple[FinalDecision, TraceRecord]:
@@ -161,7 +160,7 @@ def run_instance(
     notes: list[str] = []
 
     # Stage 1: per-agent projections.
-    projections = {identity: project(record, identity, registry) for identity in identities}
+    projections = {identity: project(record, identity) for identity in identities}
     stage1_done = time.perf_counter()
 
     # Stage 2: dispatch all agents, then block until each resolves or its
@@ -313,7 +312,6 @@ def run_instances(
     agents: Sequence[Agent],
     cfg: EngineConfig,
     *,
-    registry: FeatureRegistry | None = None,
     coordination_backend: SlmBackend | None = None,
     coordinator: Coordinator | None = None,
     max_workers: int = 1,
@@ -321,7 +319,7 @@ def run_instances(
     """Run every record, preserving input order; each pair is the one
     ``run_instance`` returns for its record, whose checks run even for no record."""
     _check_run(agents, cfg, coordination_backend, coordinator)
-    options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
+    options = dict(coordination_backend=coordination_backend, coordinator=coordinator)
     return list(_iter_instances(records, agents, cfg, max_workers, **options))
 
 
@@ -331,7 +329,6 @@ def run_batch(
     cfg: EngineConfig,
     trace_sink: str | Path,
     *,
-    registry: FeatureRegistry | None = None,
     coordination_backend: SlmBackend | None = None,
     coordinator: Coordinator | None = None,
     max_workers: int = 1,
@@ -345,7 +342,7 @@ def run_batch(
     one are done, so a run that fails part-way leaves a valid partial file.
     """
     _check_run(agents, cfg, coordination_backend, coordinator)
-    options = dict(registry=registry, coordination_backend=coordination_backend, coordinator=coordinator)
+    options = dict(coordination_backend=coordination_backend, coordinator=coordinator)
     decisions: list[FinalDecision] = []
     # A lone surrogate (half an emoji pair) in a reply is written as its JSON escape.
     with open(trace_sink, "w", encoding="utf-8", errors="backslashreplace") as sink:

@@ -87,13 +87,13 @@ def _format_number(x: float) -> str:
 
 
 class _Row(Mapping[str, FeatureValue]):
-    """An ingested record's features: its tuple of values, and the map from
-    name to position that all records of its file share."""
+    """An ingested record's features: its tuple of values, and the map from name
+    to position and the registry it was read under, which its file's records share."""
 
-    __slots__ = ("_columns", "_values")
+    __slots__ = ("_columns", "_values", "registry")
 
-    def __init__(self, columns: dict[str, int], values: tuple[FeatureValue, ...]):
-        self._columns, self._values = columns, values
+    def __init__(self, columns: dict[str, int], values: tuple[FeatureValue, ...], registry: "FeatureRegistry"):
+        self._columns, self._values, self.registry = columns, values, registry
 
     def __getitem__(self, name: str) -> FeatureValue:
         return self._values[self._columns[name]]
@@ -223,15 +223,15 @@ def project(
     """Select the feature subset the given agent reasons about.
 
     The ML agent gets the full map unchanged. An SLM agent gets exactly its
-    registry features, in declaration order; features the record lacks are
-    filled with missing markers so the prompt shape stays stable. Registry
-    names are matched to the record's by ``canonical_name`` once per distinct
-    header, and nothing is kept on the record.
+    features, in declaration order, under ``registry``, else the registry its
+    record was read under, else the default; features the record lacks are
+    filled with missing markers so the prompt shape stays stable. Names are
+    matched by ``canonical_name`` once per distinct header and registry.
     """
     if agent is AgentId.ML:
         return dict(record.features.items())
-    registry = registry or _DEFAULT_REGISTRY
     features = record.features
+    registry = registry or (features.registry if isinstance(features, _Row) else _DEFAULT_REGISTRY)
     pairs = _resolve(registry, tuple(features)).get(agent, ())
     return {name: _MISSING if key is None else features[key] for name, key in pairs}
 
@@ -276,10 +276,12 @@ def ingest_csv(
     The first row names the features; an optional "severity" column holds
     labels in {1,2,3,4} and an optional "id" column supplies identifiers.
     Unparseable numerics become missing values. Two headers with the same
-    ``canonical_name`` raise SchemaError. Bad rows raise RowError, which is
-    collected (into ``errors_out`` when given) rather than fatal; the 101st
-    bad row, not collected, raises SchemaError, as do a file that is not
-    UTF-8 and a cell past the csv module's field size limit.
+    ``canonical_name``, or one naming no feature of a given ``registry``, raise
+    SchemaError; records carry ``registry`` (else the default) for ``project``.
+    Bad rows raise RowError, which is collected (into ``errors_out`` when
+    given) rather than fatal; the 101st bad row, not collected, raises
+    SchemaError, as do a file that is not UTF-8 and a cell past the csv
+    module's field size limit.
     Each distinct cell text is parsed once and its FeatureValue shared by every record that holds it, in ``_Row``s.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -299,9 +301,10 @@ def ingest_csv(
             label_col = columns.get("severity")
             is_feature = [i != id_col and i != label_col for i in range(len(header))]
             positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
-            if registry is not None and positions:
+            if registry is not None:
                 if all(key is None for pairs in _resolve(registry, tuple(positions)).values() for _, key in pairs):
                     raise SchemaError(f"{path}: no registry feature matches the header")
+            registry = registry or _DEFAULT_REGISTRY
             parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 
             records: list[AccidentRecord] = []
@@ -317,7 +320,7 @@ def ingest_csv(
                     if rec_id in seen_ids:
                         raise RowError(row_num, f"duplicate id {rec_id!r}")
                     label = _parse_label(cells[label_col], row_num) if label_col is not None else None
-                    features = _Row(positions, tuple(map(parse, compress(cells, is_feature))))
+                    features = _Row(positions, tuple(map(parse, compress(cells, is_feature))), registry)
                     seen_ids.add(rec_id)
                     records.append(AccidentRecord(id=rec_id, features=features, label=label))
                 except RowError as err:

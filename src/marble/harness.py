@@ -13,7 +13,7 @@ from .coordination import CoordinationMode, CoordinationResult, weighted_scores
 from .core import ALL_SEVERITIES, AgentOutput, ConfigError, EngineConfig, Severity, to_json_value
 from .decision import FinalDecision
 from .engine import fuse, run_instances
-from .features import AccidentRecord, FeatureRegistry
+from .features import AccidentRecord
 
 
 class LengthMismatchError(ValueError):
@@ -118,7 +118,6 @@ def run_ablation(
     agents: Sequence[Agent],
     cfg: EngineConfig,
     *,
-    registry: FeatureRegistry | None = None,
     coordination_backend: SlmBackend | None = None,
 ) -> dict[str, MetricsReport]:
     """Remove each agent in turn while holding everything else constant.
@@ -134,7 +133,7 @@ def run_ablation(
     labels = [r.label for r in records]
     if None in labels:
         raise ValueError("evaluation records must all carry labels")
-    results = run_instances(records, agents, cfg, registry=registry, coordination_backend=coordination_backend)
+    results = run_instances(records, agents, cfg, coordination_backend=coordination_backend)
     reports = {"none": compute_metrics([d for d, _ in results], labels)}
     variants = [(a.identity().value, a.identity(), None) for a in agents]
     for key, excluded, coordinator in variants + [("coordinator", None, majority_vote_coordinator)]:
@@ -280,7 +279,6 @@ def run_imbalance_suite(
     seed: int = 0,
     *,
     coordination_backend: SlmBackend | None = None,
-    registry: FeatureRegistry | None = None,
     size: int | None = None,
 ) -> dict[str, ScenarioComparison]:
     """Draw every scenario, run the agents once per distinct record drawn, fuse
@@ -296,7 +294,7 @@ def run_imbalance_suite(
     # Agents see only a record's features, and a resampled duplicate shares its
     # source's features mapping: one result per mapping serves every draw of it.
     distinct = {id(r.features): r for sampled in drawn for r in sampled}
-    rb_results = run_instances(list(distinct.values()), agents, rb_cfg, registry=registry)
+    rb_results = run_instances(list(distinct.values()), agents, rb_cfg)
     llm_results = [fuse(t.agent_outputs, llm_cfg, coordination_backend=coordination_backend) for _, t in rb_results]
     by_features = dict(zip(distinct, zip(rb_results, llm_results)))
     results: dict[str, ScenarioComparison] = {}

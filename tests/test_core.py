@@ -273,6 +273,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             validate_config(EngineConfig.from_dict(overrides))
 
+    @pytest.mark.parametrize(
+        "url", ["ftp://127.0.0.1/x", "http:///no-host", "http://127.0.0.1:0/x", "http://[::1", "http://user@host/x"]
+    )
+    def test_an_unusable_endpoint_url_is_rejected_with_the_config(self, url):
+        # By the rule ``RemoteHttpBackend`` applies, so a run whose every role is scripted rejects it too.
+        shape = f"endpoint.url {url!r} must look like http(s)://host[:port]/path"
+        credential = "endpoint.url must not hold credentials; endpoint.api_key_env names the key's variable"
+        with pytest.raises(ConfigError) as caught:
+            validate_config(EngineConfig(endpoint=EndpointParams(url=url)))
+        assert str(caught.value) == (credential if "@" in url else shape)
+
 
 class TestConfigSerialization:
     def test_round_trip_identity(self):

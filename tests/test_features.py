@@ -465,6 +465,7 @@ class TestIngestCsv:
             ("", False, "missing header"),
             ("Weather,weather,severity\n1,1,1\n", False, "headers 'Weather' and 'weather' collide as 'weather'"),
             ("foo,bar\n1,2\n", True, "no registry feature matches the header"),
+            ("id,severity\nx,2\n", True, "no registry feature matches the header"),
         ],
     )
     def test_header_errors_name_the_file(self, tmp_path, text, with_registry, message):
@@ -496,6 +497,17 @@ class TestIngestCsv:
         with pytest.raises(OSError):
             ingest_csv(tmp_path / "absent.csv")
 
+    def test_records_are_projected_under_the_registry_they_were_read_under(self, tmp_path):
+        path = self.write(tmp_path, "Foo,Humidity\nbar,0.5\n")
+        (record,) = ingest_csv(path, FeatureRegistry({AgentId.SPATIAL: ("Foo",)}))
+        assert project(record, AgentId.SPATIAL) == {"Foo": FeatureValue.categorical("bar")}
+        assert project(record, AgentId.ENVIRONMENTAL) == {}
+        # A registry given to ``project`` wins; a file read under none projects under the default.
+        default = default_registry()
+        assert list(project(record, AgentId.SPATIAL, default)) == list(default.domain_features(AgentId.SPATIAL))
+        (plain,) = ingest_csv(path)
+        assert project(plain, AgentId.ENVIRONMENTAL)["Humidity"] == FeatureValue.numeric(0.5)
+
     def test_missing_round_trip_through_projection(self, tmp_path):
         # Fixture built ahead of the implementation: a missing numeric must
         # survive ingest -> project -> format as an "unknown" line.
@@ -526,7 +538,7 @@ def reference_ingest_csv(path, registry=None, *, bad_row_budget=100, errors_out=
         if registry is not None:
             assigned = {canonical_name(n) for names in registry.domains.values() for n in names}
             feature_cols = [c for c in canon if c not in ("id", "severity")]
-            if feature_cols and not assigned.intersection(feature_cols):
+            if not assigned.intersection(feature_cols):
                 raise SchemaError(f"{path}: no registry feature matches the header")
         id_col = canon.index("id") if "id" in canon else None
         label_col = canon.index("severity") if "severity" in canon else None

@@ -10,8 +10,8 @@ import synth
 from marble.coordination import weighted_scores
 from marble.core import AgentId, AgentOutput, CoordinationMode, Severity
 from marble.decision import abstain
-from marble.engine import run_instances
-from marble.features import AccidentRecord, FeatureValue
+from marble.engine import run_batch, run_instances
+from marble.features import AccidentRecord, FeatureRegistry, FeatureValue, ingest_csv
 from marble.harness import (
     ImbalanceScenario,
     LengthMismatchError,
@@ -393,3 +393,24 @@ class TestImbalanceSuite:
         with pytest.raises(ScenarioError, match="scenario 'uniform' is named more than once"):
             run_imbalance_suite(records, agents, cfg, scenarios, seed=1, coordination_backend=backend, size=20)
         assert [a.calls for a in agents] == [0] * 5 and backend.calls == 0
+
+
+def test_every_run_projects_records_under_the_registry_they_were_read_under(tmp_path, cfg):
+    # "Foo" is no default feature: under the default registry either agent would see six missing cells.
+    path = tmp_path / "data.csv"
+    path.write_text("id,Foo,severity\n" + "".join(f"r{i},f{i % 4 + 1},{i % 4 + 1}\n" for i in range(8)), "utf-8")
+    records = ingest_csv(path, FeatureRegistry({AgentId.SPATIAL: ("Foo",), AgentId.TEMPORAL: ("Foo",)}))
+    seen = set()
+
+    def responder(features):
+        seen.add(tuple(features))
+        return (int(features["Foo"].text[1]), 0.7) if "Foo" in features else None
+
+    agents = [ScriptedAgent(AgentId.SPATIAL, responder), ScriptedAgent(AgentId.TEMPORAL, responder)]
+    decisions = run_batch(records, agents, cfg, tmp_path / "t.jsonl")
+    ablation = run_ablation(records, agents, cfg)
+    backend = synth.FakeBackend('{"severity": 2, "confidence": 0.8, "reasoning": "meta"}')
+    suite = run_imbalance_suite(records, agents, cfg, default_scenarios()[:1], coordination_backend=backend)
+    assert seen == {("Foo",)}
+    assert [int(d.prediction) for d in decisions] == [r.label for r in records]
+    assert ablation["none"].accuracy == suite["uniform"].rule_based.accuracy == 1.0

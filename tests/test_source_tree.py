@@ -94,6 +94,25 @@ def test_only_cli_main_exits():
     assert sorted(sites) == ["cli.py:<module>", "cli.py:main"]
 
 
+def test_only_features_and_the_cli_know_the_registry():
+    """Records carry the registry they were read under (``ingest_csv``), so the
+    engine and the harness neither take one nor name its type."""
+    for name in ("engine.py", "harness.py"):
+        nodes = list(ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
+        takers = [
+            f"{name}:{node.name}"
+            for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(a, ast.arg) and a.arg == "registry" for a in ast.walk(node.args))
+        ]
+        names = [
+            f"{name}:{node.lineno}"
+            for node in nodes
+            if "FeatureRegistry" in (getattr(node, "id", None), getattr(node, "name", None))  # a Name or an import
+        ]
+        assert takers + names == []
+
+
 def test_only_fuse_and_agent_output_read_failed():
     """``fuse`` drops the failed outputs; what it feeds takes the live ones
     and never tests ``failed`` again."""
