@@ -99,7 +99,9 @@ class RemoteHttpBackend:
     A call sends the prompt as one user message with the decoding parameters
     (the repetition penalty only where the endpoint accepts it) and returns
     the first choice's text. The credential is read from the named
-    environment variable at call time. Each call opens one connection, and
+    environment variable at call time. A reply body longer than
+    ``max(1 MiB, 64 * decoding.max_new_tokens)`` bytes is not read past that
+    limit and raises ``TransportError``. Each call opens one connection, and
     one deadline, ``timeout_ms`` from the start, bounds its connect, TLS
     handshake, send, status line, headers and body; name resolution is not
     bounded, and a host name with several addresses gets the time left for
@@ -128,6 +130,7 @@ class RemoteHttpBackend:
         import socket
 
         deadline = time.monotonic() + timeout_ms / 1000.0
+        limit = max(1 << 20, 64 * decoding.max_new_tokens)
         endpoint = self._endpoint
         body: dict[str, object] = {
             "model": endpoint.model,
@@ -160,14 +163,16 @@ class RemoteHttpBackend:
                     response.begin()
                     if response.status >= 400:
                         raise TransportError(f"HTTP {response.status}", status=response.status)
-                    data = response.read()
+                    data = response.read(limit + 1)
+                    if len(data) > limit:
+                        raise TransportError(f"completion payload longer than {limit} bytes")
         except TimeoutError as exc:
             raise BackendTimeoutError(f"no completion within {timeout_ms} ms") from exc
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise TransportError(f"malformed completion payload: {exc}") from exc
         if not isinstance(content, str):  # null for a refusal or a tool call
             raise TransportError(f"malformed completion payload: content is not text: {content!r:.80}")

@@ -8,10 +8,10 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .agents import MlAgent, RemoteHttpBackend, ScriptedBackend, SlmAgent, TrainError, ml_train
-from .core import SLM_AGENT_IDS, ConfigError, CoordinationMode, EngineConfig, Severity, from_json_value, load_config
+from .core import SLM_AGENT_IDS, ConfigError, CoordinationMode, EngineConfig, from_json_value, load_config
 from .core import read_json, to_json_value, validate_config
 from .engine import run_batch
 from .features import RowError, SchemaError, default_registry, ingest_csv, load_registry
@@ -34,17 +34,28 @@ def _load_cfg(args) -> EngineConfig:
     return cfg
 
 
-def _load_scripted(path: str) -> dict:
-    """The --scripted responses: an object whose entries are a reply or an
+_ROLES = [kind.value for kind in SLM_AGENT_IDS] + ["coordinator"]
+
+
+def _scripted(document) -> dict:
+    """The --scripted responses: an object from roles to a reply or an
     object of prompt substrings to replies, all strings."""
-    scripted = read_json(path)
-    if not isinstance(scripted, dict):
+    if not isinstance(document, dict):
         raise ConfigError("--scripted must hold a JSON object")
-    for key, script in scripted.items():
+    for key, script in document.items():
         replies = script.values() if isinstance(script, dict) else [script]
         if not all(isinstance(reply, str) for reply in replies):
             raise ConfigError(f"--scripted entry {key!r} must be a string or an object of strings")
-    return scripted
+    if unknown := [key for key in document if key not in _ROLES]:
+        raise ConfigError(f"--scripted key {unknown[0]!r} names no role; the roles are {', '.join(_ROLES)}")
+    return document
+
+
+def _scenarios(document) -> tuple[ImbalanceScenario, ...]:
+    """The --scenarios file: an array of scenarios, each read as config is, of distinct names."""
+    scenarios = from_json_value(tuple[ImbalanceScenario, ...], document, "scenarios")
+    check_scenario_names(scenarios)
+    return scenarios
 
 
 def _ingest(path: str, registry=None):
@@ -61,13 +72,10 @@ def _build_agents(cfg: EngineConfig, args):
     """The agents and the coordination backend. Every option is checked
     before the ML agent trains; LLM coordination, which imbalance always
     runs, needs a coordination backend."""
-    scripted = _load_scripted(args.scripted) if args.scripted else {}
-    roles = [kind.value for kind in SLM_AGENT_IDS] + ["coordinator"]
-    if unknown := [key for key in scripted if key not in roles]:
-        raise ConfigError(f"--scripted key {unknown[0]!r} names no role; the roles are {', '.join(roles)}")
+    scripted = read_json(args.scripted, _scripted) if args.scripted else {}
     # One endpoint backend, and so one TLS context, shared by every role that is not scripted.
-    remote = RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url and any(r not in scripted for r in roles) else None
-    backends = {role: ScriptedBackend(scripted[role]) if role in scripted else remote for role in roles}
+    remote = RemoteHttpBackend(cfg.endpoint) if cfg.endpoint.url and any(r not in scripted for r in _ROLES) else None
+    backends = {role: ScriptedBackend(scripted[role]) if role in scripted else remote for role in _ROLES}
     agents = [SlmAgent(kind, backends[kind.value], cfg) for kind in SLM_AGENT_IDS if backends[kind.value] is not None]
     if not (agents or args.train):
         raise ConfigError(
@@ -159,27 +167,8 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
-def _load_scenarios(path: str) -> list[ImbalanceScenario]:
-    entries = read_json(path)
-    if not isinstance(entries, list):
-        raise ScenarioError("--scenarios must be a JSON array of scenario objects")
-    scenarios = []
-    for entry in entries:
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not isinstance(name, str):
-            raise ScenarioError(f"scenario {name!r}: each scenario must be an object with a string \"name\"")
-        try:
-            distribution = from_json_value(Mapping[Severity, float], entry.get("distribution"), "distribution")
-        except ValueError as exc:  # a ConfigError naming the entry
-            message = f'"distribution" must map classes 1-4 to proportions ({exc})'
-            raise ScenarioError(f"scenario {name!r}: {message}") from exc
-        scenarios.append(ImbalanceScenario(name, distribution))
-    check_scenario_names(scenarios)
-    return scenarios
-
-
 def _cmd_imbalance(args) -> int:
-    scenarios = _load_scenarios(args.scenarios) if args.scenarios else None  # None: the stock scenarios
+    scenarios = read_json(args.scenarios, _scenarios) if args.scenarios else None  # None: the stock scenarios
     cfg, agents, coordinator, records = _setup(args)
     results = run_imbalance_suite(
         records, agents, cfg, scenarios, args.seed, coordination_backend=coordinator, size=args.size

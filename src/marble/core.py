@@ -315,7 +315,7 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
         agents = key_type is AgentId
         out = {}
         for raw_key, item in value.items():
-            key = _agent_from_key(raw_key) if agents else _severity_from_key(raw_key)
+            key = _agent_from_key(raw_key, name) if agents else _severity_from_key(raw_key, name)
             path = f"{name}.{key.name if agents else int(key)}"
             if key in out:  # "ml" and "ML", or "1" and "01"
                 raise ConfigError(f"{path} is given twice")
@@ -334,19 +334,19 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
     raise ConfigError(f"{name} must be one of {[m.value for m in tp]}")
 
 
-def _agent_from_key(key: str) -> AgentId:
+def _agent_from_key(key: str, name: str) -> AgentId:
     """An agent by value or, in any case, by name: "ml", "ML", "Spatial"."""
     try:
         return AgentId[key.upper()]
     except KeyError as exc:
-        raise ConfigError(f"unknown agent id: {key}") from exc
+        raise ConfigError(f"{name}: unknown agent id: {key}") from exc
 
 
-def _severity_from_key(key: Any) -> Severity:
+def _severity_from_key(key: Any, name: str) -> Severity:
     try:
         return Severity(int(key))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"severity class keys must be 1-4, got {key!r}") from exc
+        raise ConfigError(f"{name}: severity class keys must be 1-4, got {key!r}") from exc
 
 
 def split_endpoint_url(url: str) -> tuple[SplitResult, int]:

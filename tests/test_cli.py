@@ -8,11 +8,16 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Mapping
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import marble.cli
 from marble.cli import main
+from marble.core import ConfigError, Severity, from_json_value, read_json
+from marble.harness import ImbalanceScenario, ScenarioError, check_scenario_names
 
 PAYLOAD_2 = '{"severity": 2, "confidence": 0.7, "reasoning": "scripted"}'
 
@@ -303,34 +308,46 @@ def test_predict_without_agents_exits(tmp_path, input_file):
         main(["predict", "--input", str(input_file), "--trace", str(tmp_path / "t.jsonl")])
 
 
+MISSING = "scenarios[0]: ImbalanceScenario.__init__() missing 1 required positional argument"
+NOT_A_NUMBER = "scenarios[0].distribution.1 must be a finite number"
+
+
 @pytest.mark.parametrize(
-    "entry, named",
+    "entry, message",
     [
-        ({"name": "broken", "distribution": {"1": 0.5, "5": 0.5}}, "'broken'"),
-        ({"name": "broken", "distribution": {"1": "half", "2": 0.5}}, "'broken'"),
-        ({"name": "broken"}, "'broken'"),
-        ({"name": "broken", "distribution": {"1": float("nan"), "2": 1.0}}, "'broken'"),
-        ("broken", "None"),
-        ({"distribution": {"1": 1.0}}, "None"),
-        ({"name": 3, "distribution": {"2": 1.0}}, "3"),
-        # Loaded as proportions, these would fail later, in the sampler; the
-        # loader's own message pins them to the reading of the proportions.
-        ({"name": "broken", "distribution": {"1": True, "2": 0, "3": 0, "4": 0}}, "'broken': \"distribution\""),
-        ({"name": "broken", "distribution": {k: "0.25" for k in "1234"}}, "'broken': \"distribution\""),
+        (
+            {"name": "broken", "distribution": {"1": 0.5, "5": 0.5}},
+            "scenarios[0].distribution: severity class keys must be 1-4, got '5'",
+        ),
+        ({"name": "broken", "distribution": {"1": "half", "2": 0.5}}, NOT_A_NUMBER),
+        ({"name": "broken"}, f"{MISSING}: 'distribution'"),
+        ({"name": "broken", "distribution": {"1": float("nan"), "2": 1.0}}, NOT_A_NUMBER),
+        ("broken", "scenarios[0] must be a JSON object"),
+        ({"distribution": {"1": 1.0}}, f"{MISSING}: 'name'"),
+        ({"name": 3, "distribution": {"2": 1.0}}, "scenarios[0].name must be a string"),
+        # Loaded as proportions, these would fail later, in the sampler.
+        ({"name": "broken", "distribution": {"1": True, "2": 0, "3": 0, "4": 0}}, NOT_A_NUMBER),
+        ({"name": "broken", "distribution": {k: "0.25" for k in "1234"}}, NOT_A_NUMBER),
         # Read as {1: 0.5, 2: 0.5}, this would pass; a class may be named once.
         (
             {"name": "broken", "distribution": {"1": 0.5, "01": 0.5, "2": 0.5}},
-            r"'broken': .*\(distribution\.1 is given twice\)$",
+            "scenarios[0].distribution.1 is given twice",
+        ),
+        # Dropped without a word, the misspelled key would leave the scenario of the other.
+        (
+            {"name": "broken", "distrbution": {"1": 1.0}, "distribution": {"2": 1.0}},
+            "unknown config field: scenarios[0].distrbution",
         ),
     ],
 )
-def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, named):
+def test_malformed_scenario_names_the_scenario(tmp_path, scripted_file, train_file, input_file, entry, message):
     scenarios = tmp_path / "scenarios.json"
     scenarios.write_text(json.dumps([entry]), encoding="utf-8")
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
     args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
-    with pytest.raises(SystemExit, match=f"scenario {named}"):
+    with pytest.raises(SystemExit) as exit_:
         main(args)
+    assert exit_.value.code == f"{scenarios}: {message}"
 
 
 @pytest.mark.parametrize("document", [5, None, {"name": "a", "distribution": {"1": 1.0}}])
@@ -339,8 +356,82 @@ def test_scenarios_must_be_a_json_array(tmp_path, scripted_file, train_file, inp
     scenarios.write_text(json.dumps(document), encoding="utf-8")
     args = ["imbalance", "--input", str(input_file), "--train", str(train_file)]
     args += ["--scripted", str(scripted_file), "--scenarios", str(scenarios), "--output-dir", str(tmp_path / "out")]
-    with pytest.raises(SystemExit, match="^--scenarios must be a JSON array of scenario objects$"):
+    with pytest.raises(SystemExit) as exit_:
         main(args)
+    assert exit_.value.code == f"{scenarios}: scenarios must be a JSON array"
+
+
+def _reference_load_scenarios(path: str) -> list[ImbalanceScenario]:
+    """The hand-written --scenarios loader that the codec replaced, kept as the
+    reference for what the CLI accepts."""
+    entries = read_json(path)
+    if not isinstance(entries, list):
+        raise ScenarioError("--scenarios must be a JSON array of scenario objects")
+    scenarios = []
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ScenarioError(f"scenario {name!r}: each scenario must be an object with a string \"name\"")
+        try:
+            distribution = from_json_value(Mapping[Severity, float], entry.get("distribution"), "distribution")
+        except ValueError as exc:  # a ConfigError naming the entry
+            message = f'"distribution" must map classes 1-4 to proportions ({exc})'
+            raise ScenarioError(f"scenario {name!r}: {message}") from exc
+        scenarios.append(ImbalanceScenario(name, distribution))
+    check_scenario_names(scenarios)
+    return scenarios
+
+
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_even = {"1": 0.25, "2": 0.25, "3": 0.25, "4": 0.25}
+_distributions = st.sampled_from([{"1": 1.0}, {"4": 1}, {"1": 0.5, "2": 0.5}, _even, {"01": 0.5, "3": 0.5}])
+_wild_distributions = _distributions | st.just({}) | st.dictionaries(
+    st.sampled_from(["1", "2", "4", "01", "0", "5", "x"]),
+    st.sampled_from([0.5, 1.0, 0, -0.5, True]) | _any_json,
+    max_size=4,
+)
+_names = st.sampled_from(["a", "b", "even"]) | st.text(max_size=3)
+_scenario_entries = st.fixed_dictionaries({"name": _names, "distribution": _distributions})
+_wild_entries = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": _names | _any_json,
+        "distribution": _wild_distributions,
+        "distrbution": _distributions,
+        "weight": _any_json,
+    },
+) | _any_json
+scenario_documents = (
+    st.lists(_scenario_entries, max_size=4, unique_by=lambda entry: entry["name"])
+    | st.lists(_scenario_entries | _wild_entries, max_size=4)
+    | _any_json
+)
+
+
+@given(scenario_documents)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_scenarios_reader_accepts_what_the_hand_written_loader_did_but_unknown_keys(tmp_path, document):
+    """Against the replaced loader: the codec accepts no more, with equal
+    scenarios; it rejects more only for an entry with a key other than "name"
+    and "distribution"; and each rejection is one ConfigError naming the file."""
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    try:
+        expected = _reference_load_scenarios(path)
+    except ValueError:
+        expected = None
+    try:
+        scenarios = read_json(path, marble.cli._scenarios)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        if expected is not None:
+            assert any(set(entry) - {"name", "distribution"} for entry in document)
+    else:
+        assert expected is not None and list(scenarios) == expected
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate", "imbalance"])
@@ -425,6 +516,9 @@ def test_ablate_with_one_agent_exits_in_one_line(tmp_path, train_file, input_fil
     assert not out_dir.exists()
 
 
+ROLES = "the roles are environmental, infrastructural, spatial, temporal, coordinator"
+
+
 def scenarios_json(*distributions) -> bytes:
     """A --scenarios file whose entries are all named "x"."""
     return json.dumps([{"name": "x", "distribution": d} for d in distributions]).encode()
@@ -442,9 +536,11 @@ JSON_BAD_SHAPES = {
     "--config": (b'{"tau_ml_corrob": "high"}', "{path}: tau_ml_corrob must be a finite number"),
     "--registry": (b'{"spatial": "Latitude"}', "{path}: registry.SPATIAL must be a JSON array"),
     "--scripted": (
-        b'{"environmental": 5}', "--scripted entry 'environmental' must be a string or an object of strings"
+        b'{"environmental": 5}', "{path}: --scripted entry 'environmental' must be a string or an object of strings"
     ),
-    "--scenarios": (scenarios_json({"1": 1.0, "2": 1.0}), "scenario 'x': proportions sum to 2.0, not 1"),
+    "--scenarios": (
+        scenarios_json({"1": 1.0, "2": 1.0}), "{path}: scenarios[0]: scenario 'x': proportions sum to 2.0, not 1"
+    ),
 }
 # Per input option and defect: the file's bytes (None: its directory does not exist) and
 # the one line that rejects it, with the file's path for {path}.
@@ -466,7 +562,11 @@ REJECTED = {
     # The scripted SLM agents read no feature of a file with none.
     ("--input", "no-feature-column"): (b"id,severity\nx0,2\n", "{path}: no registry feature matches the header"),
     ("--scenarios", "named-twice"): (
-        scenarios_json({"1": 1.0}, {"2": 1.0}), "scenario 'x' is named more than once; each name keys one report"
+        scenarios_json({"1": 1.0}, {"2": 1.0}),
+        "{path}: scenario 'x' is named more than once; each name keys one report",
+    ),
+    ("--scripted", "unknown-role"): (
+        b'{"enviromental": "x"}', "{path}: --scripted key 'enviromental' names no role; " + ROLES
     ),
     **{
         ("--config", defect): (
@@ -539,28 +639,26 @@ def test_a_rejected_input_prints_one_line_on_stderr_and_no_traceback(tmp_path, t
     assert not trace.exists()
 
 
-ROLES = "the roles are environmental, infrastructural, spatial, temporal, coordinator"
-
-
 @pytest.mark.parametrize(
-    "scripted, named",
+    "scripted, message",
     [
-        ({"environmental": 5}, "'environmental'"),
-        ({"environmental": {"": 5}}, "'environmental'"),
-        ({"coordinator": [PAYLOAD_2]}, "'coordinator'"),
+        ({"environmental": 5}, "--scripted entry 'environmental' must be a string or an object of strings"),
+        ({"environmental": {"": 5}}, "--scripted entry 'environmental' must be a string or an object of strings"),
+        ({"coordinator": [PAYLOAD_2]}, "--scripted entry 'coordinator' must be a string or an object of strings"),
         ([PAYLOAD_2], "--scripted must hold a JSON object"),
         # Keys that name no role; the scripted spatial agent would otherwise run alone.
-        ({"spatial": PAYLOAD_2, "enviromental": PAYLOAD_2}, f"^--scripted key 'enviromental' names no role; {ROLES}$"),
-        ({"spatial": PAYLOAD_2, "coordinater": PAYLOAD_2}, f"^--scripted key 'coordinater' names no role; {ROLES}$"),
-        ({"spatial": PAYLOAD_2, "ml": PAYLOAD_2}, f"^--scripted key 'ml' names no role; {ROLES}$"),
+        ({"spatial": PAYLOAD_2, "enviromental": PAYLOAD_2}, f"--scripted key 'enviromental' names no role; {ROLES}"),
+        ({"spatial": PAYLOAD_2, "coordinater": PAYLOAD_2}, f"--scripted key 'coordinater' names no role; {ROLES}"),
+        ({"spatial": PAYLOAD_2, "ml": PAYLOAD_2}, f"--scripted key 'ml' names no role; {ROLES}"),
     ],
 )
-def test_malformed_scripted_file_exits_before_any_record(tmp_path, input_file, scripted, named):
+def test_malformed_scripted_file_exits_before_any_record(tmp_path, input_file, scripted, message):
     path = tmp_path / "scripted.json"
     path.write_text(json.dumps(scripted), encoding="utf-8")
     trace = tmp_path / "t.jsonl"
-    with pytest.raises(SystemExit, match=named):
+    with pytest.raises(SystemExit) as exit_:
         main(["predict", "--input", str(input_file), "--scripted", str(path), "--trace", str(trace)])
+    assert exit_.value.code == f"{path}: {message}"
     assert not trace.exists()
 
 

@@ -253,6 +253,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field} is given twice$"):
             EngineConfig.from_dict(overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"class_factors": {"1": 1.2, "5": 1.0}}, "class_factors: severity class keys must be 1-4, got '5'"),
+            ({"agent_weights": {"pilot": 1.0}}, "agent_weights: unknown agent id: pilot"),
+        ],
+    )
+    def test_a_key_that_names_no_class_or_agent_is_rejected_naming_its_mapping(self, overrides, message):
+        with pytest.raises(ConfigError) as caught:
+            EngineConfig.from_dict(overrides)
+        assert str(caught.value) == message
+
     def test_empty_agent_weights_rejected(self):
         with pytest.raises(ConfigError, match="^agent_weights must not be empty$"):
             validate_config(EngineConfig.from_dict({"agent_weights": {}}))

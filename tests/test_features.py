@@ -124,7 +124,7 @@ class TestLoadRegistry:
             ({"spatial": ["Latitude", 2]}, r"registry.SPATIAL\[1\] must be a string"),
             ({"spatial": [1, 2]}, r"registry.SPATIAL\[0\] must be a string"),
             ([1], "registry must be a JSON object"),
-            ({"weather": ["Rain"]}, "unknown agent id: weather"),
+            ({"weather": ["Rain"]}, "registry: unknown agent id: weather"),
             ({"ml": ["Humidity"]}, "registry.ML: only SLM domains take feature assignments"),
             ({"spatial": ["Latitude"], "Spatial": ["Longitude"]}, "registry.SPATIAL is given twice"),
         ],

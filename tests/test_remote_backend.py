@@ -10,11 +10,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import marble
-from marble.agents import SlmAgent
+from marble.agents import ScriptedBackend, SlmAgent
 from marble.agents.backends import BackendTimeoutError, RemoteHttpBackend, TransportError
 from marble.core import AgentId, ConfigError, DecodingParams, EndpointParams
+from marble.engine import run_batch
+from marble.features import AccidentRecord, FeatureValue, default_registry
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -28,6 +32,19 @@ class _Handler(BaseHTTPRequestHandler):
         if mode == "error":
             self.send_response(500)
             self.end_headers()
+            return
+        if mode == "flood":  # FLOOD_BYTES in 64 KiB writes, or fewer if the client hangs up
+            self.send_response(200)
+            self.send_header("Content-Length", str(FLOOD_BYTES))
+            self.end_headers()
+            chunk = b" " * 65536
+            try:
+                while self.server.sent < FLOOD_BYTES:
+                    self.wfile.write(chunk)
+                    self.server.sent += len(chunk)
+            except (BrokenPipeError, ConnectionResetError):
+                pass
+            self.server.done.set()
             return
         payload = json.dumps(
             {"choices": [{"message": {"content": self.server.canned}}]}
@@ -43,7 +60,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        if self.server.chunked:  # one chunk, then the last
+            self.send_header("Transfer-Encoding", "chunked")
+            payload = (b"%x\r\n%s\r\n" % (len(payload), payload) if payload else b"") + b"0\r\n\r\n"
+        else:
+            self.send_header("Content-Length", str(self.server.length or len(payload)))
         self.end_headers()
         if mode == "stall_after_headers":
             time.sleep(0.6)
@@ -68,11 +89,18 @@ def stub_server():
     server.mode = "ok"
     server.canned = "canned reply"
     server.requests = []
+    server.length = None  # the Content-Length sent, if not the body's
+    server.chunked = False  # send the body in chunked encoding instead
+    server.sent, server.done = 0, threading.Event()  # for "flood"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
+
+
+PAYLOAD = '{"severity": 2, "confidence": 0.7, "reasoning": "r"}'
+FLOOD_BYTES = 32 << 20  # past the 1 MiB limit and any loopback socket buffers
 
 
 def url(server) -> str:
@@ -138,6 +166,30 @@ class TestRemoteComplete:
         with pytest.raises(TransportError, match="^malformed completion payload: "):
             complete(url(stub_server), "p", 2000)
 
+    def test_a_deeply_nested_body_fails_one_agent_not_the_run(self, stub_server, cfg, tmp_path):
+        # json.loads raises RecursionError here, which no agent catches.
+        stub_server.mode, stub_server.canned = "raw", b"[" * 200_000
+        with pytest.raises(TransportError, match="^malformed completion payload: "):
+            complete(url(stub_server), "p", 2000)
+        backend = RemoteHttpBackend(EndpointParams(url=url(stub_server)))
+        agents = [SlmAgent(AgentId.SPATIAL, backend, cfg), SlmAgent(AgentId.TEMPORAL, ScriptedBackend(PAYLOAD), cfg)]
+        domains = default_registry().domains.values()
+        features = {name: FeatureValue.categorical("x") for names in domains for name in names}
+        records = [AccidentRecord(f"r{i}", features) for i in range(3)]
+        trace = tmp_path / "trace.jsonl"
+        run_batch(records, agents, cfg, trace)
+        lines = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        assert [line["record_id"] for line in lines] == ["r0", "r1", "r2"]
+        kinds = [{o["agent"]: o["failure_kind"] for o in line["agent_outputs"]} for line in lines]
+        assert kinds == [{"spatial": "transport", "temporal": None}] * 3
+
+    def test_a_body_past_the_limit_is_not_read_to_its_end(self, stub_server):
+        stub_server.mode = "flood"
+        with pytest.raises(TransportError, match="^completion payload longer than 1048576 bytes$"):
+            complete(url(stub_server), "p", 5000)
+        assert stub_server.done.wait(5)
+        assert stub_server.sent < FLOOD_BYTES
+
     def test_unreachable_host_raises_transport_error(self):
         with pytest.raises(TransportError):
             complete("http://127.0.0.1:9/none", "p", 500)
@@ -199,3 +251,32 @@ class TestOneDeadline:
         probe = f"import sys, marble, marble.cli; print(sorted({http} & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+
+_COMPLETION = json.dumps({"choices": [{"message": {"content": "reply"}}]}).encode()
+_served = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.sampled_from([b"[", b'{"a":', b'{"choices":[{"message":{"content":']), st.integers(1, 200_000)).map(
+        lambda pair: pair[0] * pair[1]
+    ),
+    st.integers(0, len(_COMPLETION)).map(lambda end: _COMPLETION[:end]),
+    st.just(_COMPLETION),
+)
+
+
+@given(_served, st.sampled_from(["exact", "chunked"]) | st.integers(1, 4096))
+@example(_COMPLETION, "chunked")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_served_body_gives_text_or_a_backend_error(stub_server, body, framing):
+    """Whatever the endpoint sends, as deep or as short as it likes, chunked or
+    with a Content-Length past its end (``framing`` bytes past it), ``complete``
+    returns text or raises one of the two errors of the ``SlmBackend`` contract."""
+    stub_server.mode, stub_server.canned = "raw", body
+    stub_server.chunked = framing == "chunked"
+    stub_server.length = len(body) + framing if isinstance(framing, int) else None
+    try:
+        reply = complete(url(stub_server), "p", 2000)
+    except (TransportError, BackendTimeoutError):
+        assert body != _COMPLETION or isinstance(framing, int)  # a whole completion, framed to its end, is read
+    else:
+        assert isinstance(reply, str)
