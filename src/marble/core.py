@@ -11,7 +11,7 @@ import json
 import math
 import re
 from collections import abc
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
 from functools import cache
 from pathlib import Path
@@ -303,10 +303,13 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
         unknown = set(value) - types.keys()
         if unknown:
             raise ConfigError(f"unknown config field: {prefix}{sorted(unknown)[0]}")
+        for f in fields(tp):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{prefix}{f.name} is missing")
         kwargs = {k: from_json_value(t, value[k], prefix + k) for k, t in types.items() if k in value}
         try:
             return tp(**kwargs)
-        except (TypeError, ValueError) as exc:  # a missing required field, or a __post_init__ check
+        except (TypeError, ValueError) as exc:  # a __post_init__ check
             raise ConfigError(f"{name or tp.__name__}: {exc}") from exc
     if origin is abc.Mapping:
         if not isinstance(value, abc.Mapping):

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from itertools import compress
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -34,7 +34,6 @@ class RowError(ValueError):
 
 _MISSING_TOKENS = {"", "n/a", "na", "none", "null", "unknown", "nan", "-"}
 _BAD_ROW_BUDGET = 100  # bad rows that ingest_csv collects per file before it gives up
-_HEADERS_KEPT = 64  # (registry, header) matches kept, least recently used dropped first
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,12 +87,12 @@ def _format_number(x: float) -> str:
 
 class _Row(Mapping[str, FeatureValue]):
     """An ingested record's features: its tuple of values, and the map from name
-    to position and the registry it was read under, which its file's records share."""
+    to position and the ``_layout`` of its registry, which its file's records share."""
 
-    __slots__ = ("_columns", "_values", "registry")
+    __slots__ = ("_columns", "_values", "layout")
 
-    def __init__(self, columns: dict[str, int], values: tuple[FeatureValue, ...], registry: "FeatureRegistry"):
-        self._columns, self._values, self.registry = columns, values, registry
+    def __init__(self, columns: dict[str, int], values: tuple[FeatureValue, ...], layout: dict):
+        self._columns, self._values, self.layout = columns, values, layout
 
     def __getitem__(self, name: str) -> FeatureValue:
         return self._values[self._columns[name]]
@@ -167,7 +166,7 @@ _DEFAULT_DOMAINS: dict[AgentId, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)  # equal only to itself, and so hashable: a key of ``_resolve``'s cache
+@dataclass(frozen=True)
 class FeatureRegistry:
     """Which SLM domain reads which features; ML implicitly reads them all."""
 
@@ -184,12 +183,10 @@ class FeatureRegistry:
         return tuple(self.domains.get(agent, ()))
 
 
-@lru_cache(maxsize=_HEADERS_KEPT)
-def _resolve(registry: FeatureRegistry, header: tuple[str, ...]) -> dict[AgentId, tuple[tuple[str, str | None], ...]]:
-    """Per agent, each of its registry names paired with the header's name of
-    the same ``canonical_name`` (the last, if several), or None. Built once
-    per distinct (registry, header) while kept."""
-    by_canonical = {canonical_name(n): n for n in header}
+def _layout(registry: FeatureRegistry, header: tuple[str, ...]) -> dict[AgentId, tuple[tuple[str, int | None], ...]]:
+    """Per SLM agent, each of its registry names paired with the position in
+    ``header`` of the last name of the same ``canonical_name``, or None."""
+    by_canonical = {canonical_name(n): i for i, n in enumerate(header)}
     return {a: tuple((n, by_canonical.get(canonical_name(n))) for n in ns) for a, ns in registry.domains.items()}
 
 
@@ -215,25 +212,23 @@ def load_registry(path: str | Path) -> FeatureRegistry:
     return read_json(path, decode)
 
 
-def project(
-    record: AccidentRecord,
-    agent: AgentId,
-    registry: FeatureRegistry | None = None,
-) -> dict[str, FeatureValue]:
+def project(record: AccidentRecord, agent: AgentId) -> dict[str, FeatureValue]:
     """Select the feature subset the given agent reasons about.
 
     The ML agent gets the full map unchanged. An SLM agent gets exactly its
-    features, in declaration order, under ``registry``, else the registry its
-    record was read under, else the default; features the record lacks are
-    filled with missing markers so the prompt shape stays stable. Names are
-    matched by ``canonical_name`` once per distinct header and registry.
+    features, in declaration order, under the registry its record was read
+    under, else the default; features the record lacks are filled with missing
+    markers so the prompt shape stays stable. Names are matched by
+    ``canonical_name`` once per file read, and on each call for a plain mapping.
     """
     if agent is AgentId.ML:
         return dict(record.features.items())
     features = record.features
-    registry = registry or (features.registry if isinstance(features, _Row) else _DEFAULT_REGISTRY)
-    pairs = _resolve(registry, tuple(features)).get(agent, ())
-    return {name: _MISSING if key is None else features[key] for name, key in pairs}
+    if isinstance(features, _Row):
+        values, layout = features._values, features.layout
+    else:
+        values, layout = tuple(features.values()), _layout(_DEFAULT_REGISTRY, tuple(features))
+    return {name: _MISSING if i is None else values[i] for name, i in layout.get(agent, ())}
 
 
 def format_features(subset: Mapping[str, FeatureValue]) -> str:
@@ -277,7 +272,7 @@ def ingest_csv(
     labels in {1,2,3,4} and an optional "id" column supplies identifiers.
     Unparseable numerics become missing values. Two headers with the same
     ``canonical_name``, or one naming no feature of a given ``registry``, raise
-    SchemaError; records carry ``registry`` (else the default) for ``project``.
+    SchemaError; records carry ``_layout(registry or default)`` for ``project``.
     Bad rows raise RowError, which is collected (into ``errors_out`` when
     given) rather than fatal; the 101st bad row, not collected, raises
     SchemaError, as do a file that is not UTF-8 and a cell past the csv
@@ -301,10 +296,9 @@ def ingest_csv(
             label_col = columns.get("severity")
             is_feature = [i != id_col and i != label_col for i in range(len(header))]
             positions = {name: i for i, name in enumerate(compress(header, is_feature))}  # shared by the file's records
-            if registry is not None:
-                if all(key is None for pairs in _resolve(registry, tuple(positions)).values() for _, key in pairs):
-                    raise SchemaError(f"{path}: no registry feature matches the header")
-            registry = registry or _DEFAULT_REGISTRY
+            layout = _layout(registry or _DEFAULT_REGISTRY, tuple(positions))
+            if registry is not None and all(i is None for pairs in layout.values() for _, i in pairs):
+                raise SchemaError(f"{path}: no registry feature matches the header")
             parse = cache(_parse_cell)  # one entry per distinct cell text, for this call only
 
             records: list[AccidentRecord] = []
@@ -320,7 +314,7 @@ def ingest_csv(
                     if rec_id in seen_ids:
                         raise RowError(row_num, f"duplicate id {rec_id!r}")
                     label = _parse_label(cells[label_col], row_num) if label_col is not None else None
-                    features = _Row(positions, tuple(map(parse, compress(cells, is_feature))), registry)
+                    features = _Row(positions, tuple(map(parse, compress(cells, is_feature))), layout)
                     seen_ids.add(rec_id)
                     records.append(AccidentRecord(id=rec_id, features=features, label=label))
                 except RowError as err:

@@ -308,7 +308,6 @@ def test_predict_without_agents_exits(tmp_path, input_file):
         main(["predict", "--input", str(input_file), "--trace", str(tmp_path / "t.jsonl")])
 
 
-MISSING = "scenarios[0]: ImbalanceScenario.__init__() missing 1 required positional argument"
 NOT_A_NUMBER = "scenarios[0].distribution.1 must be a finite number"
 
 
@@ -320,10 +319,10 @@ NOT_A_NUMBER = "scenarios[0].distribution.1 must be a finite number"
             "scenarios[0].distribution: severity class keys must be 1-4, got '5'",
         ),
         ({"name": "broken", "distribution": {"1": "half", "2": 0.5}}, NOT_A_NUMBER),
-        ({"name": "broken"}, f"{MISSING}: 'distribution'"),
+        ({"name": "broken"}, "scenarios[0].distribution is missing"),
         ({"name": "broken", "distribution": {"1": float("nan"), "2": 1.0}}, NOT_A_NUMBER),
         ("broken", "scenarios[0] must be a JSON object"),
-        ({"distribution": {"1": 1.0}}, f"{MISSING}: 'name'"),
+        ({"distribution": {"1": 1.0}}, "scenarios[0].name is missing"),
         ({"name": 3, "distribution": {"2": 1.0}}, "scenarios[0].name must be a string"),
         # Loaded as proportions, these would fail later, in the sampler.
         ({"name": "broken", "distribution": {"1": True, "2": 0, "3": 0, "4": 0}}, NOT_A_NUMBER),

@@ -373,7 +373,7 @@ class TestConfigSerialization:
     @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("", {"prediction": 2, "confidence": 0.5}, "^AgentOutput: .*missing 1 required positional argument: 'agent'"),
+            ("", {"prediction": 2, "confidence": 0.5}, "^agent is missing$"),
             ("outputs[1]", {"agent": "ml", "prediction": None, "confidence": 0.5}, r"^outputs\[1\]: non-failed output"),
         ],
     )

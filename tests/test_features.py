@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from marble import features as features_module
@@ -99,6 +99,10 @@ class TestRegistry:
             names = {canonical_name(n) for n in registry.domain_features(agent)}
             assert not seen & names
             seen |= names
+
+    def test_registries_compare_by_value(self):
+        assert default_registry() == FeatureRegistry(dict(default_registry().domains))
+        assert default_registry() != FeatureRegistry({AgentId.SPATIAL: ("Latitude",)})
 
     def test_only_slm_domains_take_assignments(self):
         with pytest.raises(ValueError):
@@ -187,7 +191,7 @@ class TestProject:
         record = AccidentRecord(id="p", features=features)
         union: set[str] = set()
         for agent in SLM_AGENT_IDS:
-            keys = set(project(record, agent, registry))
+            keys = set(project(record, agent))
             assert not union & keys  # disjoint across domains
             union |= keys
         assert union == set(assigned(registry))
@@ -202,14 +206,24 @@ class TestProject:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_call_reference(self, data):
-        registry = data.draw(st.none() | registries)
-        record = AccidentRecord("h", data.draw(headers(registry or default_registry())))
-        for agent in AgentId:
-            expected = reference_project(record, agent, registry or default_registry())
-            for _ in range(2):  # the second call reads the header's stored entry
-                projected = project(record, agent, registry)
-                assert list(projected) == list(expected)
-                assert all(projected[name] is value for name, value in expected.items())
+        # A plain mapping, whose names may share a canonical form: the later one's value wins.
+        record = AccidentRecord("h", data.draw(headers(default_registry())))
+        assert_projects_as_the_reference(record, default_registry())
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_ingested_record_matches_the_per_call_reference_under_its_registry(self, data):
+        registry = data.draw(registries.filter(assigned))
+        names = st.sampled_from(assigned(registry)).flatmap(spellings) | _other_names
+        header = data.draw(st.lists(names, min_size=1, max_size=8, unique_by=canonical_name))
+        covered = {canonical_name(n) for n in assigned(registry)} & {canonical_name(h) for h in header}
+        assume(covered and any(h.strip() for h in header))  # else ingest_csv rejects the header
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows([header, [data.draw(_cells) for _ in header]])
+            (record,) = ingest_csv(path, registry)
+        assert_projects_as_the_reference(record, registry)
 
     def test_projection_keeps_nothing_per_record(self, tmp_path):
         names = assigned(default_registry()) + ("Extra",)
@@ -217,24 +231,22 @@ class TestProject:
         path = tmp_path / "data.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         records = ingest_csv(path)
-        registry = default_registry()  # fresh, so its one entry for the header counts
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for record in records:
                 for agent in AgentId:
-                    project(record, agent, registry)
+                    project(record, agent)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained < 64 * len(records)
+        assert retained < 4096
 
     def test_threads_projecting_at_once_agree_with_the_reference(self):
-        # Records of 40 headers, projected on 8 threads at once through one
-        # registry: a torn or lost entry shows as a wrong projection or a
-        # header missing from the map.
+        # Records of 40 headers, projected on 8 threads at once under the
+        # default registry: each projection must equal the reference.
         registry = default_registry()
         base = assigned(registry)
         records = []
@@ -246,7 +258,7 @@ class TestProject:
 
         def work(k: int) -> None:
             for r in records[5 * k:] + records[: 5 * k]:
-                results[k][r.id] = [project(r, a, registry) for a in AgentId]
+                results[k][r.id] = [project(r, a) for a in AgentId]
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
         interval = sys.getswitchinterval()
@@ -260,7 +272,6 @@ class TestProject:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 8
-        assert features_module._resolve.cache_info().currsize >= len(records)
 
     def test_records_with_ever_new_headers_keep_little_on_the_default_registry(self):
         # Client-built feature maps with one varying field: each record brings
@@ -279,7 +290,7 @@ class TestProject:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained < 64 * 2000
+        assert retained < 4096
 
 
 def reference_project(record: AccidentRecord, agent: AgentId, registry: FeatureRegistry) -> dict[str, FeatureValue]:
@@ -290,6 +301,15 @@ def reference_project(record: AccidentRecord, agent: AgentId, registry: FeatureR
     by_canonical = {canonical_name(n): v for n, v in record.features.items()}
     missing = features_module._MISSING
     return {name: by_canonical.get(canonical_name(name), missing) for name in registry.domains.get(agent, ())}
+
+
+def assert_projects_as_the_reference(record: AccidentRecord, registry: FeatureRegistry) -> None:
+    """Every agent's projection equals the reference in keys, order and value identity."""
+    for agent in AgentId:
+        expected = reference_project(record, agent, registry)
+        projected = project(record, agent)
+        assert list(projected) == list(expected)
+        assert all(projected[name] is value for name, value in expected.items())
 
 
 _SEPARATORS = st.sampled_from([" ", "  ", "_", "-", " - ", "__"])
@@ -502,9 +522,7 @@ class TestIngestCsv:
         (record,) = ingest_csv(path, FeatureRegistry({AgentId.SPATIAL: ("Foo",)}))
         assert project(record, AgentId.SPATIAL) == {"Foo": FeatureValue.categorical("bar")}
         assert project(record, AgentId.ENVIRONMENTAL) == {}
-        # A registry given to ``project`` wins; a file read under none projects under the default.
-        default = default_registry()
-        assert list(project(record, AgentId.SPATIAL, default)) == list(default.domain_features(AgentId.SPATIAL))
+        # A file read under no registry projects under the default.
         (plain,) = ingest_csv(path)
         assert project(plain, AgentId.ENVIRONMENTAL)["Humidity"] == FeatureValue.numeric(0.5)
 

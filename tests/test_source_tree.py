@@ -96,7 +96,14 @@ def test_only_cli_main_exits():
 
 def test_only_features_and_the_cli_know_the_registry():
     """Records carry the registry they were read under (``ingest_csv``), so the
-    engine and the harness neither take one nor name its type."""
+    engine and the harness neither take one nor name its type; in ``features.py``
+    only ``_layout`` and ``ingest_csv`` take one, and ``project`` takes the record
+    and the agent alone."""
+    nodes = ast.walk(ast.parse((PACKAGE / "features.py").read_text(encoding="utf-8")))
+    functions = {node.name: node.args for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    arguments = {name: [a.arg for a in ast.walk(args) if isinstance(a, ast.arg)] for name, args in functions.items()}
+    assert sorted(name for name, args in arguments.items() if "registry" in args) == ["_layout", "ingest_csv"]
+    assert arguments["project"] == ["record", "agent"]
     for name in ("engine.py", "harness.py"):
         nodes = list(ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
         takers = [
