@@ -407,12 +407,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 def read_json(path: str | Path, decode: Callable[[Any], Any] = lambda document: document) -> Any:
     """``decode`` of the JSON document in the UTF-8 file ``path``; ConfigError
-    naming the file if it is not UTF-8, not JSON, gives a key twice in one
-    object, or ``decode`` rejects it with a ValueError."""
+    naming the file if it is not UTF-8, not JSON, nested too deeply to parse,
+    gives a key twice in one object, or ``decode`` rejects it with a ValueError."""
     try:
         return decode(json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or a ConfigError naming a field
         raise ConfigError(f"{path}: {exc}") from None
+    except RecursionError:  # fixed wording: CPython's names the container and varies by version
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def load_config(path: str | Path) -> EngineConfig:

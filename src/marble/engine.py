@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .agents.base import Agent
 from .agents.backends import SlmBackend
@@ -149,70 +149,74 @@ def run_instance(
     coordination_backend: SlmBackend | None = None,
     coordinator: Coordinator | None = None,
 ) -> tuple[FinalDecision, TraceRecord]:
-    """Run the full pipeline on one record.
+    """Run the full pipeline on one record; each call is a run of its own and makes the run's checks.
 
     When no agent produces a usable output, the decision is ``abstain()`` and
     the trace's ``coordination`` is None, as ``fuse`` returns them.
     """
-    identities = _check_run(agents, cfg, coordination_backend, coordinator)
-
-    start = time.perf_counter()
-    notes: list[str] = []
-
-    # Stage 1: per-agent projections.
-    projections = {identity: project(record, identity) for identity in identities}
-    stage1_done = time.perf_counter()
-
-    # Stage 2: dispatch all agents, then block until each resolves or its
-    # deadline passes. Late results are discarded irrevocably.
-    deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
-    outputs, landed = _gather([partial(a.evaluate, projections[i]) for a, i in zip(agents, identities)], deadline)
-    for n, identity in enumerate(identities):
-        if outputs[n] is _ABANDONED:
-            outputs[n] = AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS)
-            notes.append(f"agent {identity.value} abandoned past the barrier deadline")
-        elif not isinstance(outputs[n], AgentOutput) or outputs[n].agent is not identity:
-            raise AgentContractError(f"agent {identity.value} returned {outputs[n]!r}, not an AgentOutput of its own")
-    outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
-    completed = sorted(zip(identities, landed), key=lambda pair: AGENT_ORDER[pair[0]])
-    stage2_done = time.perf_counter()
-
-    # Stage 3: coordination over the surviving outputs, then the cascade.
-    timings: dict[str, object] = {
-        "stage1_ms": _ms(start, stage1_done),
-        "stage2_ms": _ms(stage1_done, stage2_done),
-        "stage3_start_ms": _ms(start, stage2_done),
-        "agent_completed_ms": {a.value: _ms(start, t) for a, t in completed},
-    }
-    coordination, decision = fuse(
-        outputs, cfg, coordination_backend=coordination_backend, coordinator=coordinator, notes=notes
-    )
-    end = time.perf_counter()
-    timings["stage3_ms"] = _ms(stage2_done, end)
-    timings["total_ms"] = _ms(start, end)
-    return decision, TraceRecord(
-        record_id=record.id,
-        projections=projections,
-        agent_outputs=tuple(outputs),
-        coordination=coordination,
-        decision=decision,
-        timings=timings,
-        config_fingerprint=cfg.fingerprint(),
-        notes=tuple(notes),
-    )
+    return _prepare(agents, cfg, coordination_backend, coordinator)(record)
 
 
-def _check_run(
+def _prepare(
     agents: Sequence[Agent], cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None
-) -> list[AgentId]:
-    """The agents' identities; ValueError for no agent, two of one identity, or LLM mode with no coordinator."""
+) -> Callable[[AccidentRecord], tuple[FinalDecision, TraceRecord]]:
+    """The function that runs one record through the three stages, once the
+    run's checks pass: ValueError for no agent, two of one identity, or LLM
+    mode with no coordinator. The agents' identities are read here, once."""
     if not agents:
         raise ValueError("at least one agent must be configured")
     identities = [a.identity() for a in agents]
     if len(set(identities)) != len(identities):
         raise ValueError("agent identities must be distinct")
     _require_a_coordinator(cfg, backend, coordinator)
-    return identities
+
+    def run(record: AccidentRecord) -> tuple[FinalDecision, TraceRecord]:
+        start = time.perf_counter()
+        notes: list[str] = []
+
+        # Stage 1: per-agent projections.
+        projections = {identity: project(record, identity) for identity in identities}
+        stage1_done = time.perf_counter()
+
+        # Stage 2: dispatch all agents, then block until each resolves or its
+        # deadline passes. Late results are discarded irrevocably.
+        deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
+        outputs, landed = _gather([partial(a.evaluate, projections[i]) for a, i in zip(agents, identities)], deadline)
+        for n, identity in enumerate(identities):
+            if outputs[n] is _ABANDONED:
+                outputs[n] = AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS)
+                notes.append(f"agent {identity.value} abandoned past the barrier deadline")
+            elif not isinstance(outputs[n], AgentOutput) or outputs[n].agent is not identity:
+                raise AgentContractError(
+                    f"agent {identity.value} returned {outputs[n]!r}, not an AgentOutput of its own"
+                )
+        outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
+        completed = sorted(zip(identities, landed), key=lambda pair: AGENT_ORDER[pair[0]])
+        stage2_done = time.perf_counter()
+
+        # Stage 3: coordination over the surviving outputs, then the cascade.
+        timings: dict[str, object] = {
+            "stage1_ms": _ms(start, stage1_done),
+            "stage2_ms": _ms(stage1_done, stage2_done),
+            "stage3_start_ms": _ms(start, stage2_done),
+            "agent_completed_ms": {a.value: _ms(start, t) for a, t in completed},
+        }
+        coordination, decision = fuse(outputs, cfg, coordination_backend=backend, coordinator=coordinator, notes=notes)
+        end = time.perf_counter()
+        timings["stage3_ms"] = _ms(stage2_done, end)
+        timings["total_ms"] = _ms(start, end)
+        return decision, TraceRecord(
+            record_id=record.id,
+            projections=projections,
+            agent_outputs=tuple(outputs),
+            coordination=coordination,
+            decision=decision,
+            timings=timings,
+            config_fingerprint=cfg.fingerprint(),
+            notes=tuple(notes),
+        )
+
+    return run
 
 
 def _require_a_coordinator(cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None) -> None:
@@ -263,37 +267,31 @@ def fuse(
     return coordination, final_decide(ml_output, coordination, rule_based.override_applied, cfg)
 
 
-def _iter_instances(
-    records: Sequence[AccidentRecord],
-    agents: Sequence[Agent],
-    cfg: EngineConfig,
-    max_workers: int,
-    **options,
-) -> Iterator[tuple[FinalDecision, TraceRecord]]:
-    """Yield each record's result in input order as soon as it and every
-    earlier record are done, or raise the first error in input order;
-    ``options`` go to ``run_instance``. Once the caller stops, by an error or
-    ``close()``, no further record starts, and the record threads are joined."""
-    one = partial(run_instance, agents=agents, cfg=cfg, **options)
+def _in_order(fn: Callable[[Any], Any], items: Sequence, max_workers: int) -> Iterator:
+    """Yield ``fn`` of each item in input order as soon as it and every
+    earlier item are done, or raise the first error in input order; serially
+    below 2 workers, else on up to ``max_workers`` threads of this call. Once
+    the caller stops, by an error or ``close()``, no further item starts, and
+    the threads are joined."""
     if max_workers <= 1:
-        yield from map(one, records)
+        yield from map(fn, items)
         return
-    indices, replies, done = iter(range(len(records))), queue.SimpleQueue(), {}
+    indices, replies, done = iter(range(len(items))), queue.SimpleQueue(), {}
 
     def work() -> None:
         for index in indices:
             try:
-                replies.put((index, one(records[index]), None))
+                replies.put((index, fn(items[index]), None))
             except BaseException as error:
                 replies.put((index, None, error))
 
     # Threads of this call, not the agent pool: records kept its deep-stack threads alive, raising peak RSS.
-    threads = [threading.Thread(target=work, name="marble-record") for _ in range(min(max_workers, len(records)))]
+    threads = [threading.Thread(target=work, name="marble-record") for _ in range(min(max_workers, len(items)))]
     for thread in threads:
         thread.start()
     try:
-        for index in range(len(records)):
-            while index not in done:  # a finished record waits in ``done`` for every earlier one
+        for index in range(len(items)):
+            while index not in done:  # a finished item waits in ``done`` for every earlier one
                 finished, result, error = replies.get()
                 done[finished] = (result, error)
             result, error = done.pop(index)
@@ -301,7 +299,7 @@ def _iter_instances(
                 raise error
             yield result
     finally:
-        for _ in indices:  # take every index left, so no thread starts another record
+        for _ in indices:  # take every index left, so no thread starts another item
             pass
         for thread in threads:
             thread.join()
@@ -317,10 +315,8 @@ def run_instances(
     max_workers: int = 1,
 ) -> list[tuple[FinalDecision, TraceRecord]]:
     """Run every record, preserving input order; each pair is the one
-    ``run_instance`` returns for its record, whose checks run even for no record."""
-    _check_run(agents, cfg, coordination_backend, coordinator)
-    options = dict(coordination_backend=coordination_backend, coordinator=coordinator)
-    return list(_iter_instances(records, agents, cfg, max_workers, **options))
+    ``run_instance`` returns for its record. The run's checks run once, even for no record."""
+    return list(_in_order(_prepare(agents, cfg, coordination_backend, coordinator), records, max_workers))
 
 
 def run_batch(
@@ -335,18 +331,17 @@ def run_batch(
 ) -> list[FinalDecision]:
     """Batch inference with JSON Lines trace persistence.
 
-    The sink is opened after ``run_instance``'s checks, so a run that cannot
+    The sink is opened after the run's checks, so a run that cannot
     start leaves an existing file as it was, and before any record runs, so
     an unwritable path fails fast. One trace object per line, in input order;
     each line is written and flushed as soon as its record and every earlier
     one are done, so a run that fails part-way leaves a valid partial file.
     """
-    _check_run(agents, cfg, coordination_backend, coordinator)
-    options = dict(coordination_backend=coordination_backend, coordinator=coordinator)
+    run = _prepare(agents, cfg, coordination_backend, coordinator)
     decisions: list[FinalDecision] = []
     # A lone surrogate (half an emoji pair) in a reply is written as its JSON escape.
     with open(trace_sink, "w", encoding="utf-8", errors="backslashreplace") as sink:
-        for decision, trace in _iter_instances(records, agents, cfg, max_workers, **options):
+        for decision, trace in _in_order(run, records, max_workers):
             sink.write(json.dumps(trace.to_dict(), ensure_ascii=False) + "\n")
             sink.flush()
             decisions.append(decision)

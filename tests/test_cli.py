@@ -556,6 +556,7 @@ REJECTED = {
             ("malformed-json", MALFORMED_JSON),
             ("bad-shape", bad_shape),
             ("not-utf8", LATIN_1_JSON),
+            ("deeply-nested", (b"[" * 200_000, "{path}: JSON nested too deeply")),
         ]
     },
     # The scripted SLM agents read no feature of a file with none.

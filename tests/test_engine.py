@@ -6,12 +6,16 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marble.coordination
 import marble.engine
@@ -567,7 +571,7 @@ class TestRecordThreads:
             return 2, 0.6
 
         records = [weather_record(f"c{i}", str(i)) for i in range(200)]
-        results = marble.engine._iter_instances(records, [indexed_agent(respond)], cfg, 4)
+        results = marble.engine._in_order(marble.engine._prepare([indexed_agent(respond)], cfg, None, None), records, 4)
         next(results)
         results.close()
         assert not record_threads()
@@ -594,6 +598,119 @@ def mixed_agents(cfg: EngineConfig) -> list:
             script[f": {token}\n"] = "cannot comply" if answer is None else payload(*answer)
         agents.append(SlmAgent(kind, ScriptedBackend(script), cfg))
     return agents
+
+
+class ItemFailed(Exception):
+    """What ``fn`` raises on a failing item."""
+
+
+class TestInOrder:
+    """``_in_order`` alone, over plain items and a plain function."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        items=st.lists(st.integers(0, 9), max_size=20),
+        raising=st.sets(st.integers(0, 9)),
+        sleeps=st.lists(st.sampled_from([0.0, 0.0005, 0.002]), min_size=10, max_size=10),
+        max_workers=st.integers(1, 8),
+    )
+    def test_results_and_the_first_error_come_in_input_order(self, items, raising, sleeps, max_workers):
+        def fn(item: int) -> int:
+            time.sleep(sleeps[item])
+            if item in raising:
+                raise ItemFailed(item)
+            return item * item
+
+        first = next((n for n, item in enumerate(items) if item in raising), None)
+        results = []
+        with pytest.raises(ItemFailed) if first is not None else nullcontext() as failure:
+            for value in marble.engine._in_order(fn, items, max_workers):
+                results.append(value)
+        assert results == [fn(item) for item in items[:first]]
+        if first is not None:
+            assert failure.value.args == (items[first],)
+        assert not record_threads()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        count=st.integers(0, 20),
+        taken=st.integers(0, 20),
+        sleeps=st.lists(st.sampled_from([0.0, 0.0005, 0.002]), min_size=20, max_size=20),
+        max_workers=st.integers(1, 8),
+    )
+    def test_closing_early_starts_no_further_call_and_leaves_no_thread(self, count, taken, sleeps, max_workers):
+        # The items past those taken wait for ``release``, set only once ``close()`` has begun: each thread
+        # holds at most one of them then, where a map that let its threads go on would run them all.
+        started, release, taken = [], threading.Event(), min(taken, count)
+
+        def fn(item: int) -> int:
+            started.append(item)
+            if item >= taken:
+                release.wait()
+            time.sleep(sleeps[item])
+            return item
+
+        results = marble.engine._in_order(fn, range(count), max_workers)
+        assert [next(results) for _ in range(taken)] == list(range(taken))
+        threading.Timer(0.05, release.set).start()
+        results.close()
+        assert not record_threads()
+        assert len(started) <= taken + (min(max_workers, count) if max_workers > 1 else 0)
+        calls = len(started)
+        time.sleep(0.005)
+        assert len(started) == calls
+
+
+class CountingAgent(ScriptedAgent):
+    """A scripted agent that counts the reads of its identity."""
+
+    def __init__(self, kind: AgentId):
+        super().__init__(kind, prediction=2, confidence=0.6)
+        self.reads = 0
+
+    def identity(self) -> AgentId:
+        self.reads += 1
+        return super().identity()
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_a_run_reads_each_agents_identity_once(self, cfg, tmp_path, max_workers):
+        records = [record(f"i{i}") for i in range(5)]
+        runs = {
+            "run_instances": lambda agents: run_instances(records, agents, cfg, max_workers=max_workers),
+            "run_batch": lambda agents: run_batch(records, agents, cfg, tmp_path / "t.jsonl", max_workers=max_workers),
+        }
+        for name, run in runs.items():
+            agents = [CountingAgent(kind) for kind in AgentId]
+            assert len(run(agents)) == 5
+            assert [a.reads for a in agents] == [1] * 5, name
+
+    def test_each_call_of_run_instance_is_a_run_of_its_own(self, cfg):
+        agents = [CountingAgent(kind) for kind in AgentId]
+        for n in range(3):
+            run_instance(record(f"i{n}"), agents, cfg)
+        assert [a.reads for a in agents] == [3] * 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tokens=st.lists(st.sampled_from([f"t{i}" for i in range(12)] + ["poison"]), max_size=12),
+    max_workers=st.integers(1, 8),
+)
+def test_run_batch_writes_the_serial_decisions_and_traces_at_any_worker_count(tokens, max_workers):
+    cfg = validate_config(EngineConfig(coordination_mode=CoordinationMode.LLM_BASED))
+    records = [weather_record(f"p{n}", token) for n, token in enumerate(tokens)]
+    agents, backend = mixed_agents(cfg), synth.fallible_coordinator()
+    runs = []
+    with tempfile.TemporaryDirectory() as directory:
+        for workers in (1, max_workers):
+            sink = Path(directory) / f"{workers}.jsonl"
+            decisions = run_batch(records, agents, cfg, sink, coordination_backend=backend, max_workers=workers)
+            lines = [json.loads(line) for line in sink.read_text(encoding="utf-8").splitlines()]
+            runs.append((decisions, [json.dumps(strip_timings(line), ensure_ascii=False) for line in lines]))
+    assert runs[0] == runs[1]
+    assert not record_threads()
 
 
 class TestAgentThreads:

@@ -81,6 +81,29 @@ def test_only_read_json_and_the_model_reply_readers_call_json_loads():
     ]
 
 
+
+def test_every_json_loads_call_is_guarded_against_deep_nesting():
+    """A document nested deep enough raises RecursionError from ``json.loads``;
+    each call sits in a ``try`` with a handler naming it, so deep input is
+    read as malformed, not as a crash."""
+    unguarded = []
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        guarded = {
+            id(node)
+            for guard in ast.walk(tree)
+            if isinstance(guard, ast.Try)
+            and any(h.type is not None and "RecursionError" in ast.unparse(h.type) for h in guard.handlers)
+            for statement in guard.body
+            for node in ast.walk(statement)
+        }
+        unguarded += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.loads" and id(node) not in guarded
+        ]
+    assert sorted(unguarded) == []
+
 def test_only_cli_main_exits():
     """A rejected input raises a named error; ``cli.main`` alone turns one into
     a one-line exit, and the module's ``__main__`` line passes on its status."""
