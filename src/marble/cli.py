@@ -82,6 +82,8 @@ def _build_agents(cfg: EngineConfig, args):
             "no agents configured: provide --train for the ML agent and/or an "
             "endpoint url (or --scripted) for the SLM agents"
         )
+    if args.command == "ablate" and len(agents) + bool(args.train) < 2:
+        raise ConfigError("ablation needs at least two agents")
     coordinator = backends["coordinator"]
     if coordinator is None and (args.command == "imbalance" or cfg.coordination_mode is CoordinationMode.LLM_BASED):
         raise ConfigError("LLM coordination needs a coordination backend (endpoint or --scripted)")

@@ -11,8 +11,6 @@ failed) outputs, at least one, in agent order.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -47,6 +45,12 @@ class CoordinationResult:
     reasoning: str = ""
     fallback: str | None = None  # failure kind of the coordinator this result stands in for
     breakdown: VoteBreakdown | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.prediction, Severity):
+            raise ValueError(f"prediction must be a Severity, not {self.prediction!r}")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence {self.confidence} outside [0,1]")
 
     def to_dict(self) -> dict:
         """The trace form: the fields in declaration order, the method by
@@ -105,8 +109,7 @@ def rb_predict(breakdown: VoteBreakdown, cfg: EngineConfig) -> Severity:
     scores = breakdown.scores
     voted = [k for k in ALL_SEVERITIES if breakdown.supporters[k]]
     best = max(scores[k] for k in voted)
-    # ``== best`` keeps a best that overflowed to inf in the tie: inf - inf is NaN.
-    tied = [k for k in voted if best - scores[k] <= cfg.tie_epsilon or scores[k] == best]
+    tied = [k for k in voted if best - scores[k] <= cfg.tie_epsilon]
     return min(tied, key=lambda k: (len(breakdown.supporters[k]), 0 if k.is_rare else 1, int(k)))
 
 
@@ -131,12 +134,6 @@ def weighted_avg_confidence(prediction: Severity, outputs: Sequence[AgentOutput]
     denominator = sum(w for w, _ in votes)
     if denominator == 0.0:
         return cfg.fallback_confidence
-    if denominator == math.inf or denominator < sys.float_info.min:
-        # A sum past the float range (inf / inf) or below its normal range
-        # (rounded products) loses the mean: rescale by the largest weight.
-        top = max(w for w, _ in votes)
-        votes = [(w / top, c) for w, c in votes]
-        denominator = sum(w for w, _ in votes)
     return sum(w * c for w, c in votes) / denominator
 
 

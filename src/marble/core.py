@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
@@ -86,6 +87,10 @@ class AgentOutput:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.agent, AgentId):
+            raise ValueError(f"agent must be an AgentId, not {self.agent!r}")
+        if not (self.prediction is None or isinstance(self.prediction, Severity)):
+            raise ValueError(f"prediction must be a Severity or None, not {self.prediction!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0,1]")
         if not 0.0 <= self.raw_confidence <= 1.0:
@@ -114,13 +119,14 @@ class CoordinationMode(Enum):
     LLM_BASED = "llm"
 
 
-# Config number types: each field declares its ranges with its type, as
-# (test, message) pairs. A wait much beyond a day overflows the platform's
-# timeout range.
+# Config number types: each field declares its ranges with its type, as (test, message) pairs. A wait
+# much beyond a day overflows the platform's timeout range; a weight below the smallest normal float
+# loses its products to rounding.
 _POSITIVE = (lambda x: x > 0, "must be > 0")
 Unit = Annotated[float, (lambda x: 0.0 <= x <= 1.0, "must lie in [0,1]")]
 OpenUnit = Annotated[float, (lambda x: 0.0 < x <= 1.0, "must lie in (0,1]")]
 Positive = Annotated[float, _POSITIVE]
+Weight = Annotated[float, _POSITIVE, (lambda x: x >= sys.float_info.min, f"must be >= {sys.float_info.min}")]
 NonNegative = Annotated[float, (lambda x: x >= 0, "must be >= 0")]
 PositiveInt = Annotated[int, _POSITIVE]
 TimeoutMs = Annotated[int, _POSITIVE, (lambda x: x <= 86_400_000, "must be <= 86400000")]
@@ -192,7 +198,7 @@ class EngineConfig:
     ``to_dict`` and ``from_dict`` need to know about it.
     """
 
-    agent_weights: Mapping[AgentId, Positive] = field(default_factory=_default_agent_weights)
+    agent_weights: Mapping[AgentId, Weight] = field(default_factory=_default_agent_weights)
     class_factors: Mapping[Severity, Positive] = field(default_factory=_default_class_factors)
     tau_ml_high: Unit = 0.75
     tau_ml_corrob: Unit = 0.8
@@ -383,7 +389,10 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         if k not in checked.class_factors:
             raise ConfigError(f"class_factors.{int(k)} is missing")
     cal = checked.calibration
+    # Twice the largest class score or sum of weights a vote can reach: finite, it leaves both room to round.
+    bound = max(1.0, *checked.class_factors.values()) * sum(checked.agent_weights.get(a, 1.0) for a in AgentId) * 2
     for holds, message in (
+        (math.isfinite(bound), "max(1, largest class factor) * sum of agent_weights * 2 must be finite"),
         (checked.fallback_confidence <= checked.confidence_cap, "fallback_confidence must be <= confidence_cap"),
         (checked.tau_ml_high <= checked.tau_ml_corrob, "tau_ml_high must be <= tau_ml_corrob"),
         (cal.high_cap >= cal.high_gate, "calibration.high_cap must be >= calibration.high_gate"),

@@ -333,16 +333,17 @@ def run_batch(
 
     The sink is opened after the run's checks, so a run that cannot
     start leaves an existing file as it was, and before any record runs, so
-    an unwritable path fails fast. One trace object per line, in input order;
-    each line is written and flushed as soon as its record and every earlier
-    one are done, so a run that fails part-way leaves a valid partial file.
+    an unwritable path fails fast. One trace object per line, in input order, in
+    strict JSON (a number that is not finite fails the run); each line is written
+    and flushed as soon as its record and every earlier one are done, so a run
+    that fails part-way leaves a valid partial file.
     """
     run = _prepare(agents, cfg, coordination_backend, coordinator)
     decisions: list[FinalDecision] = []
     # A lone surrogate (half an emoji pair) in a reply is written as its JSON escape.
     with open(trace_sink, "w", encoding="utf-8", errors="backslashreplace") as sink:
         for decision, trace in _in_order(run, records, max_workers):
-            sink.write(json.dumps(trace.to_dict(), ensure_ascii=False) + "\n")
+            sink.write(json.dumps(trace.to_dict(), ensure_ascii=False, allow_nan=False) + "\n")
             sink.flush()
             decisions.append(decision)
     return decisions

@@ -1,4 +1,5 @@
-"""Synthetic datasets, scripted agents and a fake backend for end-to-end harness tests.
+"""Synthetic datasets, scripted agents, a fake backend and the ends of the
+accepted config range, for end-to-end harness tests.
 
 Each record's label is hinted through one feature per agent domain
 ("sig1".."sig4"); a hint is correct with a configurable per-agent
@@ -13,11 +14,13 @@ import hashlib
 import json
 import random
 import re
+import struct
+import sys
 import time
 from typing import Callable, Mapping, Sequence
 
 from marble.agents import BackendTimeoutError, ScriptedBackend, SlmAgent
-from marble.core import AgentId, AgentOutput, DecodingParams, EngineConfig, Severity
+from marble.core import AgentId, AgentOutput, ConfigError, DecodingParams, EngineConfig, Severity, validate_config
 from marble.features import AccidentRecord, FeatureValue
 
 Responder = Callable[[Mapping[str, FeatureValue]], "AgentOutput | tuple[int, float] | None"]
@@ -220,3 +223,37 @@ def fallible_coordinator() -> FakeBackend:
         return json.dumps({"severity": severity, "confidence": 0.45, "reasoning": "first report"})
 
     return FakeBackend(script)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def accepted(doc: Mapping) -> bool:
+    """Whether ``validate_config`` accepts the config document ``doc``."""
+    try:
+        validate_config(EngineConfig.from_dict(doc))
+    except ConfigError:
+        return False
+    return True
+
+
+def largest_admitted(doc_for: Callable[[float], Mapping]) -> float:
+    """The largest float x for which ``validate_config`` accepts the config
+    document ``doc_for(x)``, given that it accepts ``sys.float_info.min`` and
+    every x below one it accepts. Bisects the bit patterns of the positive
+    floats, which order as the floats do."""
+    assert accepted(doc_for(sys.float_info.min))
+    low, high = _bits(sys.float_info.min), _bits(float("inf"))
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if accepted(doc_for(_from_bits(middle))) else (low, middle)
+    return _from_bits(low)
+
+
+# The largest weight the spatial and temporal agents may share under the default class factors.
+LARGEST_PAIR = largest_admitted(lambda w: {"agent_weights": {"spatial": w, "temporal": w}})

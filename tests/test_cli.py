@@ -55,6 +55,18 @@ def input_file(tmp_path):
     return write_csv(tmp_path / "input.csv", [2, 2, 3])
 
 
+@pytest.fixture
+def called(monkeypatch) -> list[str]:
+    """The name of ``ml_train`` or ``ingest_csv`` each time the CLI calls it."""
+    names: list[str] = []
+    for name in ("ml_train", "ingest_csv"):
+        real = getattr(marble.cli, name)
+        monkeypatch.setattr(
+            marble.cli, name, lambda *a, name=name, real=real, **kw: names.append(name) or real(*a, **kw)
+        )
+    return names
+
+
 def test_predict_writes_stdout_and_trace(tmp_path, scripted_file, train_file, input_file, capsys):
     trace = tmp_path / "trace.jsonl"
     rc = main(
@@ -507,11 +519,18 @@ def test_llm_mode_without_a_coordinator_exits_before_writing(tmp_path, train_fil
     assert not out_dir.exists()
 
 
-def test_ablate_with_one_agent_exits_in_one_line(tmp_path, train_file, input_file):
+@pytest.mark.parametrize("agent", ["ml", "spatial"])
+def test_ablate_with_one_agent_is_rejected_before_training_or_reading_input(
+    tmp_path, called, train_file, input_file, agent
+):
+    scripted = tmp_path / "scripted.json"
+    scripted.write_text(json.dumps({"spatial": PAYLOAD_2}), encoding="utf-8")
     out_dir = tmp_path / "out"
+    options = ["--train", str(train_file)] if agent == "ml" else ["--scripted", str(scripted)]
     with pytest.raises(SystemExit) as exit_:
-        main(["ablate", "--input", str(input_file), "--train", str(train_file), "--output-dir", str(out_dir)])
+        main(["ablate", "--input", str(input_file), *options, "--output-dir", str(out_dir)])
     assert exit_.value.code == "ablation needs at least two agents"
+    assert called == []
     assert not out_dir.exists()
 
 
@@ -586,6 +605,14 @@ REJECTED = {
     ("--config", "relation"): (
         b'{"tau_ml_high": 0.95, "tau_ml_corrob": 0.5}', "{path}: tau_ml_high must be <= tau_ml_corrob"
     ),
+    # Scores past the float range would be written as Infinity, which no strict JSON reader reads.
+    ("--config", "weights-overflow"): (
+        b'{"agent_weights": {"spatial": 1e308, "temporal": 1e308}}',
+        "{path}: max(1, largest class factor) * sum of agent_weights * 2 must be finite",
+    ),
+    ("--config", "subnormal-weight"): (
+        b'{"agent_weights": {"spatial": 5e-324}}', "{path}: agent_weights.SPATIAL must be >= 2.2250738585072014e-308"
+    ),
     ("--trace", "missing-file"): NOT_FOUND,
 }
 ONLY_FOR = {"--scenarios": "imbalance", "--trace": "predict"}
@@ -597,15 +624,9 @@ COMMANDS = ("predict", "eval", "ablate", "imbalance")
     [(c, o, d) for o, d in REJECTED for c in COMMANDS if ONLY_FOR.get(o, c) == c],
 )
 def test_a_rejected_input_ends_in_one_line_before_anything_is_written(
-    tmp_path, monkeypatch, scripted_file, train_file, input_file, command, option, defect
+    tmp_path, called, scripted_file, train_file, input_file, command, option, defect
 ):
     data, message = REJECTED[option, defect]
-    called = []
-    for name in ("ml_train", "ingest_csv"):
-        real = getattr(marble.cli, name)
-        monkeypatch.setattr(
-            marble.cli, name, lambda *a, name=name, real=real, **kw: called.append(name) or real(*a, **kw)
-        )
     # Every role is scripted: a malformed endpoint.url is rejected all the same.
     path = tmp_path / ("rejected" if data is not None else "no-such-dir") / "file"
     if data is not None:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 
 import pytest
 
 from marble.agents.backends import ScriptedBackend, TransportError
-from synth import FakeBackend
+from synth import LARGEST_PAIR, FakeBackend
 from marble.coordination import (
     agreement_boost,
     check_ml_override,
@@ -16,13 +18,15 @@ from marble.coordination import (
     weighted_avg_confidence,
     weighted_scores,
 )
-from marble.core import AgentId, CoordinationMode, EngineConfig, Severity, validate_config
+from marble.core import AgentId, ConfigError, CoordinationMode, EngineConfig, Severity, validate_config
 
 ML = AgentId.ML
 ENV = AgentId.ENVIRONMENTAL
 INFRA = AgentId.INFRASTRUCTURAL
 SPA = AgentId.SPATIAL
 TEMP = AgentId.TEMPORAL
+
+RELATION = r"^max\(1, largest class factor\) \* sum of agent_weights \* 2 must be finite$"
 
 
 def five_agents(out, ml_conf=0.8):
@@ -111,16 +115,19 @@ class TestRbPredict:
         assert int(rb_predict(bd, cfg)) == 4
 
     def test_overflowing_scores_still_pick_a_class(self, cfg, out):
-        # Valid weights near the float maximum make scores overflow to inf.
-        cfg = validate_config(dataclasses.replace(cfg, agent_weights={SPA: 1.7e308, TEMP: 1.7e308}))
+        # Weights whose scores would overflow to inf are rejected; at the largest pair
+        # admitted, every score is finite and the larger one still wins.
+        with pytest.raises(ConfigError, match=RELATION):
+            validate_config(dataclasses.replace(cfg, agent_weights={SPA: 1.7e308, TEMP: 1.7e308}))
+        cfg = validate_config(dataclasses.replace(cfg, agent_weights={SPA: LARGEST_PAIR, TEMP: LARGEST_PAIR}))
         outputs = [out(SPA, 3, 0.9), out(TEMP, 4, 0.9)]
         bd = weighted_scores(outputs, cfg)
-        assert bd.scores[Severity(4)] == float("inf")
+        assert all(math.isfinite(score) for score in bd.scores.values())
         assert int(rb_predict(bd, cfg)) == 4
 
     @pytest.mark.parametrize(
         "doc, confidence",
-        [({}, 0.0), ({"agent_weights": {"spatial": 5e-324, "temporal": 5e-324}}, 0.9)],
+        [({}, 0.0), ({"agent_weights": {"spatial": sys.float_info.min, "temporal": sys.float_info.min}}, 0.9)],
     )
     def test_epsilon_tie_admits_only_supported_classes(self, out, doc, confidence):
         # Every score lies within tie_epsilon of zero, but only class 2 has supporters.
@@ -170,9 +177,10 @@ class TestWeightedAvgConfidence:
         outputs = [out(TEMP, 3, 0.42)]
         assert weighted_avg_confidence(Severity(1), outputs, cfg) == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("weight", [1e308, 5e-324])
+    @pytest.mark.parametrize("weight", [LARGEST_PAIR, sys.float_info.min])
     def test_weights_at_the_ends_of_the_float_range_keep_the_mean(self, out, weight):
-        # 2e308 overflows to inf (inf / inf is NaN); 5e-324 * 0.9 rounds to 5e-324.
+        # The ends of the accepted range: the largest pair's sum is finite, and at the
+        # smallest normal weight, weight * 0.9 is subnormal but the sum of weights is not.
         weights = {"spatial": weight, "temporal": weight}
         cfg = validate_config(EngineConfig.from_dict({"agent_weights": weights}))
         outputs = [out(SPA, 2, 0.9), out(TEMP, 2, 0.9)]

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
 import random
 import re
+import sys
+import tempfile
+from pathlib import Path
 from typing import Optional, get_type_hints
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marble.agents import ScriptedBackend, SlmAgent
@@ -35,9 +40,10 @@ from marble.core import (
     validate_config,
 )
 from marble.coordination import check_ml_override, coordinate_rb, weighted_avg_confidence
-from marble.engine import fuse
+from marble.engine import fuse, run_batch
 from marble.features import AccidentRecord, FeatureValue, default_registry, project
-from synth import FakeBackend
+import synth
+from synth import LARGEST_PAIR, FakeBackend, ScriptedAgent, accepted, largest_admitted
 
 
 class TestSeverity:
@@ -92,6 +98,20 @@ class TestAgentOutput:
         # its trace says it failed.
         with pytest.raises(ValueError, match="output requires a (prediction|failure_kind), and"):
             AgentOutput(AgentId.ML, **fields)
+
+    @pytest.mark.parametrize(
+        "agent, prediction, message",
+        [
+            (AgentId.ML, 2, "prediction must be a Severity or None, not 2"),
+            (AgentId.ML, True, "prediction must be a Severity or None, not True"),
+            (AgentId.SPATIAL, 9, "prediction must be a Severity or None, not 9"),
+            ("ml", Severity(2), "agent must be an AgentId, not 'ml'"),
+        ],
+    )
+    def test_agent_and_prediction_are_their_enums(self, agent, prediction, message):
+        # A stand-in model returning ``int(...)`` would otherwise fail deep in Stage 3.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AgentOutput(agent, prediction, 0.9)
 
     def test_ml_reasoning_must_be_empty(self):
         with pytest.raises(ValueError):
@@ -413,7 +433,9 @@ _in_range = {
     CoordinationMode: st.sampled_from(["rule", "llm"]),
 }
 _agent_keys = [a.value for a in AgentId] + ["ML", "Spatial"]
-_weights = st.dictionaries(st.sampled_from(_agent_keys), _positive, min_size=1, max_size=6)
+_weights = st.dictionaries(
+    st.sampled_from(_agent_keys), st.floats(sys.float_info.min, allow_infinity=False), min_size=1, max_size=6
+)
 _factors = st.fixed_dictionaries({k: _positive for k in "1234"})
 # The mappings, in range and (second) wild: unknown keys, missing classes.
 _mappings = {
@@ -484,51 +506,77 @@ def live_outputs(draw):
     return [AgentOutput(agent, Severity(draw(st.integers(1, 4))), draw(st.floats(0, 1))) for agent in agents]
 
 
-# Weights at both ends of the float range, where sums overflow or round.
-_extreme_weights = st.dictionaries(
-    st.sampled_from([a.value for a in AgentId]), st.sampled_from([5e-324, 1.0, 1e308]) | _positive, min_size=1
-)
+# In-range documents that meet every relation but the one of the weights and factors, which they leave out.
+_other_fields = _documents(EngineConfig, wild=False).map(
+    lambda doc: {k: v for k, v in doc.items() if k not in ("agent_weights", "class_factors")}
+).filter(accepted)
+
+
+@functools.cache
+def _largest_factor(agents: tuple[str, ...]) -> float:
+    """The largest class factor admitted with each of ``agents`` at the smallest weight."""
+    weights = dict.fromkeys(agents, sys.float_info.min)
+    return largest_admitted(lambda f: {"agent_weights": weights, "class_factors": dict.fromkeys("1234", f)})
+
+
+@functools.cache
+def _largest_weight(agents: tuple[str, ...], factors: tuple[float, ...]) -> float:
+    """The largest weight admitted for each of ``agents`` under the class factors ``factors``."""
+    class_factors = dict(zip("1234", factors))
+    return largest_admitted(lambda w: {"agent_weights": dict.fromkeys(agents, w), "class_factors": class_factors})
+
+
+@st.composite
+def accepted_documents(draw):
+    """In-range config documents that ``validate_config`` accepts, their agent weights and
+    class factors drawn at and between the ends of the accepted range, where sums overflow
+    or round. The large ends are where the relation that keeps fusion's arithmetic finite
+    stops admitting: the factors' with the drawn agents at the smallest weight, and then
+    the weights' under the drawn factors."""
+    agents = tuple(sorted(draw(st.lists(st.sampled_from([a.value for a in AgentId]), min_size=1, unique=True))))
+    factor_end = _largest_factor(agents)
+    factors = [draw(st.sampled_from([5e-324, 1.0, factor_end]) | st.floats(5e-324, factor_end)) for _ in "1234"]
+    weight_end = _largest_weight(agents, tuple(factors))
+    weight = st.sampled_from([sys.float_info.min, min(1.0, weight_end), weight_end])
+    return {
+        **draw(_other_fields),
+        "agent_weights": {a: draw(weight | st.floats(sys.float_info.min, weight_end)) for a in agents},
+        "class_factors": dict(zip("1234", factors)),
+    }
 
 
 class TestFusionProperties:
     @given(
-        _documents(EngineConfig, wild=False),
-        _extreme_weights,
+        accepted_documents(),
         live_outputs(),
         st.lists(st.sampled_from(list(AgentId)), max_size=3),
         st.randoms(use_true_random=False),
         _replies,
     )
-    @example(  # two weights that sum past the float maximum
-        {},
-        {"spatial": 1e308, "temporal": 1e308},
+    @example(  # the largest pair of weights the relation admits
+        {"agent_weights": {"spatial": LARGEST_PAIR, "temporal": LARGEST_PAIR}},
         [AgentOutput(AgentId.SPATIAL, Severity(2), 0.9), AgentOutput(AgentId.TEMPORAL, Severity(2), 0.9)],
         [],
         random.Random(0),
         "no answer",
     )
     @example(  # every score within tie_epsilon of zero, only class 2 voted for
-        {},
-        {"spatial": 1.0},
+        {"agent_weights": {"spatial": 1.0}},
         [AgentOutput(AgentId.SPATIAL, Severity(2), 0.0), AgentOutput(AgentId.TEMPORAL, Severity(2), 0.0)],
         [],
         random.Random(0),
         "no answer",
     )
     @example(  # LLM mode, and the ML override holds
-        {"coordination_mode": "llm"},
-        {"ml": 1.0},
+        {"coordination_mode": "llm", "agent_weights": {"ml": 1.0}},
         [AgentOutput(AgentId.ML, Severity(3), 0.9), AgentOutput(AgentId.SPATIAL, Severity(2), 0.6)],
         [AgentId.TEMPORAL],
         random.Random(0),
         '{"severity": 4, "confidence": 0.97, "reasoning": "r"}',
     )
     @settings(max_examples=300, deadline=None)
-    def test_fusion_invariants(self, doc, weights, live, failed_agents, rnd, reply):
-        try:
-            cfg = validate_config(EngineConfig.from_dict({**doc, "agent_weights": weights}))
-        except ConfigError:
-            assume(False)
+    def test_fusion_invariants(self, doc, live, failed_agents, rnd, reply):
+        cfg = validate_config(EngineConfig.from_dict(doc))
         backend = FakeBackend(reply)
         coordination, decision = fuse(live, cfg, coordination_backend=backend)
 
@@ -569,3 +617,38 @@ class TestFusionProperties:
         # Without the ML agent, only the coordinator's rules can fire.
         if all(o.agent is not AgentId.ML for o in live):
             assert decision.rule_fired in (2, 4)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJsonTraces:
+    @given(
+        accepted_documents(),
+        st.fixed_dictionaries({a: st.floats(0, 1) for a in AgentId}),
+        st.lists(st.sampled_from(list(AgentId)), unique=True),
+        st.integers(0, 2**16),
+    )
+    @example(  # the largest pair of weights the relation admits, on confident live agents
+        {"agent_weights": {"spatial": LARGEST_PAIR, "temporal": LARGEST_PAIR}}, dict.fromkeys(AgentId, 0.9), [], 0
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_trace_line_is_strict_json_with_finite_scores(self, doc, confidences, failing, seed):
+        # Hint fixtures, some agents failing on every record, in both modes.
+        records = synth.generate_records(6, seed, dict.fromkeys(AgentId, 0.7))
+        with tempfile.TemporaryDirectory() as directory:
+            for mode in CoordinationMode:
+                cfg = validate_config(EngineConfig.from_dict({**doc, "coordination_mode": mode.value}))
+                agents = [
+                    ScriptedAgent(a.identity(), lambda features: None) if a.identity() in failing else a
+                    for a in synth.build_hint_agents(cfg, confidences)
+                ]
+                sink = Path(directory) / "trace.jsonl"
+                run_batch(records, agents, cfg, sink, coordination_backend=synth.fallible_coordinator())
+                lines = sink.read_text(encoding="utf-8").splitlines()
+                assert len(lines) == len(records)
+                for line in lines:
+                    coordination = json.loads(line, parse_constant=_reject_constant)["coordination"] or {}
+                    scores = coordination.get("breakdown", {}).get("scores", {})
+                    assert all(math.isfinite(score) for score in scores.values())

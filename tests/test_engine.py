@@ -22,7 +22,16 @@ import marble.engine
 import synth
 from marble.agents import BackendTimeoutError, ScriptedBackend, SlmAgent, TransportError
 from marble.coordination import CoordinationResult, coordinate_rb, format_meta_prompt
-from marble.core import AgentId, AgentOutput, CoordinationMode, EngineConfig, Severity, from_json_value, validate_config
+from marble.core import (
+    AgentId,
+    AgentOutput,
+    ConfigError,
+    CoordinationMode,
+    EngineConfig,
+    Severity,
+    from_json_value,
+    validate_config,
+)
 from marble.decision import DecisionSource, FinalDecision, final_decide
 from marble.engine import (
     AgentContractError,
@@ -1000,6 +1009,35 @@ def test_golden_llm_lines_that_rule_1_decides_read_as_skipped_calls():
             c = d["coordination"]
             assert (c["method"], c["override_applied"], c["fallback"]) == ("rule", True, None), d["record_id"]
     assert any(d["decision"]["rule_fired"] != 1 and d["coordination"]["fallback"] == "parse" for d in llm_lines)
+
+
+@pytest.mark.parametrize(
+    "prediction, confidence, message",
+    [
+        (2, 0.9, "prediction must be a Severity, not 2"),
+        (Severity(2), float("nan"), r"confidence nan outside \[0,1\]"),
+        (Severity(2), 7.0, r"confidence 7.0 outside \[0,1\]"),
+    ],
+)
+def test_a_coordinator_verdict_outside_its_contract_fails_the_run(tmp_path, prediction, confidence, message):
+    # At an ML confidence below both override thresholds, the coordinator is asked on every record.
+    cfg = validate_config(EngineConfig())
+    agents = synth.build_hint_agents(cfg, dict.fromkeys(AgentId, 0.6))
+    records = synth.generate_records(6, 0, dict.fromkeys(AgentId, 0.7))
+    sink = tmp_path / "trace.jsonl"
+
+    def coordinator(live, cfg):
+        return CoordinationResult(prediction, confidence, CoordinationMode.LLM_BASED)
+
+    with pytest.raises(ValueError, match=message):
+        run_batch(records, agents, cfg, sink, coordinator=coordinator)
+    assert sink.read_text(encoding="utf-8") == ""
+
+
+def test_a_tampered_stored_verdict_is_rejected_by_its_path():
+    stored = next(trace.to_dict()["coordination"] for trace in golden_run() if trace.coordination is not None)
+    with pytest.raises(ConfigError, match=r"^coordination: confidence 7.0 outside \[0,1\]$"):
+        from_json_value(CoordinationResult, {**stored, "confidence": 7.0}, "coordination")
 
 
 def test_trace_objects_read_back_from_their_json_form():
