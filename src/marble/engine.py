@@ -160,29 +160,30 @@ def run_instance(
 def _prepare(
     agents: Sequence[Agent], cfg: EngineConfig, backend: SlmBackend | None, coordinator: Coordinator | None
 ) -> Callable[[AccidentRecord], tuple[FinalDecision, TraceRecord]]:
-    """The function that runs one record through the three stages, once the
-    run's checks pass: ValueError for no agent, two of one identity, or LLM
-    mode with no coordinator. The agents' identities are read here, once."""
+    """The function that runs one record through the three stages, its agents in
+    agent order, once the run's checks pass: ValueError for no agent, an identity
+    that is not a distinct AgentId, or LLM mode with no coordinator. Identities are read once."""
     if not agents:
         raise ValueError("at least one agent must be configured")
     identities = [a.identity() for a in agents]
-    if len(set(identities)) != len(identities):
-        raise ValueError("agent identities must be distinct")
+    if not all(isinstance(i, AgentId) for i in identities) or len(set(identities)) != len(identities):
+        raise ValueError(f"agent identities must be distinct AgentIds, got {identities!r}")
     _require_a_coordinator(cfg, backend, coordinator)
+    roster = sorted(zip(identities, agents), key=lambda pair: AGENT_ORDER[pair[0]])
 
     def run(record: AccidentRecord) -> tuple[FinalDecision, TraceRecord]:
         start = time.perf_counter()
         notes: list[str] = []
 
         # Stage 1: per-agent projections.
-        projections = {identity: project(record, identity) for identity in identities}
+        projections = {identity: project(record, identity) for identity, _ in roster}
         stage1_done = time.perf_counter()
 
         # Stage 2: dispatch all agents, then block until each resolves or its
         # deadline passes. Late results are discarded irrevocably.
         deadline = start + (cfg.agent_timeout_ms + _BARRIER_GRACE_MS) / 1000.0
-        outputs, landed = _gather([partial(a.evaluate, projections[i]) for a, i in zip(agents, identities)], deadline)
-        for n, identity in enumerate(identities):
+        outputs, landed = _gather([partial(a.evaluate, projections[i]) for i, a in roster], deadline)
+        for n, (identity, _) in enumerate(roster):
             if outputs[n] is _ABANDONED:
                 outputs[n] = AgentOutput.failure(identity, "timeout", cfg.agent_timeout_ms + _BARRIER_GRACE_MS)
                 notes.append(f"agent {identity.value} abandoned past the barrier deadline")
@@ -190,8 +191,6 @@ def _prepare(
                 raise AgentContractError(
                     f"agent {identity.value} returned {outputs[n]!r}, not an AgentOutput of its own"
                 )
-        outputs.sort(key=lambda o: AGENT_ORDER[o.agent])
-        completed = sorted(zip(identities, landed), key=lambda pair: AGENT_ORDER[pair[0]])
         stage2_done = time.perf_counter()
 
         # Stage 3: coordination over the surviving outputs, then the cascade.
@@ -199,7 +198,7 @@ def _prepare(
             "stage1_ms": _ms(start, stage1_done),
             "stage2_ms": _ms(stage1_done, stage2_done),
             "stage3_start_ms": _ms(start, stage2_done),
-            "agent_completed_ms": {a.value: _ms(start, t) for a, t in completed},
+            "agent_completed_ms": {i.value: _ms(start, t) for (i, _), t in zip(roster, landed)},
         }
         coordination, decision = fuse(outputs, cfg, coordination_backend=backend, coordinator=coordinator, notes=notes)
         end = time.perf_counter()

@@ -38,11 +38,17 @@ _BAD_ROW_BUDGET = 100  # bad rows that ingest_csv collects per file before it gi
 
 @dataclass(frozen=True, slots=True)
 class FeatureValue:
-    """One feature cell: a categorical label, a finite number, or an explicit missing marker."""
+    """One feature cell: a categorical label, a finite number, or an explicit missing marker; else ValueError."""
 
     kind: str  # "categorical" | "numeric" | "missing"
     text: str = ""
     number: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("categorical", "numeric", "missing"):
+            raise ValueError(f"kind must be 'categorical', 'numeric' or 'missing', not {self.kind!r}")
+        if not math.isfinite(self.number):
+            raise ValueError(f"number must be finite, not {self.number!r}")
 
     @classmethod
     def categorical(cls, label: str) -> "FeatureValue":
@@ -168,16 +174,22 @@ _DEFAULT_DOMAINS: dict[AgentId, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class FeatureRegistry:
-    """Which SLM domain reads which features; ML implicitly reads them all."""
+    """Which SLM domain reads which features, each once by ``canonical_name``; ML implicitly reads them all."""
 
     domains: Mapping[AgentId, tuple[str, ...]] = field(
         default_factory=lambda: dict(_DEFAULT_DOMAINS)
     )
 
     def __post_init__(self) -> None:
-        for agent in self.domains:
+        for agent, names in self.domains.items():
             if not agent.is_slm:
                 raise ConfigError(f"registry.{agent.name}: only SLM domains take feature assignments")
+            positions: dict[str, int] = {}
+            for i, name in enumerate(names):
+                j = positions.setdefault(canonical_name(name), i)
+                if j != i:
+                    collide = f"names {names[j]!r} and {name!r} collide as {canonical_name(name)!r}"
+                    raise ConfigError(f"registry.{agent.name}: {collide}")
 
     def domain_features(self, agent: AgentId) -> tuple[str, ...]:
         return tuple(self.domains.get(agent, ()))

@@ -584,6 +584,10 @@ REJECTED = {
         scenarios_json({"1": 1.0}, {"2": 1.0}),
         "{path}: scenario 'x' is named more than once; each name keys one report",
     ),
+    ("--registry", "a-feature-named-twice"): (
+        b'{"environmental": ["Visibility", "visibility"]}',
+        "{path}: registry.ENVIRONMENTAL: names 'Visibility' and 'visibility' collide as 'visibility'",
+    ),
     ("--scripted", "unknown-role"): (
         b'{"enviromental": "x"}', "{path}: --scripted key 'enviromental' names no role; " + ROLES
     ),

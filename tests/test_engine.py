@@ -71,6 +71,9 @@ def unanimous_agents(cfg: EngineConfig, confidence: float) -> list:
 UNSTARTABLE = {
     "no agent": ("at least one agent", lambda cfg: [], "rule"),
     "two of one identity": ("distinct", lambda cfg: [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6)] * 2, "rule"),
+    "an identity that is no AgentId": (
+        r"distinct AgentIds, got \['ml'\]", lambda cfg: [ScriptedAgent("ml", prediction=2, confidence=0.6)], "rule"
+    ),
     "llm mode without a coordinator": ("coordination backend", lambda cfg: unanimous_agents(cfg, 0.7), "llm"),
 }
 
@@ -706,16 +709,18 @@ class TestRunChecks:
 @given(
     tokens=st.lists(st.sampled_from([f"t{i}" for i in range(12)] + ["poison"]), max_size=12),
     max_workers=st.integers(1, 8),
+    order=st.permutations(range(5)),
 )
-def test_run_batch_writes_the_serial_decisions_and_traces_at_any_worker_count(tokens, max_workers):
+def test_run_batch_writes_the_serial_decisions_and_traces_at_any_worker_count(tokens, max_workers, order):
+    # The second pass also lists the agents in another order: the lines, key order included, are the same.
     cfg = validate_config(EngineConfig(coordination_mode=CoordinationMode.LLM_BASED))
     records = [weather_record(f"p{n}", token) for n, token in enumerate(tokens)]
     agents, backend = mixed_agents(cfg), synth.fallible_coordinator()
     runs = []
     with tempfile.TemporaryDirectory() as directory:
-        for workers in (1, max_workers):
+        for workers, listed in ((1, agents), (max_workers, [agents[i] for i in order])):
             sink = Path(directory) / f"{workers}.jsonl"
-            decisions = run_batch(records, agents, cfg, sink, coordination_backend=backend, max_workers=workers)
+            decisions = run_batch(records, listed, cfg, sink, coordination_backend=backend, max_workers=workers)
             lines = [json.loads(line) for line in sink.read_text(encoding="utf-8").splitlines()]
             runs.append((decisions, [json.dumps(strip_timings(line), ensure_ascii=False) for line in lines]))
     assert runs[0] == runs[1]

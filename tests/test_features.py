@@ -69,6 +69,21 @@ class TestFeatureValue:
         assert FeatureValue.numeric(math.nan).is_missing
         assert FeatureValue.numeric(math.inf).is_missing
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("bogus",), "kind must be 'categorical', 'numeric' or 'missing', not 'bogus'"),
+            (("numeric", "", math.inf), "number must be finite, not inf"),
+            (("numeric", "", -math.inf), "number must be finite, not -inf"),
+            (("numeric", "", math.nan), "number must be finite, not nan"),
+            (("missing", "", math.nan), "number must be finite, not nan"),
+        ],
+    )
+    def test_a_cell_no_prompt_or_trace_can_hold_is_rejected_when_built(self, args, message):
+        # Such a cell rendered as "unknown" while its trace said "missing", or failed the prompt build.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FeatureValue(*args)
+
     def test_render_variants(self):
         assert FeatureValue.categorical("Rainy").render() == "Rainy"
         assert FeatureValue.numeric(0.5).render() == "0.5"
@@ -131,6 +146,14 @@ class TestLoadRegistry:
             ({"weather": ["Rain"]}, "registry: unknown agent id: weather"),
             ({"ml": ["Humidity"]}, "registry.ML: only SLM domains take feature assignments"),
             ({"spatial": ["Latitude"], "Spatial": ["Longitude"]}, "registry.SPATIAL is given twice"),
+            # One feature named twice in a domain: the prompt would read it twice, or an exact repeat collapse.
+            *(
+                (
+                    {"temporal": ["Month"], "spatial": ["Latitude", "Longitude", second]},
+                    f"registry.SPATIAL: names 'Latitude' and {second!r} collide as 'latitude'",
+                )
+                for second in ("Latitude", "latitude", " LATITUDE_")
+            ),
         ],
     )
     def test_malformed_registry_rejected(self, tmp_path, data, message):
@@ -328,7 +351,8 @@ def spellings(draw, name: str) -> str:
 _NAME_POOL = assigned(default_registry())
 _other_names = st.text(alphabet="aBc _-", max_size=6)
 registries = st.dictionaries(
-    st.sampled_from(SLM_AGENT_IDS), st.lists(st.sampled_from(_NAME_POOL) | _other_names, max_size=5).map(tuple)
+    st.sampled_from(SLM_AGENT_IDS),
+    st.lists(st.sampled_from(_NAME_POOL) | _other_names, max_size=5, unique_by=canonical_name).map(tuple),
 ).map(FeatureRegistry)
 
 
