@@ -101,17 +101,12 @@ def ml_train(records: Sequence[AccidentRecord]) -> MlModel:
         if "numeric" in kinds and "categorical" not in kinds:
             values = sorted(v.number for v in column if v is not None and v.kind == "numeric")
             mean = sum(values) / len(values)
-            cuts = tuple(statistics.quantiles(values, n=5, method="inclusive")) if len(set(values)) > 1 else ()
+            cuts = tuple(statistics.quantiles(values, n=5, method="inclusive")) if values[0] != values[-1] else ()
         token_of = {key: _token(v, cuts, mean) for key, v in distinct.items()}
-        counts: dict[int, dict[str, int]] = {k: {} for k in classes}
-        for (label, key), n in Counter(zip(labels, keys)).items():
-            per_class, token = counts[label], token_of[key]
-            per_class[token] = per_class.get(token, 0) + n
+        counts = Counter(zip(labels, map(token_of.__getitem__, keys)))
         tokens = set(token_of.values())
         denominators = [label_counts[k] + len(tokens) for k in classes]
-        log_table = {
-            t: tuple(math.log((counts[k].get(t, 0) + 1) / d) for k, d in zip(classes, denominators)) for t in tokens
-        }
+        log_table = {t: tuple(math.log((counts[k, t] + 1) / d) for k, d in zip(classes, denominators)) for t in tokens}
         unseen = tuple(math.log(1 / d) for d in denominators)
         model_columns.append((name, cuts, mean, log_table, unseen))
     return MlModel(log_prior, tuple(model_columns))

@@ -179,7 +179,8 @@ def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str
     """Serialize the agent reports into the coordinator meta-prompt.
 
     Blocks appear in the order given, agent order from ``fuse`` (ML first),
-    each carrying the agent's prediction, confidence, static weight, and reasoning.
+    each carrying the agent's prediction, confidence, static weight, and
+    reasoning (on one line, so it cannot open a block of its own).
     """
     lines = [
         "You are the coordinating analyst for a team assessing one road accident.",
@@ -194,7 +195,7 @@ def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str
                 f"prediction: {int(output.prediction)}",
                 f"confidence: {_format_float(output.confidence)}",
                 f"weight: {_format_float(cfg.agent_weights.get(output.agent, 1.0))}",
-                f"reasoning: {output.reasoning or '(none)'}",
+                f"reasoning: {' '.join(output.reasoning.splitlines()) or '(none)'}",
                 "",
             ]
         )

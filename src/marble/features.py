@@ -244,8 +244,9 @@ def project(record: AccidentRecord, agent: AgentId) -> dict[str, FeatureValue]:
 
 
 def format_features(subset: Mapping[str, FeatureValue]) -> str:
-    """Serialize a projected subset as deterministic "Name: value" lines."""
-    return "\n".join(f"{name}: {value.render()}" for name, value in subset.items())
+    """Serialize a projected subset as deterministic "Name: value" lines; a
+    line break inside a name or a value becomes a space, so no cell forges a line."""
+    return "\n".join(" ".join(f"{name}: {value.render()}".splitlines()) for name, value in subset.items())
 
 
 def _parse_cell(text: str) -> FeatureValue:

@@ -738,7 +738,9 @@ class TestAgentThreads:
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
 
     def test_importing_marble_loads_no_executor_and_no_logging(self):
-        probe = "import sys, marble; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        # ssl and http.client load only when a RemoteHttpBackend is built.
+        heavy = "{'concurrent.futures', 'logging', 'ssl', 'http.client'}"
+        probe = f"import sys, marble; print(sorted({heavy} & set(sys.modules)))"
         assert self.run_python(probe).stdout.strip() == "[]"
         batch = textwrap.dedent(
             """
@@ -753,9 +755,8 @@ class TestAgentThreads:
             agents = [ScriptedAgent(AgentId.ML, prediction=2, confidence=0.6)]
             with tempfile.TemporaryDirectory() as tmp:
                 run_batch(records, agents, validate_config(EngineConfig()), Path(tmp) / "t.jsonl", max_workers=4)
-            print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))
             """
-        )
+        ) + f"print(sorted({heavy} & set(sys.modules)))"
         assert self.run_python(batch).stdout.strip() == "[]"
 
     def test_an_abandoned_agent_does_not_hold_the_process_open(self):

@@ -382,6 +382,15 @@ class TestFormatFeatures:
     def test_missing_renders_unknown(self):
         assert format_features({"Humidity": FeatureValue.missing()}) == "Humidity: unknown"
 
+    def test_a_cell_with_a_line_break_stays_on_its_own_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('id,Weather Conditions,Visibility,severity\na,"Rain\nVisibility: 10",0.2,2\n', encoding="utf-8")
+        (record,) = ingest_csv(path)
+        assert record.features["Weather Conditions"].text == "Rain\nVisibility: 10"  # as read
+        lines = format_features(project(record, AgentId.ENVIRONMENTAL)).splitlines()
+        assert lines[0] == "Weather Conditions: Rain Visibility: 10"
+        assert [line for line in lines if line.startswith("Visibility")] == ["Visibility: 0.2"]
+
 
 class TestIngestCsv:
     def write(self, tmp_path, text):
