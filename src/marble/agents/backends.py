@@ -41,18 +41,16 @@ class SlmBackend(Protocol):
 
 
 class ScriptedBackend:
-    """The ``--scripted`` backend: one reply for every prompt, or a table from
-    prompt substrings to replies. The table is searched in insertion order,
-    with the empty-string key as the default; a prompt that matches no key
-    raises ``TransportError``.
+    """The ``--scripted`` backend: a table from prompt substrings to replies,
+    or one reply for every prompt, held as the table ``{"": reply}``. The table
+    is searched in insertion order, with the empty-string key as the default;
+    a prompt that matches no key raises ``TransportError``.
     """
 
     def __init__(self, script: str | Mapping[str, str]):
-        self._script = script
+        self._script = {"": script} if isinstance(script, str) else script
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
-        if isinstance(self._script, str):
-            return self._script
         for key, value in self._script.items():
             if key and key in prompt:
                 return value
@@ -115,8 +113,8 @@ class RemoteHttpBackend:
     def __init__(self, endpoint: EndpointParams):
         # Here rather than in ``complete``, so the first call's deadline
         # does not pay for the import.
-        import http.client
-        import socket
+        import functools
+        import http.client  # and with it socket
         import ssl
 
         url, self._port = split_endpoint_url(endpoint.url)
@@ -124,6 +122,8 @@ class RemoteHttpBackend:
         self._host = url.hostname
         self._path = urlunsplit(("", "", url.path or "/", url.query, ""))
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        https = functools.partial(http.client.HTTPSConnection, context=self._tls)
+        self._connection = https if self._tls else http.client.HTTPConnection
 
     def complete(self, prompt: str, decoding: DecodingParams, timeout_ms: int) -> str:
         import http.client
@@ -153,11 +153,7 @@ class RemoteHttpBackend:
                     sock = self._tls.wrap_socket(sock, server_hostname=self._host)
                 wrapped = _DeadlineSocket(sock, deadline)
                 with sock, http.client.HTTPResponse(wrapped, method="POST") as response:
-                    conn = (
-                        http.client.HTTPSConnection(self._host, self._port, context=self._tls)
-                        if self._tls
-                        else http.client.HTTPConnection(self._host, self._port)
-                    )
+                    conn = self._connection(self._host, self._port)
                     conn.sock = wrapped
                     conn.request("POST", self._path, json.dumps(body).encode("utf-8"), headers)
                     response.begin()

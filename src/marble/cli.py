@@ -126,6 +126,9 @@ def _write_study(args, stem: str, payload, rows: list[dict], lines: Iterable[str
 
 
 def _cmd_predict(args) -> int:
+    trace = Path(args.trace)  # samefile, so a link to an input counts too
+    if trace.exists() and any(p and Path(p).exists() and trace.samefile(p) for p in (args.input, args.train)):
+        raise ConfigError(f"{args.trace}: --trace would overwrite an input file")
     cfg, agents, coordinator, records = _setup(args)
     decisions = run_batch(records, agents, cfg, args.trace, coordination_backend=coordinator)
     out = csv.writer(sys.stdout, lineterminator="\n")

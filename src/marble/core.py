@@ -95,8 +95,8 @@ class AgentOutput:
             raise ValueError(f"confidence {self.confidence} outside [0,1]")
         if not 0.0 <= self.raw_confidence <= 1.0:
             raise ValueError(f"raw_confidence {self.raw_confidence} outside [0,1]")
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be non-negative")
+        if type(self.latency_ms) is not int or self.latency_ms < 0:  # a bool is no int here
+            raise ValueError(f"latency_ms must be a non-negative int, not {self.latency_ms!r}")
         if self.failed != (self.prediction is None):
             raise ValueError("non-failed output requires a prediction, and a failed one carries none")
         if self.failed != (self.failure_kind is not None):
@@ -121,14 +121,14 @@ class CoordinationMode(Enum):
 
 # Config number types: each field declares its ranges with its type, as (test, message) pairs. A wait
 # much beyond a day overflows the platform's timeout range; a weight below the smallest normal float
-# loses its products to rounding.
+# loses its products to rounding; a token budget over 2**20 lets one reply (64 bytes a token) pass 64 MiB.
 _POSITIVE = (lambda x: x > 0, "must be > 0")
 Unit = Annotated[float, (lambda x: 0.0 <= x <= 1.0, "must lie in [0,1]")]
 OpenUnit = Annotated[float, (lambda x: 0.0 < x <= 1.0, "must lie in (0,1]")]
 Positive = Annotated[float, _POSITIVE]
 Weight = Annotated[float, _POSITIVE, (lambda x: x >= sys.float_info.min, f"must be >= {sys.float_info.min}")]
 NonNegative = Annotated[float, (lambda x: x >= 0, "must be >= 0")]
-PositiveInt = Annotated[int, _POSITIVE]
+MaxNewTokens = Annotated[int, _POSITIVE, (lambda x: x <= 1 << 20, "must be <= 1048576")]
 TimeoutMs = Annotated[int, _POSITIVE, (lambda x: x <= 86_400_000, "must be <= 86400000")]
 
 
@@ -151,7 +151,7 @@ class DecodingParams:
     temperature: NonNegative = 0.2
     top_p: OpenUnit = 0.90
     repetition_penalty: Positive = 1.1
-    max_new_tokens: PositiveInt = 256
+    max_new_tokens: MaxNewTokens = 256
 
 
 @dataclass(frozen=True)

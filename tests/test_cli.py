@@ -650,6 +650,28 @@ def test_a_rejected_input_ends_in_one_line_before_anything_is_written(
         assert called == []
 
 
+@pytest.mark.parametrize("target, link", [("input", None), ("train", None), ("input", "symlink"), ("train", "hardlink")])
+def test_predict_refuses_a_trace_that_is_an_input_file(tmp_path, scripted_file, train_file, input_file, target, link):
+    victim = {"input": input_file, "train": train_file}[target]
+    before = victim.read_bytes()
+    trace = victim
+    if link:
+        trace = tmp_path / "trace.jsonl"
+        (trace.symlink_to if link == "symlink" else trace.hardlink_to)(victim)
+    args = ["predict", "--input", str(input_file), "--train", str(train_file), "--scripted", str(scripted_file)]
+    args += ["--trace", str(trace)]
+    message = f"{trace}: --trace would overwrite an input file"
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == message
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-c", "import sys; from marble.cli import main; sys.exit(main())", *args]
+    result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr.splitlines()) == (1, "", [message])
+    assert victim.read_bytes() == before
+
+
 def test_a_rejected_input_prints_one_line_on_stderr_and_no_traceback(tmp_path, train_file, input_file):
     config = tmp_path / "config.json"
     config.write_bytes(MALFORMED_JSON[0])

@@ -27,10 +27,10 @@ from marble.core import (
     DecodingParams,
     EndpointParams,
     EngineConfig,
+    MaxNewTokens,
     NonNegative,
     OpenUnit,
     Positive,
-    PositiveInt,
     Severity,
     TimeoutMs,
     Unit,
@@ -112,6 +112,18 @@ class TestAgentOutput:
         # A stand-in model returning ``int(...)`` would otherwise fail deep in Stage 3.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AgentOutput(agent, prediction, 0.9)
+
+    @pytest.mark.parametrize("latency", [12.5, float("nan"), float("inf"), True, -1, "5"])
+    def test_latency_is_a_non_negative_int(self, latency):
+        # The trace reader takes whole, finite numbers only; a nan would also
+        # stop the JSONL writer mid-batch.
+        with pytest.raises(ValueError, match=f"^latency_ms must be a non-negative int, not {re.escape(repr(latency))}$"):
+            AgentOutput(AgentId.ML, Severity(2), 0.5, raw_confidence=0.5, latency_ms=latency)
+
+    @pytest.mark.parametrize("raw", [1.5, -0.1, float("nan")])
+    def test_raw_confidence_bounds_enforced(self, raw):
+        with pytest.raises(ValueError, match=r"^raw_confidence .* outside \[0,1\]$"):
+            AgentOutput(AgentId.ML, Severity(2), 0.5, raw_confidence=raw)
 
     def test_ml_reasoning_must_be_empty(self):
         with pytest.raises(ValueError):
@@ -235,6 +247,8 @@ class TestConfigValidation:
             ({"agent_timeout_ms": 2.5}, "agent_timeout_ms must be a whole number"),
             ({"decoding": {"max_new_tokens": 2.5}}, "decoding.max_new_tokens must be a whole number"),
             ({"agent_timeout_ms": 1e13}, "agent_timeout_ms must be <= 86400000"),
+            ({"decoding": {"max_new_tokens": 2**30}}, "decoding.max_new_tokens must be <= 1048576"),
+            ({"decoding": {"max_new_tokens": (1 << 20) + 1}}, "decoding.max_new_tokens must be <= 1048576"),
         ],
     )
     def test_fields_of_the_wrong_json_type_rejected(self, overrides, message):
@@ -426,7 +440,7 @@ _in_range = {
     OpenUnit: st.floats(0, 1, exclude_min=True),
     Positive: _positive,
     NonNegative: st.floats(0, allow_infinity=False),
-    PositiveInt: st.integers(1, 2**64),
+    MaxNewTokens: st.integers(1, 1 << 20),
     TimeoutMs: st.integers(1, 86_400_000) | st.sampled_from([1.0, 250.0]),
     bool: st.booleans(),
     str: st.text(max_size=8),

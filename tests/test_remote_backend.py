@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import marble
 from marble.agents import ScriptedBackend, SlmAgent
-from marble.agents.backends import BackendTimeoutError, RemoteHttpBackend, TransportError
+from marble.agents.backends import BackendTimeoutError, RemoteHttpBackend, TransportError, _DeadlineSocket
 from marble.core import AgentId, ConfigError, DecodingParams, EndpointParams
 from marble.engine import run_batch
 from marble.features import AccidentRecord, FeatureValue, default_registry
@@ -49,6 +49,11 @@ class _Handler(BaseHTTPRequestHandler):
         payload = json.dumps(
             {"choices": [{"message": {"content": self.server.canned}}]}
         ).encode("utf-8") if mode != "raw" else self.server.canned
+        if mode == "no_length":  # HTTP/1.0 with no Content-Length: the body ends when the server closes
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(payload)
+            return
         if mode == "trickle_headers":
             head = f"HTTP/1.0 200 OK\r\nContent-Length: {len(payload)}\r\n\r\n".encode("ascii")
             try:  # one byte every 50 ms, until the client hangs up
@@ -190,6 +195,12 @@ class TestRemoteComplete:
         assert stub_server.done.wait(5)
         assert stub_server.sent < FLOOD_BYTES
 
+    def test_a_body_without_a_length_is_read_to_the_close_at_the_largest_token_budget(self, stub_server):
+        # The reply limit is then 64 MiB; past 2**20 tokens the read's buffer alone ran out of memory.
+        stub_server.mode, stub_server.canned = "no_length", "the payload"
+        backend = RemoteHttpBackend(EndpointParams(url=url(stub_server)))
+        assert backend.complete("p", DecodingParams(max_new_tokens=1 << 20), 2000) == "the payload"
+
     def test_unreachable_host_raises_transport_error(self):
         with pytest.raises(TransportError):
             complete("http://127.0.0.1:9/none", "p", 500)
@@ -243,6 +254,20 @@ class TestOneDeadline:
         with pytest.raises(TransportError):
             complete(url(stub_server).replace("http://", "https://"), "p", 2000)
         assert time.monotonic() - start < 2.0
+
+    def test_a_passed_deadline_raises_before_the_socket_is_touched(self):
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                return lambda *args: calls.append(name)
+
+        wrapped = _DeadlineSocket(Recorder(), time.monotonic() - 1)
+        with pytest.raises(TimeoutError):
+            wrapped.readinto(bytearray(16))
+        with pytest.raises(TimeoutError):
+            wrapped.sendall(b"x")
+        assert calls == []
 
     def test_importing_the_cli_loads_no_http_library(self):
         src = str(Path(marble.__file__).resolve().parents[1])
