@@ -27,13 +27,6 @@ from .harness import (
 )
 
 
-def _load_cfg(args) -> EngineConfig:
-    cfg = load_config(args.config) if args.config else validate_config(EngineConfig())
-    if getattr(args, "mode", None):
-        cfg = replace(cfg, coordination_mode=CoordinationMode(args.mode))
-    return cfg
-
-
 _ROLES = [kind.value for kind in SLM_AGENT_IDS] + ["coordinator"]
 
 
@@ -100,7 +93,9 @@ def _setup(args):
     --input records (read under the feature registry), which eval, ablate and imbalance need labelled.
     The JSON inputs are read before the ML agent trains or --input is read; it writes nothing, and
     each command makes --output-dir just before its first file."""
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config) if args.config else validate_config(EngineConfig())
+    if getattr(args, "mode", None):
+        cfg = replace(cfg, coordination_mode=CoordinationMode(args.mode))
     registry = load_registry(args.registry) if args.registry else default_registry()
     agents, coordination_backend = _build_agents(cfg, args)
     # With an SLM agent configured, some header must name a registry feature.

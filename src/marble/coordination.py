@@ -11,6 +11,7 @@ failed) outputs, at least one, in agent order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,11 +19,14 @@ from .agents.backends import SlmBackend
 from .agents.slm import ask
 from .core import (
     ALL_SEVERITIES,
+    FAILURE_KINDS,
     AgentId,
     AgentOutput,
     CoordinationMode,
     EngineConfig,
     Severity,
+    check_unit,
+    is_number,
 )
 
 
@@ -49,8 +53,20 @@ class CoordinationResult:
     def __post_init__(self) -> None:
         if not isinstance(self.prediction, Severity):
             raise ValueError(f"prediction must be a Severity, not {self.prediction!r}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0,1]")
+        check_unit("confidence", self.confidence)
+        if not isinstance(self.method, CoordinationMode):
+            raise ValueError(f"method must be a CoordinationMode, not {self.method!r}")
+        if not isinstance(self.override_applied, bool):
+            raise ValueError(f"override_applied must be a bool, not {self.override_applied!r}")
+        boost = self.boost_applied  # JSON reads it back as a float
+        if not (is_number(boost) and abs(boost) <= sys.float_info.max and float(boost) == boost):
+            raise ValueError(f"boost_applied must be a finite number that a float holds exactly, not {boost!r}")
+        if not isinstance(self.reasoning, str):
+            raise ValueError(f"reasoning must be a str, not {self.reasoning!r}")
+        if not (self.fallback is None or self.fallback in FAILURE_KINDS):
+            raise ValueError(f"fallback must be None or one of {FAILURE_KINDS}, not {self.fallback!r}")
+        if not (self.breakdown is None or isinstance(self.breakdown, VoteBreakdown)):
+            raise ValueError(f"breakdown must be a VoteBreakdown or None, not {self.breakdown!r}")
 
     def to_dict(self) -> dict:
         """The trace form: the fields in declaration order, the method by
@@ -171,10 +187,6 @@ def coordinate_rb(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> Coordina
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str:
     """Serialize the agent reports into the coordinator meta-prompt.
 
@@ -193,8 +205,8 @@ def format_meta_prompt(outputs: Sequence[AgentOutput], cfg: EngineConfig) -> str
             [
                 f"Agent: {output.agent.value}",
                 f"prediction: {int(output.prediction)}",
-                f"confidence: {_format_float(output.confidence)}",
-                f"weight: {_format_float(cfg.agent_weights.get(output.agent, 1.0))}",
+                f"confidence: {float(output.confidence)!r}",
+                f"weight: {float(cfg.agent_weights.get(output.agent, 1.0))!r}",
                 f"reasoning: {' '.join(output.reasoning.splitlines()) or '(none)'}",
                 "",
             ]

@@ -60,6 +60,9 @@ SLM_AGENT_IDS: tuple[AgentId, ...] = tuple(a for a in AgentId if a.is_slm)
 # Canonical ordering used for prompts, traces, and reports.
 AGENT_ORDER: dict[AgentId, int] = {a: i for i, a in enumerate(AgentId)}
 
+# Why an agent or a coordinator gave no verdict: past its deadline, an unreadable reply, or a failed call.
+FAILURE_KINDS: tuple[str, ...] = ("timeout", "parse", "transport")
+
 
 def clamp01(x: float) -> float:
     """Clamp a real value into [0, 1]; NaN maps to 0."""
@@ -68,12 +71,25 @@ def clamp01(x: float) -> float:
     return max(0.0, min(1.0, x))
 
 
+def is_number(x: Any) -> bool:
+    """Whether ``x`` is an int or a float, and not a bool: a JSON number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def check_unit(name: str, value: Any) -> None:
+    """ValueError naming field ``name`` unless ``value`` is a number in [0, 1]."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be an int or a float, not {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0,1]")
+
+
 @dataclass(frozen=True)
 class AgentOutput:
     """One agent's structured verdict: prediction, confidence, reasoning.
 
     ``failed`` outputs carry no prediction and are excluded from
-    coordination; ``failure_kind`` records why (parse / timeout / transport).
+    coordination; ``failure_kind``, one of ``FAILURE_KINDS``, records why.
     """
 
     agent: AgentId
@@ -91,12 +107,19 @@ class AgentOutput:
             raise ValueError(f"agent must be an AgentId, not {self.agent!r}")
         if not (self.prediction is None or isinstance(self.prediction, Severity)):
             raise ValueError(f"prediction must be a Severity or None, not {self.prediction!r}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0,1]")
-        if not 0.0 <= self.raw_confidence <= 1.0:
-            raise ValueError(f"raw_confidence {self.raw_confidence} outside [0,1]")
-        if type(self.latency_ms) is not int or self.latency_ms < 0:  # a bool is no int here
+        check_unit("confidence", self.confidence)
+        check_unit("raw_confidence", self.raw_confidence)
+        # A bool is no int here, and JSON reads back only an int that a float can hold.
+        if type(self.latency_ms) is not int or not 0 <= self.latency_ms <= sys.float_info.max:
             raise ValueError(f"latency_ms must be a non-negative int, not {self.latency_ms!r}")
+        if not isinstance(self.reasoning, str):
+            raise ValueError(f"reasoning must be a str, not {self.reasoning!r}")
+        if not (isinstance(self.notes, tuple) and all(isinstance(n, str) for n in self.notes)):
+            raise ValueError(f"notes must be a tuple of str, not {self.notes!r}")
+        if not isinstance(self.failed, bool):
+            raise ValueError(f"failed must be a bool, not {self.failed!r}")
+        if not (self.failure_kind is None or self.failure_kind in FAILURE_KINDS):
+            raise ValueError(f"failure_kind must be None or one of {FAILURE_KINDS}, not {self.failure_kind!r}")
         if self.failed != (self.prediction is None):
             raise ValueError("non-failed output requires a prediction, and a failed one carries none")
         if self.failed != (self.failure_kind is not None):
@@ -273,12 +296,9 @@ def from_json_value(tp: Any, value: Any, name: str = "") -> Any:
     constructor; else ConfigError names the field by its dotted path ``name``.
     """
     if tp is float or tp is int:
-        try:
-            number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
-        except OverflowError:
-            number = math.nan
-        if not math.isfinite(number):
+        if not (is_number(value) and abs(value) <= sys.float_info.max):
             raise ConfigError(f"{name} must be a finite number")
+        number = float(value)
         if tp is float:
             return number  # a weight of 3 fingerprints as 3.0
         if not number.is_integer():

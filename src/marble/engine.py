@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from .agents.base import Agent
 from .agents.backends import SlmBackend
 from .coordination import CoordinationResult, coordinate_llm, coordinate_rb
-from .core import AGENT_ORDER, AgentId, AgentOutput, CoordinationMode, EngineConfig
+from .core import AGENT_ORDER, FAILURE_KINDS, AgentId, AgentOutput, CoordinationMode, EngineConfig
 from .decision import FinalDecision, abstain, final_decide
 from .features import AccidentRecord, FeatureValue, project
 
@@ -259,7 +259,7 @@ def fuse(
             answer = "timeout"
             if notes is not None:
                 notes.append("coordinator abandoned past its deadline")
-        if not isinstance(answer, CoordinationResult) and answer not in ("timeout", "parse", "transport"):
+        if not isinstance(answer, CoordinationResult) and answer not in FAILURE_KINDS:
             raise AgentContractError(f"coordinator returned {answer!r}, not a CoordinationResult or a failure kind")
         coordination = answer if isinstance(answer, CoordinationResult) else replace(rule_based, fallback=answer)
     ml_output = next((o for o in live if o.agent is AgentId.ML), None)

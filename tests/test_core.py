@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from marble.agents import ScriptedBackend, SlmAgent
 from marble.core import (
     AGENT_ORDER,
+    FAILURE_KINDS,
     SLM_AGENT_IDS,
     AgentId,
     AgentOutput,
@@ -39,7 +40,13 @@ from marble.core import (
     to_json_value,
     validate_config,
 )
-from marble.coordination import check_ml_override, coordinate_rb, weighted_avg_confidence
+from marble.coordination import (
+    CoordinationResult,
+    check_ml_override,
+    coordinate_rb,
+    weighted_avg_confidence,
+    weighted_scores,
+)
 from marble.engine import fuse, run_batch
 from marble.features import AccidentRecord, FeatureValue, default_registry, project
 import synth
@@ -130,6 +137,85 @@ class TestAgentOutput:
             AgentOutput(
                 agent=AgentId.ML, prediction=Severity(2), confidence=0.5, reasoning="because"
             )
+
+
+# Values of a wrong type for most verdict fields, and some of the right type outside the contract.
+_mistyped = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.integers() | st.text(max_size=2), max_size=2)
+    | st.tuples(st.integers())
+    | st.sampled_from([*AgentId, *Severity, *CoordinationMode])
+)
+_unit = st.floats(0, 1) | st.sampled_from([0, 1])
+
+
+@st.composite
+def _agent_output_fields(draw):
+    agent, failed = draw(st.sampled_from(list(AgentId))), draw(st.booleans())
+    return {
+        "agent": agent,
+        "prediction": None if failed else draw(st.sampled_from(list(Severity))),
+        "confidence": draw(_unit),
+        "raw_confidence": draw(_unit),
+        "reasoning": "" if agent is AgentId.ML else draw(st.text(max_size=8)),
+        "failed": failed,
+        "failure_kind": draw(st.sampled_from(FAILURE_KINDS)) if failed else None,
+        "latency_ms": draw(st.integers(0)),
+        "notes": tuple(draw(st.lists(st.text(max_size=4), max_size=2))),
+    }
+
+
+_votes = st.lists(
+    st.tuples(st.sampled_from(list(AgentId)), st.sampled_from(list(Severity)), st.floats(0, 1)),
+    min_size=1,
+    unique_by=lambda vote: vote[0],
+)
+_coordination_fields = st.fixed_dictionaries(
+    {
+        "prediction": st.sampled_from(list(Severity)),
+        "confidence": _unit,
+        "method": st.sampled_from(list(CoordinationMode)),
+        "override_applied": st.booleans(),
+        "boost_applied": st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**53), 2**53),
+        "reasoning": st.text(max_size=8),
+        "fallback": st.none() | st.sampled_from(FAILURE_KINDS),
+        "breakdown": st.none()
+        | _votes.map(lambda votes: weighted_scores([AgentOutput(*vote) for vote in votes], EngineConfig())),
+    }
+)
+
+
+@st.composite
+def _verdicts(draw):
+    """A verdict type and its fields, each well typed but for a few drawn from ``_mistyped``."""
+    cls, strategy = draw(
+        st.sampled_from([(AgentOutput, _agent_output_fields()), (CoordinationResult, _coordination_fields)])
+    )
+    fields = draw(strategy)
+    for name in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)):
+        fields[name] = draw(_mistyped)
+    return cls, fields
+
+
+class TestVerdictsReadBack:
+    @given(_verdicts())
+    # An int past the largest float, and one that no float holds exactly: JSON reads neither back as itself.
+    @example((AgentOutput, {"agent": AgentId.ML, "prediction": Severity(2), "confidence": 0.5, "latency_ms": 2**1024}))
+    @example((CoordinationResult, {"prediction": Severity(2), "confidence": 0.5, "method": CoordinationMode.RULE_BASED,
+                                   "boost_applied": 2**53 + 1}))
+    @settings(max_examples=400, deadline=None)
+    def test_every_verdict_a_constructor_takes_reads_back_equal(self, verdict):
+        # The trace writer's strict JSON, read back as a trace reader reads it.
+        cls, fields = verdict
+        try:
+            built = cls(**fields)
+        except ValueError:
+            return
+        assert from_json_value(cls, json.loads(json.dumps(built.to_dict(), allow_nan=False))) == built
 
 
 class TestConfigValidation:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -1017,26 +1018,78 @@ def test_golden_llm_lines_that_rule_1_decides_read_as_skipped_calls():
     assert any(d["decision"]["rule_fired"] != 1 and d["coordination"]["fallback"] == "parse" for d in llm_lines)
 
 
+def frames(excinfo) -> list[str]:
+    return [entry.name for entry in excinfo.traceback]
+
+
 @pytest.mark.parametrize(
-    "prediction, confidence, message",
+    "fields, message",
     [
-        (2, 0.9, "prediction must be a Severity, not 2"),
-        (Severity(2), float("nan"), r"confidence nan outside \[0,1\]"),
-        (Severity(2), 7.0, r"confidence 7.0 outside \[0,1\]"),
+        (dict(prediction=Severity(2), confidence=0.7, reasoning=None), "reasoning must be a str, not None"),
+        (dict(prediction=Severity(2), confidence=0.7, reasoning=7), "reasoning must be a str, not 7"),
+        (dict(prediction=Severity(2), confidence=True), "confidence must be an int or a float, not True"),
+        (
+            dict(prediction=Severity(2), confidence=0.7, raw_confidence=True),
+            "raw_confidence must be an int or a float, not True",
+        ),
+        (dict(prediction=Severity(2), confidence=0.7, notes=(1,)), "notes must be a tuple of str, not (1,)"),
+        (dict(prediction=Severity(2), confidence=0.7, notes="abc"), "notes must be a tuple of str, not 'abc'"),
+        (dict(prediction=None, confidence=0.0, failed=1, failure_kind="parse"), "failed must be a bool, not 1"),
+        (
+            dict(prediction=None, confidence=0.0, failed=True, failure_kind="oops"),
+            "failure_kind must be None or one of ('timeout', 'parse', 'transport'), not 'oops'",
+        ),
     ],
 )
-def test_a_coordinator_verdict_outside_its_contract_fails_the_run(tmp_path, prediction, confidence, message):
+def test_an_agent_output_outside_its_contract_is_refused_where_the_agent_builds_it(tmp_path, fields, message):
+    # Before the contract, each was taken, and then either ended an LLM-mode run in
+    # format_meta_prompt (reasoning None) or wrote a trace line that the reader rejects.
+    cfg = dataclasses.replace(validate_config(EngineConfig()), coordination_mode=CoordinationMode.LLM_BASED)
+    custom = ScriptedAgent(AgentId.SPATIAL, lambda features: AgentOutput(AgentId.SPATIAL, **fields))
+    agents = [synth.ml_hint_agent(0.6), custom]
+    records = synth.generate_records(3, 0, dict.fromkeys(AgentId, 0.7))
+    sink = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        run_batch(records, agents, cfg, sink, coordination_backend=ScriptedBackend(payload(3, 0.7)))
+    assert "evaluate" in frames(excinfo)
+    assert sink.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(prediction=2), "prediction must be a Severity, not 2"),
+        (dict(confidence=float("nan")), r"confidence nan outside \[0,1\]"),
+        (dict(confidence=7.0), r"confidence 7.0 outside \[0,1\]"),
+        (dict(confidence=True), "confidence must be an int or a float, not True"),
+        (dict(method="llm"), "method must be a CoordinationMode, not 'llm'"),
+        (dict(override_applied=1), "override_applied must be a bool, not 1"),
+        (dict(boost_applied=float("nan")), "boost_applied must be a finite number that a float holds exactly, not nan"),
+        (
+            dict(boost_applied=2**53 + 1),
+            "boost_applied must be a finite number that a float holds exactly, not 9007199254740993",
+        ),
+        (dict(reasoning=None), "reasoning must be a str, not None"),
+        (dict(fallback="oops"), r"fallback must be None or one of \('timeout', 'parse', 'transport'\), not 'oops'"),
+        (dict(breakdown={}), "breakdown must be a VoteBreakdown or None, not {}"),
+    ],
+)
+def test_a_coordinator_verdict_outside_its_contract_fails_the_run(tmp_path, fields, message):
     # At an ML confidence below both override thresholds, the coordinator is asked on every record.
+    # The verdict is refused where the coordinator builds it: before the contract, a method by value
+    # or a NaN boost ended the run at the trace writer, and the others wrote lines the reader rejects.
     cfg = validate_config(EngineConfig())
     agents = synth.build_hint_agents(cfg, dict.fromkeys(AgentId, 0.6))
     records = synth.generate_records(6, 0, dict.fromkeys(AgentId, 0.7))
     sink = tmp_path / "trace.jsonl"
 
     def coordinator(live, cfg):
-        return CoordinationResult(prediction, confidence, CoordinationMode.LLM_BASED)
+        verdict = {"prediction": Severity(2), "confidence": 0.9, "method": CoordinationMode.LLM_BASED, **fields}
+        return CoordinationResult(**verdict)
 
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
         run_batch(records, agents, cfg, sink, coordinator=coordinator)
+    assert "coordinator" in frames(excinfo)
     assert sink.read_text(encoding="utf-8") == ""
 
 
